@@ -3,19 +3,21 @@
 Three measurements of :class:`repro.sdf.engine.ThroughputEngine`:
 
 * **corpus sweep** -- per-analysis wall clock of the adaptive ``auto``
-  policy vs. the pinned reference tier, over every committed
-  ``examples/corpus/`` scenario.  Exact ``Fraction`` equality is a hard
-  failure.  Short-state-space scenarios stay on the vectorized probe
-  (parity with the reference is the *win*: the engine did not pay for
-  the HSDF transform); the stress band (``diamond-s7-*``: long state
-  spaces, the regime the analytic tier exists for) escalates, and the
-  median speedup over those escalated analyses is gated (locally well
-  above 5x; relax on noisy shared runners via
-  ``BENCH_TIERS_MIN_SPEEDUP``);
+  policy vs. the pinned vectorized tier, over every committed
+  ``examples/corpus/`` scenario.  Both must equal the test oracle
+  (:func:`repro.sdf.simulation_reference.reference_analyze_throughput`)
+  in the exact ``Fraction``; a mismatch is a hard failure.
+  Short-state-space scenarios stay on the vectorized probe (parity with
+  the pinned tier is the *win*: the engine did not pay for the HSDF
+  transform); the stress band (``diamond-s7-*``: long state spaces, the
+  regime the analytic tier exists for) escalates, and the median
+  speedup over those escalated analyses is gated (relax on noisy shared
+  runners via ``BENCH_TIERS_MIN_SPEEDUP``);
 * **Fig. 6 workloads** -- the MJPEG decoder mapped onto the 5-tile FSL
   (fig6a) and NoC (fig6b) templates.  Mapped graphs carry static orders,
-  so auto falls back to the vectorized core; this times that tier
-  against the reference on the flow's real hot analyses;
+  so auto falls back to the vectorized tier; this times auto against
+  the pinned tier on the flow's real hot analyses and checks both
+  field for field against the oracle;
 * **buffer-sizing calls** -- engine analyses consumed by the monotone
   capacity search of :func:`repro.sdf.buffers.
   minimal_buffer_distribution` vs. an inline replica of the historic
@@ -50,7 +52,7 @@ from repro.sdf.buffers import (
 )
 from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.engine import ThroughputEngine, collect_engine_counters
-from repro.sdf.throughput import ThroughputAnalyzer
+from repro.sdf.simulation_reference import reference_analyze_throughput
 
 CORPUS = sorted(
     (Path(__file__).resolve().parents[1] / "examples" / "corpus").glob(
@@ -101,19 +103,24 @@ def _corpus_sweep():
         graph = load_flow_spec(spec_path).build_application().graph
         bounded = _bounded(graph)
         auto = ThroughputEngine(bounded)
-        reference = ThroughputEngine(bounded, mode="reference")
+        pinned = ThroughputEngine(bounded, mode="vectorized")
         fast_s, fast = _best_of(auto.analyze)
-        slow_s, slow = _best_of(reference.analyze)
-        assert fast.throughput == slow.throughput, (
+        slow_s, slow = _best_of(pinned.analyze)
+        oracle = reference_analyze_throughput(bounded)
+        assert slow == oracle, (
+            f"{spec_path.stem}: vectorized tier diverged from the "
+            f"oracle ({slow} vs {oracle})"
+        )
+        assert fast.throughput == oracle.throughput, (
             f"{spec_path.stem}: {fast.tier} tier diverged from the "
-            f"reference ({fast.throughput} vs {slow.throughput})"
+            f"oracle ({fast.throughput} vs {oracle.throughput})"
         )
         records[spec_path.stem] = {
             "actors": len(bounded),
             "tier": fast.tier,
             "tier_reason": fast.tier_reason,
             "tier_s": fast_s,
-            "reference_s": slow_s,
+            "vectorized_s": slow_s,
             "speedup": slow_s / fast_s if fast_s else float("inf"),
         }
     return records
@@ -139,14 +146,14 @@ def _fig6_sweep(workloads):
             reference_actor=bound.app_actors[0],
         )
         auto = ThroughputEngine(bound.graph, **kwargs)
-        reference = ThroughputEngine(bound.graph, mode="reference",
-                                     **kwargs)
+        pinned = ThroughputEngine(bound.graph, mode="vectorized", **kwargs)
         tier, reason = auto.tier_for()
         fast_s, fast = _best_of(auto.analyze)
-        slow_s, slow = _best_of(reference.analyze)
-        assert fast == slow, (
-            f"{figure}: {tier} tier diverged from the reference "
-            f"({fast} vs {slow})"
+        slow_s, slow = _best_of(pinned.analyze)
+        oracle = reference_analyze_throughput(bound.graph, **kwargs)
+        assert fast == slow == oracle, (
+            f"{figure}: the engine diverged from the oracle "
+            f"(auto {fast}, vectorized {slow}, oracle {oracle})"
         )
         records[figure] = {
             "interconnect": interconnect,
@@ -156,7 +163,7 @@ def _fig6_sweep(workloads):
             "fallback_reason": reason,
             "throughput": str(fast.throughput),
             "tier_s": fast_s,
-            "reference_s": slow_s,
+            "vectorized_s": slow_s,
             "speedup": slow_s / fast_s if fast_s else float("inf"),
         }
     return records
@@ -201,8 +208,8 @@ def _greedy_sizing_calls(graph, constraint, max_rounds=200, step=1):
             set_capacity(name, distribution[name] + step)
 
     calls = 0
-    analyzer = ThroughputAnalyzer(bounded)
-    result = analyzer.analyze()
+    engine = ThroughputEngine(bounded, mode="vectorized")
+    result = engine.analyze()
     calls += 1
     for _ in range(max_rounds):
         if result.throughput >= constraint:
@@ -212,7 +219,7 @@ def _greedy_sizing_calls(graph, constraint, max_rounds=200, step=1):
         for name in list(distribution):
             current = distribution[name]
             set_capacity(name, current + step)
-            trial = analyzer.analyze(check_deadlock=False)
+            trial = engine.analyze(check_deadlock=False)
             calls += 1
             set_capacity(name, current)
             if trial.throughput > best_result.throughput:
@@ -221,7 +228,7 @@ def _greedy_sizing_calls(graph, constraint, max_rounds=200, step=1):
         if best_name is None:
             for name in distribution:
                 set_capacity(name, distribution[name] + step)
-            result = analyzer.analyze(check_deadlock=False)
+            result = engine.analyze(check_deadlock=False)
             calls += 1
         else:
             set_capacity(best_name, distribution[best_name] + step)
@@ -281,7 +288,7 @@ def test_throughput_tiers(benchmark, workloads):
         "analytic_engaged": len(analytic_speedups),
         "corpus_tiers": {
             tier: sum(1 for r in corpus.values() if r["tier"] == tier)
-            for tier in ("analytic", "vectorized", "reference")
+            for tier in ("analytic", "vectorized")
         },
         "sizing_call_ratio": (
             sizing["greedy_calls"] / sizing["monotone_calls"]
@@ -290,18 +297,18 @@ def test_throughput_tiers(benchmark, workloads):
 
     header = (
         f"{'scenario':<18} {'tier':<10} {'tier [ms]':>10} "
-        f"{'ref [ms]':>10} {'speedup':>8}"
+        f"{'vec [ms]':>10} {'speedup':>8}"
     )
     rows = [header, "-" * len(header)]
     for name, rec in sorted(corpus.items()):
         rows.append(
             f"{name:<18} {rec['tier']:<10} {rec['tier_s'] * 1e3:>10.3f} "
-            f"{rec['reference_s'] * 1e3:>10.3f} {rec['speedup']:>7.1f}x"
+            f"{rec['vectorized_s'] * 1e3:>10.3f} {rec['speedup']:>7.1f}x"
         )
     for figure, rec in payload["fig6"].items():
         rows.append(
             f"{figure:<18} {rec['tier']:<10} {rec['tier_s'] * 1e3:>10.3f} "
-            f"{rec['reference_s'] * 1e3:>10.3f} {rec['speedup']:>7.1f}x"
+            f"{rec['vectorized_s'] * 1e3:>10.3f} {rec['speedup']:>7.1f}x"
         )
     rows.append("")
     rows.append(

@@ -51,8 +51,8 @@ class EffortReport:
     """Timings of the automated flow steps (Table 1, bottom half).
 
     ``engine_tiers`` counts the throughput-engine tiers exercised while
-    the flow ran (``{"analytic": n, "vectorized": m, "reference": k}``,
-    zero entries elided) -- it shows how often the analytic fast path
+    the flow ran (``{"analytic": n, "vectorized": m}``, zero entries
+    elided) -- it shows how often the analytic fast path
     actually engaged during mapping and buffer sizing.
     """
 

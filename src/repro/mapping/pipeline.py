@@ -128,7 +128,7 @@ class MappingEffort:
                     raise ValueError(
                         f"invalid engine override in mapping effort "
                         f"{level!r}; expected '+eng<MODE>' with MODE one "
-                        "of auto, analytic, vectorized, reference"
+                        "of auto, analytic, vectorized"
                     ) from None
             else:
                 raise ValueError(

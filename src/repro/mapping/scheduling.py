@@ -3,20 +3,26 @@
 MAMPS tiles run a static-order scheduler -- "a lookup table" (Section 6.3).
 The orders are derived the SDF3 way: execute the bound graph self-timed
 under the resource binding (greedy, no orders yet) for one iteration and
-record, per tile, the order in which application actors start.  List
+record, per tile, the order in which application actors fire.  List
 scheduling via simulation inherits all data dependencies, so the recorded
 order is guaranteed executable; fixing it afterwards can only delay firings
 relative to the greedy run, and the subsequent throughput analysis of the
 ordered graph provides the actual guarantee.
+
+The run is the shared :class:`~repro.sdf.simulation.SelfTimedSimulator`
+with an ``on_finish`` hook and no trace: each tile's order is the
+completion order of its application firings, capped at the repetition
+count of each actor.  A tile executes one firing at a time, so this is
+its start order; the two can differ only among zero-duration firings in
+flight together, where completion order follows start order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.exceptions import DeadlockError, MappingError
+from repro.exceptions import DeadlockError
 from repro.mapping.bound_graph import BoundGraph
-from repro.sdf.engine import build_simulator
 from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
 
@@ -31,53 +37,29 @@ def build_static_orders(bound: BoundGraph) -> Dict[str, List[str]]:
     and retry.
     """
     q = repetition_vector(bound.graph)
-    sim = build_simulator(
-        bound.graph,
-        processor_of=bound.processor_of,
-        record_trace=True,
-    )
-
     targets = {a: q[a] for a in bound.app_actors}
-
-    def one_iteration_started(s: SelfTimedSimulator) -> bool:
-        # started_of is O(1); this predicate runs after every step.
-        return all(s.started_of(a) >= n for a, n in targets.items())
-
-    total_needed = sum(q.values()) * 3  # generous safety bound
-    sim.run(
-        stop_when=one_iteration_started,
-        max_firings=max(total_needed, 100_000),
-    )
-    if not one_iteration_started(sim):
-        raise DeadlockError(
-            f"greedy execution of {bound.graph.name!r} could not complete "
-            "one iteration while deriving static orders; buffer capacities "
-            "are likely too small"
-        )
-
+    tile_of = bound.processor_of
     orders: Dict[str, List[str]] = {tile: [] for tile in bound.tiles()}
-    counted: Dict[str, int] = {a: 0 for a in bound.app_actors}
-    for firing in sorted(sim.trace.firings, key=lambda f: (f.start, f.end)):
-        actor = firing.actor
-        if actor not in targets:
-            continue
-        if counted[actor] >= targets[actor]:
-            continue
-        counted[actor] += 1
-        orders[bound.processor_of[actor]].append(actor)
+    outstanding = sum(targets.values())
 
-    # Started-but-unfinished firings do not appear in the trace; append
-    # them in deterministic actor order (they are the iteration's tail).
-    for actor, needed in targets.items():
-        while counted[actor] < needed:
-            counted[actor] += 1
-            orders[bound.processor_of[actor]].append(actor)
+    def on_finish(actor: str, index: int) -> None:
+        nonlocal outstanding
+        if index < targets.get(actor, 0):
+            orders[tile_of[actor]].append(actor)
+            outstanding -= 1
 
-    for tile, order in orders.items():
-        expected = sum(q[a] for a in bound.app_actors_on(tile))
-        if len(order) != expected:
-            raise MappingError(
-                f"static order of {tile!r} has {len(order)} entries, "
-                f"expected {expected} -- scheduling bug"
+    sim = SelfTimedSimulator(
+        bound.graph, processor_of=tile_of, on_finish=on_finish
+    )
+    budget = max(sum(q.values()) * 3, 100_000)  # generous safety bound
+    completions = 0
+    while outstanding:
+        finished = sim.step()
+        completions += len(finished)
+        if outstanding and (not finished or completions >= budget):
+            raise DeadlockError(
+                f"greedy execution of {bound.graph.name!r} could not "
+                "complete one iteration while deriving static orders; "
+                "buffer capacities are likely too small"
             )
     return orders

@@ -28,15 +28,10 @@ from repro.sdf.engine import (
     ENGINE_MODES,
     EngineUnsupportedError,
     ThroughputEngine,
-    build_simulator,
     collect_engine_counters,
     engine_counters,
 )
-from repro.sdf.throughput import (
-    ThroughputAnalyzer,
-    ThroughputResult,
-    analyze_throughput,
-)
+from repro.sdf.throughput import ThroughputResult, analyze_throughput
 from repro.sdf.simulation import SelfTimedSimulator, SimulationTrace
 from repro.sdf.hsdf import to_hsdf
 from repro.sdf.mcm import maximum_cycle_mean
@@ -69,10 +64,8 @@ __all__ = [
     "ENGINE_MODES",
     "EngineUnsupportedError",
     "ThroughputEngine",
-    "build_simulator",
     "collect_engine_counters",
     "engine_counters",
-    "ThroughputAnalyzer",
     "ThroughputResult",
     "SelfTimedSimulator",
     "SimulationTrace",

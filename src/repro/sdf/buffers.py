@@ -137,7 +137,7 @@ def retune_buffer_capacity(
     ``capacity - initial_tokens(edge)``.  This is the warm path of the
     sizing search: one bounded graph is built and then retuned per
     candidate capacity instead of re-copied, and the simulator inside
-    :class:`~repro.sdf.throughput.ThroughputAnalyzer` picks the new token
+    :class:`~repro.sdf.engine.ThroughputEngine` picks the new token
     counts up on its next reset.  Validation matches
     :func:`add_buffer_edges`.
     """

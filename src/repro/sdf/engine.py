@@ -1,26 +1,25 @@
-"""Tiered throughput engine: one facade over three exact analyses.
+"""Tiered throughput engine: one facade over two exact analyses.
 
 Every throughput guarantee in the flow -- buffer sizing, the mapping
 constraint loop, design-space exploration, operating-point library
 builds, served flows -- needs the *same* number: the self-timed
 throughput of a bounded SDF graph as an exact :class:`fractions.
-Fraction`.  Three implementations of that number exist in this package,
+Fraction`.  Two implementations of that number exist in this package,
 with wildly different costs:
 
 * **analytic** -- expand the graph to HSDF (:mod:`repro.sdf.hsdf`) and
   take ``1 / MCM`` (:mod:`repro.sdf.mcm`).  Simulation-free and exact,
   but only expressible when the resource constraints are (see
   :meth:`ThroughputEngine.analytic_decline_reason`);
-* **vectorized** -- a trimmed array-of-ints state-space simulation:
-  integer time, preallocated token/credit arrays, no per-event name or
-  trace bookkeeping, no ``Fraction`` in the inner loop; the exact
-  ``Fraction`` is reconstructed once, at period detection.  Starts
-  firings in exactly the deterministic order of the reference engine,
-  so every result field (period, transient, ...) is bit-identical;
-* **reference** -- :class:`~repro.sdf.throughput.ThroughputAnalyzer`
-  over the full-featured :class:`~repro.sdf.simulation.
-  SelfTimedSimulator` (the PR-3 incremental engine), kept as the
-  differential oracle and for callers that need hooks or traces.
+* **vectorized** -- the state-space analysis
+  :meth:`~repro.sdf.simulation.SelfTimedSimulator.run_throughput` on
+  the lean path of the one self-timed simulator: integer time,
+  preallocated token/credit arrays, no per-event name or trace
+  bookkeeping, no ``Fraction`` in the inner loop; the exact
+  ``Fraction`` is reconstructed once, at period detection.  Every
+  result field (period, transient, ...) is bit-identical to the test
+  oracle :func:`~repro.sdf.simulation_reference.
+  reference_analyze_throughput`.
 
 :class:`ThroughputEngine` owns the tier policy.  Whether the analytic
 tier *pays* cannot be read off the graph: two graphs with identical
@@ -28,7 +27,7 @@ size features can have state spaces of 6 and 900 iterations (the
 whole reason the state space is simulated rather than predicted), so
 ``auto`` decides adaptively.  When the HSDF transform is tractable and
 the binding / static-order constraints allow it, analyze() first runs
-the vectorized core for a probe bounded by the *estimated analytic
+the vectorized tier for a probe bounded by the *estimated analytic
 cost* (at least :data:`PROBE_ITERATIONS` iterations, stretched by
 :data:`PROBE_WORK_FACTOR` for graphs whose HSDF expansion is large
 relative to their per-iteration simulation cost): a state space that
@@ -41,16 +40,14 @@ adversarial expansion where the cycle-ratio iteration itself grinds;
 exceeding it falls back to the full vectorized run.  The chosen tier
 and the fallback reason are recorded in the
 :class:`~repro.sdf.throughput.ThroughputResult`.  The ``mode`` knob
-(``auto``/``analytic``/``vectorized``/``reference``) pins a tier
-(no probe, no budget); a pinned ``analytic`` on an ineligible graph
-raises :class:`EngineUnsupportedError` rather than silently
-degrading.
+(``auto``/``analytic``/``vectorized``) pins a tier (no probe, no
+budget); a pinned ``analytic`` on an ineligible graph raises
+:class:`EngineUnsupportedError` rather than silently degrading.
 
 Consumers that need raw *stepping* (static-order derivation, the
-platform simulator, latency scans) obtain their simulator through
-:func:`build_simulator`, keeping this module the single construction
-point of the analysis stack -- CI forbids direct
-``SelfTimedSimulator(...)`` calls outside :mod:`repro.sdf`.
+platform simulator, latency scans) construct the same
+:class:`~repro.sdf.simulation.SelfTimedSimulator` directly, with their
+hooks.
 
 Tier usage is counted process-wide (:func:`engine_counters`, surfaced
 by ``GET /v1/healthz``) and per scope via
@@ -61,12 +58,10 @@ by ``GET /v1/healthz``) and per scope via
 from __future__ import annotations
 
 import contextvars
-import heapq
 import threading
 from contextlib import contextmanager
 from dataclasses import replace
-from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import DeadlockError, SimulationError
 from repro.sdf.deadlock import deadlock_report
@@ -75,16 +70,10 @@ from repro.sdf.hsdf import to_hsdf
 from repro.sdf.mcm import CycleRatioBudgetError, maximum_cycle_mean
 from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
-from repro.sdf.throughput import (
-    ThroughputAnalyzer,
-    ThroughputResult,
-    UnboundedExecutionError,
-)
+from repro.sdf.throughput import ThroughputResult, UnboundedExecutionError
 
 #: The selectable engine tiers, fastest-preferred first.
-ENGINE_MODES: Tuple[str, ...] = (
-    "auto", "analytic", "vectorized", "reference"
-)
+ENGINE_MODES: Tuple[str, ...] = ("auto", "analytic", "vectorized")
 
 #: HSDF expansion budget: total actor copies (sum of the repetition
 #: vector).  Beyond this the quadratic token-dependency scan of the
@@ -93,7 +82,7 @@ MAX_HSDF_COPIES = 256
 #: HSDF expansion budget: token dependencies examined by the transform
 #: (``sum over edges of q[dst] * consumption``).
 MAX_HSDF_WORK = 20_000
-#: ``auto`` probes the vectorized core for at least this many iterations
+#: ``auto`` probes the vectorized tier for at least this many iterations
 #: before escalating to the analytic tier.  Short state spaces (every
 #: observed easy instance recurs within ~14 iterations) finish inside
 #: the probe, where simulation is cheaper than the HSDF transform.
@@ -133,13 +122,12 @@ class EngineUnsupportedError(SimulationError):
 class EngineCounters:
     """Monotonic per-tier analysis counts (thread-safe)."""
 
-    __slots__ = ("_lock", "analytic", "vectorized", "reference")
+    __slots__ = ("_lock", "analytic", "vectorized")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.analytic = 0
         self.vectorized = 0
-        self.reference = 0
 
     def record(self, tier: str) -> None:
         with self._lock:
@@ -150,12 +138,11 @@ class EngineCounters:
             return {
                 "analytic": self.analytic,
                 "vectorized": self.vectorized,
-                "reference": self.reference,
             }
 
     def total(self) -> int:
         with self._lock:
-            return self.analytic + self.vectorized + self.reference
+            return self.analytic + self.vectorized
 
 
 _GLOBAL_COUNTERS = EngineCounters()
@@ -194,36 +181,8 @@ def _record_tier(tier: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# simulator construction facade
+# the facade
 # ----------------------------------------------------------------------
-def build_simulator(
-    graph: SDFGraph,
-    auto_concurrency: Optional[int] = 1,
-    processor_of: Optional[Dict[str, str]] = None,
-    static_order: Optional[Dict[str, Sequence[str]]] = None,
-    execution_time_of: Optional[Callable[[str, int], int]] = None,
-    on_finish: Optional[Callable[[str, int], None]] = None,
-    record_trace: bool = False,
-) -> SelfTimedSimulator:
-    """Construct the full-featured self-timed simulator.
-
-    The one sanctioned way to obtain a stepping/tracing/hooked simulator
-    outside :mod:`repro.sdf` (static-order derivation, the platform
-    simulator, latency scans).  Throughput-only callers should use
-    :class:`ThroughputEngine` instead, which picks a cheaper tier when
-    it can.
-    """
-    return SelfTimedSimulator(
-        graph,
-        auto_concurrency=auto_concurrency,
-        processor_of=processor_of,
-        static_order=static_order,
-        execution_time_of=execution_time_of,
-        on_finish=on_finish,
-        record_trace=record_trace,
-    )
-
-
 def normalize_engine_mode(mode: str) -> str:
     """Validate an engine mode string; raises :class:`ValueError`."""
     if mode not in ENGINE_MODES:
@@ -234,172 +193,6 @@ def normalize_engine_mode(mode: str) -> str:
     return mode
 
 
-# ----------------------------------------------------------------------
-# the vectorized tier
-# ----------------------------------------------------------------------
-class _VectorizedCore(SelfTimedSimulator):
-    """Array-of-ints state-space core for throughput detection only.
-
-    Inherits the integer-indexed adjacency and the dirty-set engine of
-    :class:`SelfTimedSimulator` but replaces the per-event path with
-    trimmed variants: no started/finished name lists, no trace or
-    max-token bookkeeping, no hook indirection -- just token array
-    updates, the completion heap and the dirty sets.  Firing start
-    order is kept byte-for-byte identical to the parent (static-order
-    processors by declaration rank, then greedy actors in insertion
-    order), so :meth:`run_throughput` reproduces the reference
-    analyzer's state keys and therefore its exact period, transient
-    and throughput.
-    """
-
-    def __init__(
-        self,
-        graph: SDFGraph,
-        auto_concurrency: Optional[int] = 1,
-        processor_of: Optional[Dict[str, str]] = None,
-        static_order: Optional[Dict[str, Sequence[str]]] = None,
-    ) -> None:
-        super().__init__(
-            graph,
-            auto_concurrency=auto_concurrency,
-            processor_of=processor_of,
-            static_order=static_order,
-        )
-
-    def _duration(self, idx: int) -> int:
-        # Static execution times only (the engine never passes the
-        # per-firing override hook); validated non-negative at graph
-        # construction.
-        return self._exec_time[idx]
-
-    def _finish_fast(self, idx: int) -> None:
-        tokens = self._tokens
-        consumer = self._consumer_of
-        mark = self._mark_actor
-        for e, p in self._out_rates[idx]:
-            tokens[e] += p
-            mark(consumer[e])
-        self._ongoing[idx] -= 1
-        self._completed[idx] += 1
-        mark(idx)
-        pid = self._proc_of[idx]
-        if pid >= 0:
-            self._mark_proc_free(pid)
-
-    def _run_static_proc_fast(self, pid: int) -> None:
-        order = self._order_idx[pid]
-        interleaved = self._interleaved_idx.get(pid, ())
-        while self._proc_busy[pid] <= self.now:
-            inter = -1
-            for i in interleaved:
-                if self._is_ready_idx(i):
-                    inter = i
-                    break
-            if inter >= 0:
-                self._start_firing(inter)
-                continue
-            idx = order[self._order_pos[pid] % len(order)]
-            if not self._is_ready_idx(idx):
-                break
-            self._start_firing(idx)
-            self._order_pos[pid] += 1
-
-    def _start_all_ready_fast(self) -> None:
-        if self._dirty_procs:
-            dirty_procs = self._dirty_procs
-            self._dirty_procs = []
-            if len(dirty_procs) > 1:
-                dirty_procs.sort(key=self._static_rank.__getitem__)
-            for pid in dirty_procs:
-                self._proc_dirty[pid] = False
-                self._run_static_proc_fast(pid)
-        if self._dirty_actors:
-            dirty = self._dirty_actors
-            self._dirty_actors = []
-            if len(dirty) > 1:
-                dirty.sort()
-            proc_busy = self._proc_busy
-            for idx in dirty:
-                self._actor_dirty[idx] = False
-                pid = self._proc_of[idx]
-                if pid >= 0:
-                    while (
-                        self._is_ready_idx(idx)
-                        and proc_busy[pid] <= self.now
-                    ):
-                        self._start_firing(idx)
-                else:
-                    while self._is_ready_idx(idx):
-                        self._start_firing(idx)
-
-    def run_throughput(
-        self, ref_idx: int, q_ref: int, max_iterations: int
-    ) -> ThroughputResult:
-        """Periodic-phase detection, fused with the event loop.
-
-        Semantically identical to driving
-        :meth:`SelfTimedSimulator.step` from
-        :class:`~repro.sdf.throughput.ThroughputAnalyzer` (a started
-        firing never enables another start, so one dirty-set pass per
-        completion batch reaches the same fixpoint as step()'s two),
-        with the same error messages on the same conditions.
-        """
-        graph = self.graph
-        completed = self._completed
-        queue = self._queue
-        heappop = heapq.heappop
-        seen: Dict[tuple, Tuple[int, int]] = {}
-        iterations_done = 0
-
-        self._start_all_ready_fast()
-        while iterations_done < max_iterations:
-            if not queue:
-                raise DeadlockError(
-                    f"mapped graph {graph.name!r} blocked after "
-                    f"{iterations_done} iteration(s) at t={self.now}; the "
-                    "static-order schedule or buffer sizes admit no "
-                    "execution"
-                )
-            end = queue[0][0]
-            self.now = end
-            while queue and queue[0][0] == end:
-                self._finish_fast(heappop(queue)[2])
-            self._start_all_ready_fast()
-            completed_iterations = completed[ref_idx] // q_ref
-            if completed_iterations > iterations_done:
-                iterations_done = completed_iterations
-                key = self.state_key()
-                previous = seen.get(key)
-                if previous is not None:
-                    prev_iterations, prev_time = previous
-                    period = end - prev_time
-                    iter_count = iterations_done - prev_iterations
-                    if period <= 0:
-                        raise SimulationError(
-                            f"graph {graph.name!r} completes {iter_count} "
-                            "iteration(s) in zero time; all cycle times "
-                            "are zero -- throughput is unbounded"
-                        )
-                    return ThroughputResult(
-                        throughput=Fraction(iter_count, period),
-                        period=period,
-                        iterations_per_period=iter_count,
-                        transient_iterations=prev_iterations,
-                        tier="vectorized",
-                    )
-                seen[key] = (iterations_done, end)
-
-        raise UnboundedExecutionError(
-            f"no periodic phase within {max_iterations} iterations of "
-            f"{graph.name!r}; channels likely grow without bound -- add "
-            "buffer back-edges (repro.sdf.buffers.add_buffer_edges) before "
-            "analyzing"
-        )
-
-
-# ----------------------------------------------------------------------
-# the facade
-# ----------------------------------------------------------------------
 def _is_strongly_connected(graph: SDFGraph) -> bool:
     """One SCC containing every actor (self-edges ignored)."""
     actors = [a.name for a in graph]
@@ -428,14 +221,17 @@ def _is_strongly_connected(graph: SDFGraph) -> bool:
 class ThroughputEngine:
     """Tier-picking throughput analyzer for one graph structure.
 
+    The two tiers are the analytic HSDF/MCM analysis and the
+    state-space run of one :class:`~repro.sdf.simulation.
+    SelfTimedSimulator`, built on first use and reset per call.
     Construction validates the graph and resolves the *structural* tier
     policy once (is the analytic tier expressible at all?); the
     adaptive probe in :meth:`analyze` then decides per call whether to
-    escalate to it.  Every call reuses the built analysis stack --
-    like :class:`~repro.sdf.throughput.ThroughputAnalyzer`, in-place
-    mutation of ``initial_tokens`` between calls is honoured by every
-    tier (the simulators re-read tokens on reset; the analytic tier
-    re-expands from the live edge objects).
+    escalate to it.  Every call reuses the built analysis stack, and
+    in-place mutation of ``initial_tokens`` between calls is honoured by
+    both tiers (the simulator re-reads tokens on reset; the analytic
+    tier re-expands from the live edge objects) -- the buffer-sizing
+    warm path and the mapping flow's buffer-growth loop rely on this.
 
     Parameters mirror :func:`repro.sdf.throughput.analyze_throughput`
     plus ``mode``, one of :data:`ENGINE_MODES`.
@@ -462,10 +258,8 @@ class ThroughputEngine:
         self._q = repetition_vector(graph)
         self._hsdf_units = 0  # set by the eligibility check below
         self._decline = self._analytic_decline_reason()
-        self._vector_sim: Optional[_VectorizedCore] = None
-        self._vector_ref: Optional[Tuple[int, int]] = None
-        self._analyzer: Optional[ThroughputAnalyzer] = None
-        self._trace_sim: Optional[SelfTimedSimulator] = None
+        self._vector_sim: Optional[SelfTimedSimulator] = None
+        self._vector_ref: Optional[Tuple[str, int]] = None
 
     # -- tier policy ---------------------------------------------------
     def _analytic_decline_reason(self) -> Optional[str]:
@@ -560,10 +354,20 @@ class ThroughputEngine:
     ) -> ThroughputResult:
         """One throughput analysis from the graph's current tokens.
 
-        Semantics (errors, messages, observable ordering) match
-        :meth:`repro.sdf.throughput.ThroughputAnalyzer.analyze`; the
-        returned result additionally carries ``tier`` and
-        ``tier_reason``.
+        ``check_deadlock=False`` skips the untimed liveness pre-check (the
+        self-timed execution still detects a blocked graph and raises
+        :class:`~repro.exceptions.DeadlockError`, only with a less specific
+        message) -- the right trade for tight sizing loops whose token
+        growth provably preserves liveness.  The result carries the
+        ``tier`` that produced it and the ``tier_reason``.
+
+        Raises
+        ------
+        DeadlockError
+            If the graph deadlocks (throughput would be 0 after a finite
+            run).
+        UnboundedExecutionError
+            If no periodic phase appears within the iteration budget.
         """
         if max_iterations is None:
             max_iterations = self.max_iterations
@@ -581,12 +385,9 @@ class ThroughputEngine:
                     )
                 _record_tier("analytic")
                 result = self._analyze_analytic(budgeted=False)
-            elif self.mode == "vectorized":
+            else:
                 _record_tier("vectorized")
                 result = self._analyze_vectorized(max_iterations)
-            else:
-                _record_tier("reference")
-                result = self._analyze_reference(max_iterations)
             return replace(result, tier_reason=reason)
         if self._decline is not None:
             _record_tier("vectorized")
@@ -673,7 +474,7 @@ class ThroughputEngine:
         if sim is None:
             # Historic ordering: simulator construction errors surface
             # before the reference-actor check.
-            sim = _VectorizedCore(
+            sim = SelfTimedSimulator(
                 self.graph,
                 auto_concurrency=self._auto_concurrency,
                 processor_of=self._processor_of,
@@ -684,72 +485,6 @@ class ThroughputEngine:
             sim.reset()
         if self._vector_ref is None:
             ref = self._resolve_reference()
-            self._vector_ref = (sim._actor_index[ref], self._q[ref])
-        ref_idx, q_ref = self._vector_ref
-        return sim.run_throughput(ref_idx, q_ref, max_iterations)
-
-    def _analyze_reference(self, max_iterations: int) -> ThroughputResult:
-        if self._analyzer is None:
-            self._analyzer = ThroughputAnalyzer(
-                self.graph,
-                auto_concurrency=self._auto_concurrency,
-                processor_of=self._processor_of,
-                static_order=self._static_order,
-                reference_actor=self._reference_actor,
-                max_iterations=self.max_iterations,
-            )
-        # The engine already ran the liveness pre-check when asked to.
-        return self._analyzer.analyze(
-            max_iterations=max_iterations, check_deadlock=False
-        )
-
-    # -- latency (shared analysis stack) -------------------------------
-    def first_iteration_latency(self, max_firings: int = 100_000) -> int:
-        """Cold-start makespan of the first iteration (warm-reusable)."""
-        from repro.sdf.latency import run_first_iteration
-
-        sim = self._plain_sim()
-        return run_first_iteration(sim, self.graph, self._q, max_firings)
-
-    def source_to_sink_latency(
-        self,
-        source: str,
-        sink: str,
-        iterations: int = 10,
-        warmup: int = 3,
-        max_firings: int = 500_000,
-    ) -> int:
-        """Periodic-regime source-to-sink latency (warm-reusable)."""
-        from repro.sdf.latency import run_source_to_sink
-
-        sim = self._trace_sim
-        if sim is None:
-            sim = build_simulator(
-                self.graph,
-                auto_concurrency=self._auto_concurrency,
-                processor_of=self._processor_of,
-                static_order=self._static_order,
-                record_trace=True,
-            )
-            self._trace_sim = sim
-        else:
-            sim.reset()
-        return run_source_to_sink(
-            sim, self.graph, self._q, source, sink,
-            iterations=iterations, warmup=warmup,
-            max_firings=max_firings,
-        )
-
-    def _plain_sim(self) -> SelfTimedSimulator:
-        sim = self._vector_sim
-        if sim is None:
-            sim = _VectorizedCore(
-                self.graph,
-                auto_concurrency=self._auto_concurrency,
-                processor_of=self._processor_of,
-                static_order=self._static_order,
-            )
-            self._vector_sim = sim
-        else:
-            sim.reset()
-        return sim
+            self._vector_ref = (ref, self._q[ref])
+        ref, q_ref = self._vector_ref
+        return sim.run_throughput(ref, q_ref, max_iterations)

@@ -13,13 +13,6 @@ functions weigh it (Section 5.1).  Two notions are provided:
 Both execute the same self-timed semantics as the throughput analysis, so
 latency numbers are consistent with the throughput guarantee when run on
 the bound graph with its static orders.
-
-The module-level functions are one-shot conveniences; repeated scans of
-one graph structure should go through the latency methods of
-:class:`repro.sdf.engine.ThroughputEngine`, which reuse the built
-simulator (reset re-reads initial tokens) instead of reconstructing the
-analysis stack per call.  The ``run_*`` helpers here hold the actual
-measurement loops, shared by both paths.
 """
 
 from __future__ import annotations
@@ -27,19 +20,26 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.exceptions import DeadlockError, SimulationError
-from repro.sdf.engine import build_simulator
 from repro.sdf.graph import SDFGraph
 from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
 
 
-def run_first_iteration(
-    sim: SelfTimedSimulator,
+def first_iteration_latency(
     graph: SDFGraph,
-    q: Dict[str, int],
-    max_firings: int,
+    auto_concurrency: Optional[int] = 1,
+    processor_of: Optional[Dict[str, str]] = None,
+    static_order: Optional[Dict[str, Sequence[str]]] = None,
+    max_firings: int = 100_000,
 ) -> int:
-    """Drive ``sim`` (fresh or reset) to the end of the first iteration."""
+    """Completion time of the first full iteration, from time 0."""
+    q = repetition_vector(graph)
+    sim = SelfTimedSimulator(
+        graph,
+        auto_concurrency=auto_concurrency,
+        processor_of=processor_of,
+        static_order=static_order,
+    )
 
     def iteration_done(s: SelfTimedSimulator) -> bool:
         completed = s.completed
@@ -53,18 +53,33 @@ def run_first_iteration(
     return sim.now
 
 
-def run_source_to_sink(
-    sim: SelfTimedSimulator,
+def source_to_sink_latency(
     graph: SDFGraph,
-    q: Dict[str, int],
     source: str,
     sink: str,
-    iterations: int,
-    warmup: int,
-    max_firings: int,
+    iterations: int = 10,
+    warmup: int = 3,
+    auto_concurrency: Optional[int] = 1,
+    processor_of: Optional[Dict[str, str]] = None,
+    static_order: Optional[Dict[str, Sequence[str]]] = None,
+    max_firings: int = 500_000,
 ) -> int:
-    """Drive a trace-recording ``sim`` (fresh or reset) through
-    ``warmup + iterations`` iterations and scan per-iteration latency."""
+    """Worst observed iteration latency in the periodic regime.
+
+    Iteration *i*'s latency = (end of sink firing ``(i+1)*q[sink]-1``)
+    minus (start of source firing ``i*q[source]``).  The first ``warmup``
+    iterations are skipped; the maximum over the next ``iterations`` is
+    returned -- in the periodic regime this is the steady per-input
+    latency.
+    """
+    q = repetition_vector(graph)
+    sim = SelfTimedSimulator(
+        graph,
+        auto_concurrency=auto_concurrency,
+        processor_of=processor_of,
+        static_order=static_order,
+        record_trace=True,
+    )
     if source not in graph or sink not in graph:
         raise SimulationError(
             f"source {source!r} or sink {sink!r} not in graph"
@@ -96,54 +111,3 @@ def run_source_to_sink(
         end = sink_ends[(i + 1) * q[sink] - 1]
         worst = max(worst, end - begin)
     return worst
-
-
-def first_iteration_latency(
-    graph: SDFGraph,
-    auto_concurrency: Optional[int] = 1,
-    processor_of: Optional[Dict[str, str]] = None,
-    static_order: Optional[Dict[str, Sequence[str]]] = None,
-    max_firings: int = 100_000,
-) -> int:
-    """Completion time of the first full iteration, from time 0."""
-    q = repetition_vector(graph)
-    sim = build_simulator(
-        graph,
-        auto_concurrency=auto_concurrency,
-        processor_of=processor_of,
-        static_order=static_order,
-    )
-    return run_first_iteration(sim, graph, q, max_firings)
-
-
-def source_to_sink_latency(
-    graph: SDFGraph,
-    source: str,
-    sink: str,
-    iterations: int = 10,
-    warmup: int = 3,
-    auto_concurrency: Optional[int] = 1,
-    processor_of: Optional[Dict[str, str]] = None,
-    static_order: Optional[Dict[str, Sequence[str]]] = None,
-    max_firings: int = 500_000,
-) -> int:
-    """Worst observed iteration latency in the periodic regime.
-
-    Iteration *i*'s latency = (end of sink firing ``(i+1)*q[sink]-1``)
-    minus (start of source firing ``i*q[source]``).  The first ``warmup``
-    iterations are skipped; the maximum over the next ``iterations`` is
-    returned -- in the periodic regime this is the steady per-input
-    latency.
-    """
-    q = repetition_vector(graph)
-    sim = build_simulator(
-        graph,
-        auto_concurrency=auto_concurrency,
-        processor_of=processor_of,
-        static_order=static_order,
-        record_trace=True,
-    )
-    return run_source_to_sink(
-        sim, graph, q, source, sink,
-        iterations=iterations, warmup=warmup, max_firings=max_firings,
-    )

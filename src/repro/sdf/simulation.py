@@ -4,10 +4,12 @@
 resource constraints are given, as soon as its processor is free and the
 static-order schedule designates it).  For consistent, deadlock-free SDF
 graphs self-timed execution reaches a periodic regime whose rate equals the
-maximal achievable throughput [Ghamarian et al. 2006]; the state-space
-throughput analysis in :mod:`repro.sdf.throughput` is built directly on this
-engine, as are deadlock detection, static-order schedule construction
-(:mod:`repro.mapping.scheduling`) and buffer sizing.
+maximal achievable throughput [Ghamarian et al. 2006].  This class is the
+one production simulator: the state-space tier of the throughput engine
+(:meth:`SelfTimedSimulator.run_throughput`, driven by
+:mod:`repro.sdf.engine`), static-order schedule construction
+(:mod:`repro.mapping.scheduling`), the latency scans and the platform
+simulator all run it.
 
 Semantics follow SDF3: tokens are consumed at firing *start* and produced at
 firing *end*.  Concurrent firings of one actor ("auto-concurrency") are
@@ -30,6 +32,12 @@ integer-indexed arrays precomputed once from the graph in ``__init__``;
 name-keyed views (:attr:`tokens`, :attr:`completed`, ...) are derived on
 demand for callers.
 
+The *lean path* -- no ``execution_time_of``, no ``on_finish``, no
+``record_trace`` -- is what :meth:`SelfTimedSimulator.run_throughput`
+runs: token arrays, the completion heap and the dirty sets, nothing else.
+:meth:`SelfTimedSimulator.step` adds token peaks, the trace and the hooks
+on top of the same start and finish code.
+
 The dirty-set engine starts firings in the same deterministic order as the
 naive full rescan (static-order processors in declaration order, then the
 remaining actors in graph insertion order), so recorded traces, hook-call
@@ -43,10 +51,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import GraphError, SimulationError
+from repro.exceptions import DeadlockError, GraphError, SimulationError
 from repro.sdf.graph import SDFGraph
+from repro.sdf.throughput import ThroughputResult, UnboundedExecutionError
 
 
 @dataclass(frozen=True)
@@ -110,8 +120,17 @@ class SelfTimedSimulator:
         actor (k counts from 0).  Defaults to the actor's static
         ``execution_time``.  The platform simulator uses this hook to feed
         measured, data-dependent execution times through the same engine.
+    on_finish:
+        Optional hook called with (actor, k) when the *k*-th firing of an
+        actor finishes, after its tokens are produced (the platform
+        simulator's value transport; static-order derivation's completion
+        order).
     record_trace:
         Keep a full firing list (memory-heavy for long runs).
+
+    :meth:`step`/:meth:`run` honour all three hooks;
+    :meth:`run_throughput` is the lean analysis loop and ignores
+    ``on_finish`` and ``record_trace``.
 
     :meth:`reset` re-reads every edge's ``initial_tokens`` from the graph,
     so callers may mutate initial token counts in place (the buffer-sizing
@@ -189,7 +208,6 @@ class SelfTimedSimulator:
         self._edge_objs: Tuple = edges
         self._edge_names: List[str] = [e.name for e in edges]
         edge_index = {name: i for i, name in enumerate(self._edge_names)}
-        self._edge_index: Dict[str, int] = edge_index
 
         self._exec_time: List[int] = [a.execution_time for a in actors]
         self._cap: List[Optional[int]] = [
@@ -233,7 +251,6 @@ class SelfTimedSimulator:
             if proc is not None:
                 self._proc_of[i] = proc_id(proc)
         self._proc_names: List[str] = proc_names
-        self._proc_index: Dict[str, int] = proc_index
         n_procs = len(proc_names)
         self._proc_is_static: List[bool] = [False] * n_procs
         self._static_rank: List[int] = [-1] * n_procs
@@ -337,10 +354,6 @@ class SelfTimedSimulator:
         """Completed firing count of one actor (O(1); the hot-loop form)."""
         return self._completed[self._actor_index[actor]]
 
-    def started_of(self, actor: str) -> int:
-        """Started firing count of one actor (O(1))."""
-        return self._started[self._actor_index[actor]]
-
     def ongoing_firings(self) -> List[Tuple[str, int]]:
         """(actor, remaining cycles) for every firing in flight, sorted.
 
@@ -380,21 +393,6 @@ class SelfTimedSimulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _duration(self, idx: int) -> int:
-        index = self._started[idx]
-        if self._execution_time_of is not None:
-            duration = self._execution_time_of(
-                self._actor_names[idx], index
-            )
-        else:
-            duration = self._exec_time[idx]
-        if duration < 0:
-            raise SimulationError(
-                f"negative execution time for firing {index} of "
-                f"{self._actor_names[idx]!r}"
-            )
-        return duration
-
     def _is_ready_idx(self, idx: int) -> bool:
         cap = self._cap[idx]
         if cap is not None and self._ongoing[idx] >= cap:
@@ -404,13 +402,6 @@ class SelfTimedSimulator:
             if tokens[e] < c:
                 return False
         return True
-
-    def _is_ready(self, actor: str) -> bool:
-        return self._is_ready_idx(self._actor_index[actor])
-
-    def _proc_free(self, proc: str) -> bool:
-        pid = self._proc_index.get(proc, -1)
-        return pid < 0 or self._proc_busy[pid] <= self.now
 
     # -- dirty-set bookkeeping -----------------------------------------
     def _mark_actor(self, idx: int) -> None:
@@ -438,12 +429,16 @@ class SelfTimedSimulator:
                     dirty[idx] = True
                     stack.append(idx)
 
+    # -- firing start and finish (shared by every run loop) ------------
     def _start_firing(self, idx: int) -> None:
         tokens = self._tokens
         for e, c in self._in_rates[idx]:
             tokens[e] -= c
-        duration = self._duration(idx)
-        end = self.now + duration
+        if self._execution_time_of is None:
+            # Static times were validated non-negative with the graph.
+            end = self.now + self._exec_time[idx]
+        else:
+            end = self.now + self._hooked_duration(idx)
         self._started[idx] += 1
         self._ongoing[idx] += 1
         heapq.heappush(self._queue, (end, self._seq, idx, self.now))
@@ -452,65 +447,55 @@ class SelfTimedSimulator:
         if pid >= 0:
             self._proc_busy[pid] = end
 
-    def _finish_firing(self, idx: int, start: int) -> None:
+    def _hooked_duration(self, idx: int) -> int:
+        index = self._started[idx]
+        duration = self._execution_time_of(self._actor_names[idx], index)
+        if duration < 0:
+            raise SimulationError(
+                f"negative execution time for firing {index} of "
+                f"{self._actor_names[idx]!r}"
+            )
+        return duration
+
+    def _finish_firing(self, idx: int) -> None:
+        """Produce the firing's tokens and mark what it may enable."""
         tokens = self._tokens
-        maxes = self._max_tokens
         consumer = self._consumer_of
+        mark = self._mark_actor
         for e, p in self._out_rates[idx]:
-            value = tokens[e] + p
-            tokens[e] = value
-            if value > maxes[e]:
-                maxes[e] = value
-                # Dict write only on a fresh peak: rare after the warm-up
-                # phase of a bounded graph, so the live trace dict stays
-                # current at array speed.
-                self._trace.max_tokens[self._edge_names[e]] = value
-            self._mark_actor(consumer[e])
+            tokens[e] += p
+            mark(consumer[e])
         self._ongoing[idx] -= 1
-        completed_index = self._completed[idx]
-        self._completed[idx] = completed_index + 1
-        self._mark_actor(idx)
+        self._completed[idx] += 1
+        mark(idx)
         pid = self._proc_of[idx]
         if pid >= 0:
             # The firing that just ended is the one that made the
             # processor busy (starts require a free processor), so the
             # processor is idle again as of now.
             self._mark_proc_free(pid)
-        actor = self._actor_names[idx]
-        if self.record_trace:
-            self._trace.firings.append(Firing(actor, start, self.now))
-        if self._on_finish is not None:
-            # Called after token production, before any dependent firing
-            # can start -- the hook point for value transport in the
-            # platform simulator.
-            self._on_finish(actor, completed_index)
 
-    def _run_static_proc(self, pid: int, started: List[str]) -> None:
+    def _run_static_proc(self, pid: int) -> None:
         """Start everything a static-order processor may start right now:
         interleaved (communication-library) work first, then the
         lookup-table head."""
         order = self._order_idx[pid]
         interleaved = self._interleaved_idx.get(pid, ())
-        names = self._actor_names
+        is_ready = self._is_ready_idx
         while self._proc_busy[pid] <= self.now:
-            inter = -1
             for i in interleaved:
-                if self._is_ready_idx(i):
-                    inter = i
+                if is_ready(i):
+                    self._start_firing(i)
                     break
-            if inter >= 0:
-                self._start_firing(inter)
-                started.append(names[inter])
-                continue
-            idx = order[self._order_pos[pid] % len(order)]
-            if not self._is_ready_idx(idx):
-                break
-            self._start_firing(idx)
-            self._order_pos[pid] += 1
-            started.append(names[idx])
+            else:
+                idx = order[self._order_pos[pid] % len(order)]
+                if not is_ready(idx):
+                    break
+                self._start_firing(idx)
+                self._order_pos[pid] += 1
 
-    def _start_all_ready(self) -> List[str]:
-        """Start every firing allowed right now; returns started actor names.
+    def _start_all_ready(self) -> None:
+        """Start every firing allowed right now.
 
         Only dirty actors/processors are examined.  A firing start consumes
         tokens and occupies resources but never enables another firing
@@ -519,7 +504,6 @@ class SelfTimedSimulator:
         order: static-order processors in declaration order, then the
         remaining actors in graph insertion order.
         """
-        started: List[str] = []
         if self._dirty_procs:
             dirty_procs = self._dirty_procs
             self._dirty_procs = []
@@ -527,29 +511,23 @@ class SelfTimedSimulator:
                 dirty_procs.sort(key=self._static_rank.__getitem__)
             for pid in dirty_procs:
                 self._proc_dirty[pid] = False
-                self._run_static_proc(pid, started)
+                self._run_static_proc(pid)
         if self._dirty_actors:
             dirty = self._dirty_actors
             self._dirty_actors = []
             if len(dirty) > 1:
                 dirty.sort()
-            names = self._actor_names
+            is_ready = self._is_ready_idx
             proc_busy = self._proc_busy
             for idx in dirty:
                 self._actor_dirty[idx] = False
                 pid = self._proc_of[idx]
                 if pid >= 0:
-                    while (
-                        self._is_ready_idx(idx)
-                        and proc_busy[pid] <= self.now
-                    ):
+                    while is_ready(idx) and proc_busy[pid] <= self.now:
                         self._start_firing(idx)
-                        started.append(names[idx])
                 else:
-                    while self._is_ready_idx(idx):
+                    while is_ready(idx):
                         self._start_firing(idx)
-                        started.append(names[idx])
-        return started
 
     def step(self) -> List[Tuple[str, int]]:
         """Advance to the next completion instant.
@@ -568,12 +546,110 @@ class SelfTimedSimulator:
         self.now = end
         finished: List[Tuple[str, int]] = []
         names = self._actor_names
+        tokens = self._tokens
+        maxes = self._max_tokens
+        on_finish = self._on_finish
         while queue and queue[0][0] == end:
             _end, _seq, idx, start = heapq.heappop(queue)
-            self._finish_firing(idx, start)
-            finished.append((names[idx], end))
+            self._finish_firing(idx)
+            # What the lean path skips: token peaks, trace, hook.
+            for e, _p in self._out_rates[idx]:
+                value = tokens[e]
+                if value > maxes[e]:
+                    maxes[e] = value
+                    # Dict write only on a fresh peak: rare after the
+                    # warm-up phase of a bounded graph, so the live trace
+                    # dict stays current at array speed.
+                    self._trace.max_tokens[self._edge_names[e]] = value
+            actor = names[idx]
+            if self.record_trace:
+                self._trace.firings.append(Firing(actor, start, end))
+            if on_finish is not None:
+                # Called after token production, before any dependent
+                # firing can start -- the hook point for value transport
+                # in the platform simulator.
+                on_finish(actor, self._completed[idx] - 1)
+            finished.append((actor, end))
         self._start_all_ready()
         return finished
+
+    def run_throughput(
+        self, reference_actor: str, repetitions: int, max_iterations: int
+    ) -> ThroughputResult:
+        """State-space throughput analysis from the current state.
+
+        Graph iterations are counted in completions of
+        ``reference_actor`` (``repetitions`` per iteration).  At every
+        iteration boundary the time-normalized :meth:`state_key` is
+        recorded; the first recurring key closes the periodic phase, whose
+        throughput is exact: iterations in the period over its length.
+
+        The loop is :meth:`step` fused with the detection, on the lean
+        path: it keeps no token peaks, no trace and calls no
+        ``on_finish`` hook.  A started firing never enables another
+        start, so one dirty-set pass per completion batch reaches the
+        same fixpoint as step()'s two, and the result is the one the
+        step()-driven analysis (the oracle
+        :func:`repro.sdf.simulation_reference.reference_analyze_throughput`)
+        returns, field for field.
+
+        Raises :class:`~repro.exceptions.DeadlockError` when the execution
+        blocks and :class:`~repro.sdf.throughput.UnboundedExecutionError`
+        when no state recurs within ``max_iterations`` iterations.
+        """
+        name = self.graph.name
+        ref_idx = self._actor_index[reference_actor]
+        completed = self._completed
+        queue = self._queue
+        heappop = heapq.heappop
+        finish = self._finish_firing
+        seen: Dict[tuple, Tuple[int, int]] = {}
+        iterations_done = 0
+
+        self._start_all_ready()
+        while iterations_done < max_iterations:
+            if not queue:
+                raise DeadlockError(
+                    f"mapped graph {name!r} blocked after "
+                    f"{iterations_done} iteration(s) at t={self.now}; the "
+                    "static-order schedule or buffer sizes admit no "
+                    "execution"
+                )
+            end = queue[0][0]
+            self.now = end
+            while queue and queue[0][0] == end:
+                finish(heappop(queue)[2])
+            self._start_all_ready()
+            completed_iterations = completed[ref_idx] // repetitions
+            if completed_iterations > iterations_done:
+                iterations_done = completed_iterations
+                key = self.state_key()
+                previous = seen.get(key)
+                if previous is not None:
+                    prev_iterations, prev_time = previous
+                    period = end - prev_time
+                    iter_count = iterations_done - prev_iterations
+                    if period <= 0:
+                        raise SimulationError(
+                            f"graph {name!r} completes {iter_count} "
+                            "iteration(s) in zero time; all cycle times "
+                            "are zero -- throughput is unbounded"
+                        )
+                    return ThroughputResult(
+                        throughput=Fraction(iter_count, period),
+                        period=period,
+                        iterations_per_period=iter_count,
+                        transient_iterations=prev_iterations,
+                        tier="vectorized",
+                    )
+                seen[key] = (iterations_done, end)
+
+        raise UnboundedExecutionError(
+            f"no periodic phase within {max_iterations} iterations of "
+            f"{name!r}; channels likely grow without bound -- add "
+            "buffer back-edges (repro.sdf.buffers.add_buffer_edges) before "
+            "analyzing"
+        )
 
     def _finalize_trace(self) -> SimulationTrace:
         """Hand out the trace with a private ``completed_count`` snapshot.

@@ -36,7 +36,9 @@ scheduler and speaks the canonical artifact payloads of
                                           optional JSON body
                                           ``{"migrate": true}``
                                           rebalances the survivors
-                                          (``404`` unknown app)
+                                          (``400`` when ``migrate`` is
+                                          not a JSON boolean, ``404``
+                                          unknown app)
 ``GET /v1/platform``                      full platform state: admitted
                                           apps, placements, residual
                                           capacity, transition counters
@@ -132,6 +134,10 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-flow-service/1"
     protocol_version = "HTTP/1.1"
+    # headers and body go out as separate writes; without TCP_NODELAY,
+    # Nagle's algorithm holds the body back until the client's delayed
+    # ACK, stalling every keep-alive response by tens of milliseconds
+    disable_nagle_algorithm = True
 
     # the server is annotated for the benefit of route helpers
     server: FlowServiceServer
@@ -144,17 +150,23 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
     # routing
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        try:
+            length = self._content_length()
+        except ValueError as error:
+            # the body's extent is unknown; never reuse this connection
+            self.close_connection = True
+            return self._send_error(400, str(error))
         parts = self._route()
         if parts == ["v1", "flows"]:
-            return self._submit()
+            return self._submit(length)
         if parts == ["v1", "platform", "apps"]:
-            return self._platform_admit()
+            return self._platform_admit(length)
         if (
             len(parts) == 5
             and parts[:3] == ["v1", "platform", "apps"]
             and parts[4] == "depart"
         ):
-            return self._platform_depart(parts[3])
+            return self._platform_depart(parts[3], length)
         # the body was never read; keeping the connection alive would
         # let its bytes be parsed as the next request
         self.close_connection = True
@@ -181,9 +193,9 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
-    def _submit(self) -> None:
+    def _submit(self, length: int) -> None:
         try:
-            document = self._read_json()
+            document = self._read_json(length)
         except ValueError as error:
             # the body may be partly or wholly unread (missing length,
             # oversized, undecodable); never reuse this connection
@@ -228,9 +240,9 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
         assert text is not None  # done implies a stored response
         self._send_document(200, text)
 
-    def _platform_admit(self) -> None:
+    def _platform_admit(self, length: int) -> None:
         try:
-            document = self._read_json()
+            document = self._read_json(length)
         except ValueError as error:
             self.close_connection = True
             return self._send_error(400, str(error))
@@ -248,17 +260,20 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
             return self._send_error(500, str(error))
         self._send_json(201, decision)
 
-    def _platform_depart(self, app_id: str) -> None:
+    def _platform_depart(self, app_id: str, length: int) -> None:
         # the body is optional ({"migrate": true}); only read when sent
-        length = int(self.headers.get("Content-Length") or 0)
         document: Dict[str, Any] = {}
         if length > 0:
             try:
-                document = self._read_json()
+                document = self._read_json(length)
             except ValueError as error:
                 self.close_connection = True
                 return self._send_error(400, str(error))
-        migrate = bool(document.get("migrate", False))
+        migrate = document.get("migrate", False)
+        if not isinstance(migrate, bool):
+            return self._send_error(
+                400, f"'migrate' must be JSON true or false, got {migrate!r}"
+            )
         try:
             outcome = self.server.scheduler.platform_depart(
                 app_id, migrate=migrate
@@ -295,8 +310,22 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         return [part for part in path.split("/") if part]
 
-    def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _content_length(self) -> int:
+        """The request's ``Content-Length`` (0 when absent); raises
+        :class:`ValueError` on a malformed or negative value."""
+        header = self.headers.get("Content-Length")
+        if not header:
+            return 0
+        error = ValueError(f"invalid Content-Length header {header!r}")
+        try:
+            length = int(header)
+        except ValueError:
+            raise error from None
+        if length < 0:
+            raise error
+        return length
+
+    def _read_json(self, length: int) -> Dict[str, Any]:
         if length <= 0:
             raise ValueError("request body must be a JSON FlowSpec document")
         if length > MAX_BODY_BYTES:

@@ -456,8 +456,8 @@ class FlowScheduler:
 
         ``engine`` exposes the process-wide throughput-engine tier
         counters (:func:`repro.sdf.engine.engine_counters`): how many
-        analyses the analytic / vectorized / reference tiers served
-        since the process started.  ``power`` exposes the power-model
+        analyses the analytic / vectorized tiers served since the
+        process started.  ``power`` exposes the power-model
         counters (:func:`repro.power.power_counters`): how many platform
         power / application energy estimates were computed (zero unless
         a client opted into budgets; see docs/power.md).

@@ -32,7 +32,6 @@ from repro.arch.platform import ArchitectureModel
 from repro.exceptions import SimulationError
 from repro.mapping.bound_graph import BoundGraph
 from repro.mapping.spec import Mapping
-from repro.sdf.engine import build_simulator
 from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
 
@@ -185,7 +184,7 @@ class PlatformSimulator:
             for value in by_consumer_edge.get(original, []):
                 self._values[bound_edge].append(value)
 
-        self._sim = build_simulator(
+        self._sim = SelfTimedSimulator(
             self.bound.graph,
             processor_of=self.bound.processor_of,
             static_order=self.mapping.static_orders,

@@ -78,7 +78,7 @@ class TestDesignFlow:
         tiers = result.effort.engine_tiers
         # mapping + buffer sizing ran through the tiered engine
         assert sum(tiers.values()) > 0
-        assert set(tiers) <= {"analytic", "vectorized", "reference"}
+        assert set(tiers) <= {"analytic", "vectorized"}
         assert all(count > 0 for count in tiers.values())
         # the tier line renders in Table 1
         assert "throughput engine calls:" in result.effort.as_table()

@@ -21,10 +21,7 @@ from repro.sdf.engine import (
     engine_counters,
     normalize_engine_mode,
 )
-from repro.sdf.latency import (
-    first_iteration_latency,
-    source_to_sink_latency,
-)
+from repro.sdf.simulation_reference import reference_analyze_throughput
 from repro.sdf.throughput import ThroughputResult, analyze_throughput
 
 
@@ -67,10 +64,8 @@ class TestTierPolicy:
         assert result.tier == "analytic"
         assert "outlived" in result.tier_reason
         assert result.throughput == Fraction(1, 7)
-        reference = ThroughputEngine(
-            long_transient_bounded, mode="reference"
-        ).analyze()
-        assert result.throughput == reference.throughput
+        oracle = reference_analyze_throughput(long_transient_bounded)
+        assert result.throughput == oracle.throughput
 
     def test_mcm_budget_falls_back_to_vectorized(
         self, long_transient_bounded, monkeypatch
@@ -83,14 +78,12 @@ class TestTierPolicy:
         assert "relaxation budget" in result.tier_reason
         assert result.throughput == Fraction(1, 7)
 
-    def test_analytic_agrees_with_reference_value(self, figure2_bounded):
+    def test_analytic_agrees_with_oracle_value(self, figure2_bounded):
         analytic = ThroughputEngine(
             figure2_bounded, mode="analytic"
         ).analyze()
-        reference = ThroughputEngine(
-            figure2_bounded, mode="reference"
-        ).analyze()
-        assert analytic.throughput == reference.throughput
+        oracle = reference_analyze_throughput(figure2_bounded)
+        assert analytic.throughput == oracle.throughput
 
     def test_static_order_declines_analytic(self, figure2_bounded):
         engine = ThroughputEngine(
@@ -157,12 +150,13 @@ class TestTierPolicy:
 # forced modes
 # ----------------------------------------------------------------------
 class TestForcedModes:
-    @pytest.mark.parametrize("mode", ("vectorized", "reference"))
-    def test_forced_tier_is_recorded(self, figure2_bounded, mode):
-        result = ThroughputEngine(figure2_bounded, mode=mode).analyze()
-        assert result.tier == mode
-        assert result.tier_reason == f"engine mode {mode!r} forced"
-        assert result.throughput == Fraction(1, 6)
+    def test_forced_vectorized_is_recorded(self, figure2_bounded):
+        result = ThroughputEngine(
+            figure2_bounded, mode="vectorized"
+        ).analyze()
+        assert result.tier == "vectorized"
+        assert result.tier_reason == "engine mode 'vectorized' forced"
+        assert result == reference_analyze_throughput(figure2_bounded)
 
     def test_forced_analytic_on_eligible_graph(self, figure2_bounded):
         result = ThroughputEngine(
@@ -191,6 +185,11 @@ class TestForcedModes:
         for mode in ENGINE_MODES:
             assert normalize_engine_mode(mode) == mode
 
+    def test_reference_mode_is_gone(self, figure2_bounded):
+        assert ENGINE_MODES == ("auto", "analytic", "vectorized")
+        with pytest.raises(ValueError, match="unknown throughput engine"):
+            ThroughputEngine(figure2_bounded, mode="reference")
+
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_every_mode_runs_deadlock_precheck(self, mode):
         g = SDFGraph("dead")
@@ -203,9 +202,9 @@ class TestForcedModes:
 
     def test_analyze_throughput_engine_knob(self, figure2_bounded):
         auto = analyze_throughput(figure2_bounded)
-        pinned = analyze_throughput(figure2_bounded, engine="reference")
+        pinned = analyze_throughput(figure2_bounded, engine="analytic")
         assert auto.tier == "vectorized"
-        assert pinned.tier == "reference"
+        assert pinned.tier == "analytic"
         assert auto.throughput == pinned.throughput
         with pytest.raises(ValueError, match="unknown throughput engine"):
             analyze_throughput(figure2_bounded, engine="warp")
@@ -227,7 +226,7 @@ def test_tier_fields_do_not_affect_equality():
 
 
 def test_bad_reference_actor_rejected_by_every_tier(figure2_bounded):
-    for mode in ("analytic", "vectorized", "reference"):
+    for mode in ENGINE_MODES:
         engine = ThroughputEngine(
             figure2_bounded, reference_actor="ZZZ", mode=mode
         )
@@ -260,24 +259,6 @@ class TestWarmReuse:
         retune_buffer_capacity(bounded_graph, "p2q", 4)
         assert engine.analyze().throughput == Fraction(1, 7)
 
-    def test_latency_methods_match_one_shot_helpers(self, figure2_graph):
-        g = bounded(figure2_graph, {"a2b": 4, "a2c": 2, "b2c": 4})
-        engine = ThroughputEngine(g)
-        expected_first = first_iteration_latency(g)
-        expected_pipe = source_to_sink_latency(g, "A", "C")
-        # Twice each: the second call reuses the warm simulator.
-        for _ in range(2):
-            assert engine.first_iteration_latency() == expected_first
-            assert engine.source_to_sink_latency("A", "C") == expected_pipe
-
-    def test_latency_then_throughput_shares_the_stack(self, figure2_graph):
-        g = bounded(figure2_graph, {"a2b": 4, "a2c": 2, "b2c": 4})
-        engine = ThroughputEngine(g, mode="vectorized")
-        first = engine.first_iteration_latency()
-        result = engine.analyze()
-        assert result.throughput == Fraction(1, 6)
-        assert engine.first_iteration_latency() == first
-
 
 # ----------------------------------------------------------------------
 # counters
@@ -286,10 +267,10 @@ class TestCounters:
     def test_global_counters_increment(self, figure2_bounded):
         before = engine_counters().snapshot()
         ThroughputEngine(figure2_bounded).analyze()
-        ThroughputEngine(figure2_bounded, mode="reference").analyze()
+        ThroughputEngine(figure2_bounded, mode="analytic").analyze()
         after = engine_counters().snapshot()
         assert after["vectorized"] == before["vectorized"] + 1
-        assert after["reference"] == before["reference"] + 1
+        assert after["analytic"] == before["analytic"] + 1
 
     def test_scoped_collector_counts_only_inside(self, figure2_bounded):
         engine = ThroughputEngine(figure2_bounded, mode="vectorized")
@@ -298,9 +279,7 @@ class TestCounters:
             engine.analyze()
             engine.analyze()
         engine.analyze()  # after: must not be collected
-        assert tiers.snapshot() == {
-            "analytic": 0, "vectorized": 2, "reference": 0,
-        }
+        assert tiers.snapshot() == {"analytic": 0, "vectorized": 2}
         assert tiers.total() == 2
 
     def test_collectors_nest(self, figure2_bounded):
@@ -318,6 +297,4 @@ class TestCounters:
         counters.record("vectorized")
         counters.record("analytic")
         assert counters.total() == 3
-        assert counters.snapshot() == {
-            "analytic": 1, "vectorized": 2, "reference": 0,
-        }
+        assert counters.snapshot() == {"analytic": 1, "vectorized": 2}

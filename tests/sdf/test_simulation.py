@@ -240,11 +240,10 @@ def test_reset_rereads_mutated_initial_tokens(two_actor_pipeline):
     assert sim.trace.max_tokens["p2q"] == 3
 
 
-def test_completed_of_and_started_of(two_actor_pipeline):
+def test_completed_of(two_actor_pipeline):
     sim = SelfTimedSimulator(two_actor_pipeline)
     sim.run(max_firings=4)
     assert sim.completed_of("P") == sim.completed["P"]
-    assert sim.started_of("P") == sim.started["P"]
 
 
 def test_trace_property_reflects_step_driven_progress(two_actor_pipeline):

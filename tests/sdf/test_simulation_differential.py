@@ -24,13 +24,13 @@ from repro.sdf.buffers import (
 )
 from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.graph import SDFGraph
-from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
 from repro.sdf.simulation_reference import (
     ReferenceSelfTimedSimulator,
     reference_analyze_throughput,
 )
 from repro.sdf.throughput import analyze_throughput
+from tests.sdf.static_orders import derive_static_orders
 
 
 def random_bounded_graph(rng: random.Random) -> SDFGraph:
@@ -105,34 +105,6 @@ def random_binding(rng: random.Random, graph: SDFGraph):
     return processor_of
 
 
-def derive_static_orders(graph, processor_of, rng: random.Random):
-    """One-greedy-iteration static orders (the scheduling recipe, inline)."""
-    q = repetition_vector(graph)
-    sim = ReferenceSelfTimedSimulator(
-        graph, processor_of=processor_of, record_trace=True
-    )
-    targets = {a: q[a] for a in processor_of}
-    sim.run(
-        stop_when=lambda s: all(
-            s.started[a] >= n for a, n in targets.items()
-        ),
-        max_firings=sum(q.values()) * 4 + 200,
-    )
-    counted = {a: 0 for a in targets}
-    orders = {}
-    for firing in sorted(sim.trace.firings, key=lambda f: (f.start, f.end)):
-        actor = firing.actor
-        if actor not in targets or counted[actor] >= targets[actor]:
-            continue
-        counted[actor] += 1
-        orders.setdefault(processor_of[actor], []).append(actor)
-    for actor, needed in targets.items():
-        while counted[actor] < needed:
-            counted[actor] += 1
-            orders.setdefault(processor_of[actor], []).append(actor)
-    return {proc: order for proc, order in orders.items() if order}
-
-
 def assert_same_execution(fast, slow, *, compare_tokens=True):
     """Both engines advanced identically (traces, counters, statistics)."""
     assert fast.now == slow.now
@@ -184,7 +156,7 @@ def test_static_order_execution_matches_reference(seed):
     rng = random.Random(3000 + seed)
     graph = random_bounded_graph(rng)
     processor_of = random_binding(rng, graph)
-    orders = derive_static_orders(graph, processor_of, rng)
+    orders = derive_static_orders(graph, processor_of)
     kwargs = dict(processor_of=processor_of, static_order=orders,
                   record_trace=True)
     fast = SelfTimedSimulator(graph, **kwargs)
@@ -234,7 +206,7 @@ def test_mapped_throughput_analysis_matches_reference(seed):
     rng = random.Random(5000 + seed)
     graph = random_bounded_graph(rng)
     processor_of = random_binding(rng, graph)
-    orders = derive_static_orders(graph, processor_of, rng)
+    orders = derive_static_orders(graph, processor_of)
     fast, slow = _both_analyses(
         graph,
         processor_of=processor_of,

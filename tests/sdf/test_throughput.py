@@ -7,6 +7,8 @@ import pytest
 from repro.exceptions import DeadlockError, SimulationError
 from repro.sdf import SDFGraph, analyze_throughput
 from repro.sdf.buffers import BufferDistribution, add_buffer_edges
+from repro.sdf.engine import ThroughputEngine
+from repro.sdf.simulation_reference import reference_analyze_throughput
 from repro.sdf.throughput import (
     UnboundedExecutionError,
     processing_throughput_bound,
@@ -200,70 +202,61 @@ def test_processing_bound_rejects_all_zero_times():
         processing_throughput_bound(g)
 
 
-class TestThroughputAnalyzer:
-    def test_matches_one_shot_analysis(self, figure2_graph):
-        from repro.sdf.throughput import ThroughputAnalyzer
+class TestReusedEngine:
+    """One engine re-analyzes its graph warm (reset re-reads tokens)."""
 
+    def test_matches_oracle_and_one_shot_analysis(self, figure2_graph):
         g = bounded(figure2_graph, {"a2b": 4, "a2c": 2, "b2c": 3})
-        analyzer = ThroughputAnalyzer(g)
-        # Field-exact against the same (reference) tier; value-exact
-        # against whatever tier the auto policy picks.
-        assert analyzer.analyze() == analyze_throughput(
-            g, engine="reference"
-        )
-        assert analyzer.analyze().throughput == \
+        engine = ThroughputEngine(g, mode="vectorized")
+        # Field-exact against the oracle; value-exact against whatever
+        # tier the auto policy picks.
+        assert engine.analyze() == reference_analyze_throughput(g)
+        assert engine.analyze().throughput == \
             analyze_throughput(g).throughput
 
     def test_reanalyze_after_in_place_token_mutation(self):
         """Warm path: mutate credit tokens in place, re-analyze, and get
         exactly what a fresh build-and-analyze produces."""
         from repro.sdf.buffers import retune_buffer_capacity
-        from repro.sdf.throughput import ThroughputAnalyzer
 
         g = SDFGraph("ring")
         g.add_actor("A", execution_time=3)
         g.add_actor("B", execution_time=4)
         g.add_edge("ab", "A", "B", token_size=4)
         bounded_graph = bounded(g, {"ab": 1})
-        analyzer = ThroughputAnalyzer(bounded_graph)
-        assert analyzer.analyze().throughput == Fraction(1, 7)
+        engine = ThroughputEngine(bounded_graph, mode="vectorized")
+        assert engine.analyze().throughput == Fraction(1, 7)
         for capacity in (2, 3, 2, 1):
             retune_buffer_capacity(bounded_graph, "ab", capacity)
-            warm = analyzer.analyze()
-            cold = analyze_throughput(
-                bounded(g, {"ab": capacity}), engine="reference"
-            )
+            warm = engine.analyze()
+            cold = reference_analyze_throughput(bounded(g, {"ab": capacity}))
             assert warm == cold
             assert warm.throughput == analyze_throughput(
                 bounded(g, {"ab": capacity})
             ).throughput
 
     def test_skip_deadlock_precheck_still_detects_blockage(self):
-        from repro.sdf.throughput import ThroughputAnalyzer
-
         g = SDFGraph("dead")
         g.add_actor("A", execution_time=1)
         g.add_actor("B", execution_time=1)
         g.add_edge("ab", "A", "B")
         g.add_edge("ba", "B", "A")  # no initial tokens: deadlock
-        analyzer = ThroughputAnalyzer(g)
-        with pytest.raises(DeadlockError):
-            analyzer.analyze(check_deadlock=False)
+        engine = ThroughputEngine(g, mode="vectorized")
+        with pytest.raises(DeadlockError, match="blocked after"):
+            engine.analyze(check_deadlock=False)
 
-    def test_per_call_iteration_budget_override(self, figure2_graph):
-        from repro.sdf.throughput import ThroughputAnalyzer
-
+    def test_per_call_iteration_budget_override(self):
         g = SDFGraph("unbounded")
         g.add_actor("P", execution_time=1)
         g.add_actor("Q", execution_time=2)
         g.add_edge("pq", "P", "Q", token_size=4)
         g.add_edge("selfP", "P", "P", initial_tokens=1)
         g.add_edge("selfQ", "Q", "Q", initial_tokens=1)
-        analyzer = ThroughputAnalyzer(g, max_iterations=5)
+        engine = ThroughputEngine(g, mode="vectorized", max_iterations=5)
         with pytest.raises(UnboundedExecutionError, match="within 5 "):
-            analyzer.analyze()
+            engine.analyze()
         with pytest.raises(UnboundedExecutionError, match="within 9 "):
-            analyzer.analyze(max_iterations=9)
+            engine.analyze(max_iterations=9)
 
 
 def test_deadlock_reported_before_bad_reference_actor():

@@ -151,9 +151,7 @@ class TestServiceMeta:
             "submitted", "coalesced", "artifact_hits", "computed",
             "failed",
         }
-        assert set(health["engine"]) == {
-            "analytic", "vectorized", "reference",
-        }
+        assert set(health["engine"]) == {"analytic", "vectorized"}
 
     def test_unknown_routes_answer_404(self, client):
         for method, path in (
@@ -197,6 +195,54 @@ class TestServiceMeta:
             assert json.loads(second.read())["status"] == "ok"
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("path", (
+        "/v1/flows",
+        "/v1/platform/apps",
+        "/v1/platform/apps/app-000001/depart",
+    ))
+    def test_malformed_content_length_answers_400(self, service, path):
+        import socket
+
+        host, port = service.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+                "Content-Length: abc\r\n\r\n".encode("ascii")
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("ascii").split("\r\n")
+        assert lines[0].split()[1] == "400"
+        assert "Connection: close" in lines[1:]
+        assert "invalid Content-Length" in json.loads(body)["error"]
+
+    def test_keepalive_responses_do_not_stall(self, service):
+        """Header and body writes must not wait on the client's delayed
+        ACK (Nagle): 20 sequential requests on one connection take a
+        few milliseconds, not 20 x ~40 ms."""
+        import http.client
+        import time
+
+        host, port = service.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("GET", "/v1/healthz")
+            connection.getresponse().read()
+            sock = connection.sock
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+            assert connection.sock is sock  # one connection throughout
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive GETs took {elapsed:.3f} s"
 
     def test_bind_failure_reports_a_clean_cli_error(self, service,
                                                     tmp_path, capsys):

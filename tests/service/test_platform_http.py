@@ -110,3 +110,18 @@ class TestPlatformEndpoints:
         with pytest.raises(ServiceClientError) as outcome:
             client.platform_admit(other)
         assert outcome.value.status == 409
+
+    @pytest.mark.parametrize("migrate", ("false", 1))
+    def test_non_boolean_migrate_answers_400(self, client, specs, migrate):
+        first = client.platform_admit(specs[0])
+        client.platform_admit(specs[1])
+        before = client.platform_status()
+        with pytest.raises(ServiceClientError) as outcome:
+            client._json(
+                "POST", f"/v1/platform/apps/{first['app_id']}/depart",
+                body={"migrate": migrate},
+            )
+        assert outcome.value.status == 400
+        assert "'migrate' must be JSON true or false" in str(outcome.value)
+        # the rejected departure left the platform untouched
+        assert client.platform_status() == before

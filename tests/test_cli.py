@@ -218,14 +218,15 @@ class TestMaxIterationsPlumbing:
 
     def test_analyze_engine_pin(self, graph_file, capsys):
         assert main(
-            ["analyze", graph_file, "--json", "--engine", "reference"]
+            ["analyze", graph_file, "--json", "--engine", "vectorized"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["throughput"]["engine_tier"] == "reference"
+        assert payload["throughput"]["engine_tier"] == "vectorized"
 
-    def test_analyze_rejects_unknown_engine(self, graph_file):
+    @pytest.mark.parametrize("engine", ("turbo", "reference"))
+    def test_analyze_rejects_unknown_engine(self, graph_file, engine):
         with pytest.raises(SystemExit):
-            main(["analyze", graph_file, "--engine", "turbo"])
+            main(["analyze", graph_file, "--engine", engine])
 
     def test_explore_engine_pin(self, capsys):
         code = main(
@@ -285,8 +286,8 @@ class TestEffortEngineSuffix:
     def test_of_parses_engine_pin(self):
         from repro.mapping.flow import MappingEffort
 
-        effort = MappingEffort.of("normal+engreference")
-        assert effort.engine == "reference"
+        effort = MappingEffort.of("normal+engvectorized")
+        assert effort.engine == "vectorized"
         assert effort.max_iterations == (
             MappingEffort.of("normal").max_iterations
         )
@@ -318,10 +319,10 @@ class TestEffortEngineSuffix:
     def test_with_iterations_preserves_engine_pin(self):
         from repro.mapping.flow import MappingEffort
 
-        pinned = MappingEffort.of("normal+engreference")
+        pinned = MappingEffort.of("normal+engvectorized")
         derived = pinned.with_iterations(77)
-        assert derived.engine == "reference"
-        assert derived.name == "normal+it77+engreference"
+        assert derived.engine == "vectorized"
+        assert derived.name == "normal+it77+engvectorized"
         assert MappingEffort.of(derived.name) == derived
 
     def test_bad_engine_suffix_rejected(self):
@@ -329,6 +330,8 @@ class TestEffortEngineSuffix:
 
         with pytest.raises(ValueError, match="invalid engine override"):
             MappingEffort.of("low+engturbo")
+        with pytest.raises(ValueError, match="invalid engine override"):
+            MappingEffort.of("normal+engreference")
         with pytest.raises(ValueError, match="unknown suffix"):
             MappingEffort.of("low+zz5")
         with pytest.raises(ValueError, match="unknown throughput engine"):
