@@ -2,22 +2,24 @@
 
 Three measurements of :class:`repro.sdf.engine.ThroughputEngine`:
 
-* **corpus sweep** -- per-analysis wall clock of the adaptive ``auto``
-  policy vs. the pinned vectorized tier, over every committed
+* **corpus sweep** -- per-analysis wall clock of the engine's adaptive
+  policy vs. the state-space tier called directly
+  (:meth:`~repro.sdf.simulation.SelfTimedSimulator.run_throughput`, the
+  engine's own call), over every committed
   ``examples/corpus/`` scenario.  Both must equal the test oracle
   (:func:`repro.sdf.simulation_reference.reference_analyze_throughput`)
   in the exact ``Fraction``; a mismatch is a hard failure.
   Short-state-space scenarios stay on the vectorized probe (parity with
-  the pinned tier is the *win*: the engine did not pay for the HSDF
+  the direct call is the *win*: the engine did not pay for the HSDF
   transform); the stress band (``diamond-s7-*``: long state spaces, the
   regime the analytic tier exists for) escalates, and the median
   speedup over those escalated analyses is gated (relax on noisy shared
   runners via ``BENCH_TIERS_MIN_SPEEDUP``);
 * **Fig. 6 workloads** -- the MJPEG decoder mapped onto the 5-tile FSL
   (fig6a) and NoC (fig6b) templates.  Mapped graphs carry static orders,
-  so auto falls back to the vectorized tier; this times auto against
-  the pinned tier on the flow's real hot analyses and checks both
-  field for field against the oracle;
+  so the engine falls back to the vectorized tier; this times it
+  against the direct simulator call on the flow's real hot analyses and
+  checks both field for field against the oracle;
 * **buffer-sizing calls** -- engine analyses consumed by the monotone
   capacity search of :func:`repro.sdf.buffers.
   minimal_buffer_distribution` vs. an inline replica of the historic
@@ -52,6 +54,8 @@ from repro.sdf.buffers import (
 )
 from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.engine import ThroughputEngine, collect_engine_counters
+from repro.sdf.repetition import repetition_vector
+from repro.sdf.simulation import SelfTimedSimulator
 from repro.sdf.simulation_reference import reference_analyze_throughput
 
 CORPUS = sorted(
@@ -76,6 +80,27 @@ def _best_of(fn, rounds=TIMING_ROUNDS):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def _engine_call(engine):
+    """One engine analysis without the untimed liveness pre-check, which
+    the direct simulator call does not make either (every timed graph is
+    live by construction)."""
+    return lambda: engine.analyze(check_deadlock=False)
+
+
+def _simulator_call(graph, reference_actor=None, **kwargs):
+    """The state-space tier as the engine calls it: one simulator, reset
+    and re-run per analysis."""
+    sim = SelfTimedSimulator(graph, **kwargs)
+    ref = reference_actor or graph.actors[0].name
+    q_ref = repetition_vector(graph)[ref]
+
+    def analyze():
+        sim.reset()
+        return sim.run_throughput(ref, q_ref, 10_000)
+
+    return analyze
 
 
 def _bounded(graph):
@@ -103,9 +128,8 @@ def _corpus_sweep():
         graph = load_flow_spec(spec_path).build_application().graph
         bounded = _bounded(graph)
         auto = ThroughputEngine(bounded)
-        pinned = ThroughputEngine(bounded, mode="vectorized")
-        fast_s, fast = _best_of(auto.analyze)
-        slow_s, slow = _best_of(pinned.analyze)
+        fast_s, fast = _best_of(_engine_call(auto))
+        slow_s, slow = _best_of(_simulator_call(bounded))
         oracle = reference_analyze_throughput(bounded)
         assert slow == oracle, (
             f"{spec_path.stem}: vectorized tier diverged from the "
@@ -146,10 +170,8 @@ def _fig6_sweep(workloads):
             reference_actor=bound.app_actors[0],
         )
         auto = ThroughputEngine(bound.graph, **kwargs)
-        pinned = ThroughputEngine(bound.graph, mode="vectorized", **kwargs)
-        tier, reason = auto.tier_for()
-        fast_s, fast = _best_of(auto.analyze)
-        slow_s, slow = _best_of(pinned.analyze)
+        fast_s, fast = _best_of(_engine_call(auto))
+        slow_s, slow = _best_of(_simulator_call(bound.graph, **kwargs))
         oracle = reference_analyze_throughput(bound.graph, **kwargs)
         assert fast == slow == oracle, (
             f"{figure}: the engine diverged from the oracle "
@@ -159,8 +181,8 @@ def _fig6_sweep(workloads):
             "interconnect": interconnect,
             "actors": len(bound.graph),
             "edges": len(bound.graph.edges),
-            "tier": tier,
-            "fallback_reason": reason,
+            "tier": fast.tier,
+            "fallback_reason": auto.analytic_decline_reason,
             "throughput": str(fast.throughput),
             "tier_s": fast_s,
             "vectorized_s": slow_s,
@@ -208,7 +230,7 @@ def _greedy_sizing_calls(graph, constraint, max_rounds=200, step=1):
             set_capacity(name, distribution[name] + step)
 
     calls = 0
-    engine = ThroughputEngine(bounded, mode="vectorized")
+    engine = ThroughputEngine(bounded)
     result = engine.analyze()
     calls += 1
     for _ in range(max_rounds):

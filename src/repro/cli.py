@@ -73,12 +73,7 @@ from typing import List, Optional
 
 from repro.arch import architecture_from_template
 from repro.exceptions import ReproError
-from repro.sdf import (
-    ENGINE_MODES,
-    analyze_throughput,
-    is_deadlock_free,
-    repetition_vector,
-)
+from repro.sdf import analyze_throughput, is_deadlock_free, repetition_vector
 from repro.sdf.io_sdf3 import load_graph
 
 
@@ -87,7 +82,6 @@ def _map_template(
     tiles: int,
     interconnect: str,
     max_iterations: Optional[int] = None,
-    engine: str = "auto",
 ):
     """Map a bare graph onto a template platform.
 
@@ -110,7 +104,7 @@ def _map_template(
         ImplementationMetrics,
         MemoryRequirements,
     )
-    from repro.mapping import map_application
+    from repro.mapping import MappingEffort, map_application
     from repro.sdf.buffers import BUFFER_EDGE_PREFIX
 
     graph = graph.copy(graph.name)
@@ -135,10 +129,10 @@ def _map_template(
         ],
     )
     arch = architecture_from_template(tiles, interconnect)
-    effort = "normal" if engine == "auto" else f"normal+eng{engine}"
-    result = map_application(
-        app, arch, max_iterations=max_iterations, effort=effort
-    )
+    effort = MappingEffort.of("normal")
+    if max_iterations is not None:
+        effort = effort.with_iterations(max_iterations)
+    result = map_application(app, arch, effort=effort)
     return app, arch, result
 
 
@@ -189,7 +183,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         else {"max_iterations": args.max_iterations}
     )
     result = (
-        analyze_throughput(graph, engine=args.engine, **throughput_kwargs)
+        analyze_throughput(graph, **throughput_kwargs)
         if live else None
     )
 
@@ -201,7 +195,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             mapped = _map_template(
                 graph, args.tiles, args.interconnect,
                 max_iterations=args.max_iterations,
-                engine=args.engine,
             )
         except ReproError as error:
             mapping_error = error
@@ -448,10 +441,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         # Derived effort preset: same retry budget, overridden state-space
         # iteration budget; survives the name-typed candidate plumbing.
         effort = f"{effort}+it{args.max_iterations}"
-    if args.engine != "auto":
-        # Engine pin rides the effort name the same way (and therefore
-        # lands in evaluation/cache keys; 'auto' keeps keys unchanged).
-        effort = f"{effort}+eng{args.engine}"
     power_model, power_budget, energy_budget = _power_model(args)
     app = _load_case_study(args.sequence)
     mixes = (UNIFORM_MIX, COMPACT_MIX) if args.heterogeneous \
@@ -759,14 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="state-space iteration budget of the throughput analysis "
              "(default 10000); raise it for large bounded graphs whose "
              "periodic phase needs more iterations to appear",
-    )
-    analyze.add_argument(
-        "--engine", choices=ENGINE_MODES, default="auto",
-        help="throughput engine tier: 'auto' picks the analytic "
-             "max-cycle-mean fast path when the graph allows it and "
-             "falls back to the vectorized simulation core; pin a tier "
-             "to force it (forcing 'analytic' fails on graphs it cannot "
-             "model)",
     )
     _add_power_arguments(analyze, verb="report")
     analyze.set_defaults(handler=_cmd_analyze)
@@ -1151,12 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "budget for every design point (large bounded graphs "
                  "can need more than the preset to find their periodic "
                  "phase)",
-        )
-        explore.add_argument(
-            "--engine", choices=ENGINE_MODES, default="auto",
-            help="throughput engine tier for every design point "
-                 "(default auto: analytic fast path where the graph "
-                 "allows it, vectorized simulation otherwise)",
         )
         explore.add_argument(
             "--binding", choices=registered("binding"), default="greedy",

@@ -37,7 +37,6 @@ from repro.flow.dse import (
     TileMix,
     UNIFORM_MIX,
     UseCaseEvaluator,
-    WorkerPool,
     explore_design_space,
 )
 from repro.flow.fingerprint import (
@@ -118,7 +117,6 @@ __all__ = [
     "build_case_study_app",
     "load_flow_spec",
     "UseCaseEvaluator",
-    "WorkerPool",
     "UseCaseMapping",
     "build_use_case_mapping",
     "map_use_cases",

@@ -6,9 +6,8 @@ engine (:mod:`repro.flow.dse`), the batch runner
 (:mod:`repro.service.scheduler`) -- goes through one
 :class:`ExecutionBackend`:
 
-* :class:`ThreadBackend` (``"thread"``) is the historic
-  :class:`WorkerPool`: deterministic ordered fan-out over a
-  ``concurrent.futures`` thread pool, with ``jobs == 1`` strictly
+* :class:`ThreadBackend` (``"thread"``): deterministic ordered fan-out
+  over a ``concurrent.futures`` thread pool, with ``jobs == 1`` strictly
   serial.  Workers share the caller's memory, so arbitrary callables
   (closures, bound methods) are fine -- but pure-Python work contends
   on the GIL.
@@ -223,8 +222,7 @@ class ThreadBackend(ExecutionBackend):
     submission order, which is what keeps parallel output identical to
     serial output.  This is the worker plumbing behind both
     :class:`~repro.flow.dse.ParallelExplorer` and the batch runner
-    (:func:`repro.flow.session.run_batch`); ``WorkerPool`` is its
-    historic name and remains an alias.
+    (:func:`repro.flow.session.run_batch`).
     """
 
     name = "thread"
@@ -306,11 +304,6 @@ class ThreadBackend(ExecutionBackend):
         fold: Optional[Callable[[Iterable[Any]], Any]] = None,
     ) -> Any:
         return self.map_ordered(task_named(name).fn, payloads, fold)
-
-
-#: Historic name of the thread backend (PRs 1-9); kept as the
-#: compatible spelling for existing callers and tests.
-WorkerPool = ThreadBackend
 
 
 def default_start_method() -> str:

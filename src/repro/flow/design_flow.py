@@ -30,8 +30,11 @@ from repro.comm.serialization import SerializationModel
 from repro.flow.effort import EffortReport
 from repro.mamps.generator import generate_platform, synthesize
 from repro.mamps.project import PlatformProject
-from repro.mapping.flow import MappingEffort, map_application
-from repro.mapping.pipeline import MappingPipeline
+from repro.mapping.pipeline import (
+    MappingEffort,
+    MappingPipeline,
+    map_application,
+)
 from repro.mapping.spec import MappingResult
 from repro.sdf.engine import collect_engine_counters
 from repro.sim.platform_sim import MeasuredThroughput, PlatformSimulator

@@ -8,7 +8,7 @@ a one-shot sweep:
   interconnect kind, communication-assist usage, heterogeneous tile
   memory mixes and mapping effort level;
 * :class:`Evaluator` runs one candidate through the conservative mapping
-  analysis (:func:`repro.mapping.flow.map_application`) behind a
+  analysis (:func:`repro.mapping.pipeline.map_application`) behind a
   content-addressed :class:`EvaluationCache`, so repeated sweeps and
   overlapping multi-application studies never re-analyze the same point;
 * :class:`ParallelExplorer` fans evaluations out over
@@ -46,9 +46,8 @@ from typing import (
 )
 
 from repro.appmodel.model import ApplicationModel
-from repro.flow.backend import (  # noqa: F401  (WorkerPool re-export)
+from repro.flow.backend import (
     ExecutionBackend,
-    WorkerPool,
     as_backend,
     backend_task,
 )
@@ -61,8 +60,12 @@ from repro.flow.fingerprint import (
     architecture_fingerprint,
     evaluation_key,
 )
-from repro.mapping.flow import MappingEffort, map_application
-from repro.mapping.pipeline import DEFAULT_STRATEGIES, StrategyTuple
+from repro.mapping.pipeline import (
+    DEFAULT_STRATEGIES,
+    MappingEffort,
+    StrategyTuple,
+    map_application,
+)
 from repro.power import (
     EnergyEstimate,
     PowerEstimate,
@@ -532,8 +535,7 @@ class Evaluator:
             architecture_fingerprint(arch),
             self.constraint,
             self.fixed,
-            f"{effort.name}:{effort.max_buffer_rounds}"
-            f":{effort.max_iterations}",
+            effort.cache_token(),
             strategy=candidate.strategy.cache_token(),
             budgets=self._budget_token(),
         )

@@ -71,7 +71,7 @@ from repro.flow.fingerprint import (
 )
 from repro.flow.spec import AppSpec, FlowSpec, load_flow_spec
 from repro.flow.usecases import UseCaseMapping, build_use_case_mapping
-from repro.mapping.flow import MappingEffort, map_application
+from repro.mapping.pipeline import MappingEffort, map_application
 from repro.mapping.spec import MappingResult
 
 #: Status of a stage that ran its computation.
@@ -254,8 +254,7 @@ class FlowSession:
                 arch_fp,
                 constraint,
                 fixed,
-                f"{effort.name}:{effort.max_buffer_rounds}"
-                f":{effort.max_iterations}",
+                effort.cache_token(),
                 strategy=strategy.cache_token(),
             )
             mapping_keys.append(key)

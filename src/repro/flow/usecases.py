@@ -30,7 +30,7 @@ from repro.arch.platform import ArchitectureModel
 from repro.exceptions import ArchitectureError, MappingError
 from repro.mamps.generator import generate_platform
 from repro.mamps.project import PlatformProject
-from repro.mapping.flow import map_application
+from repro.mapping.pipeline import map_application
 from repro.mapping.spec import MappingResult
 
 

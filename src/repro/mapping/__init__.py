@@ -15,9 +15,9 @@ Maps a throughput-constrained application onto a MAMPS architecture:
    (binding + schedules + Fig. 4 communication models) and compute the
    *guaranteed* worst-case throughput.
 
-:func:`repro.mapping.flow.map_application` runs all five steps and iterates
-buffer sizes until the application's throughput constraint is met (or
-reports the best mapping found).
+:func:`repro.mapping.pipeline.map_application` runs all five steps and
+iterates buffer sizes until the application's throughput constraint is met
+(or reports the best mapping found); :class:`MappingEffort` sizes the run.
 """
 
 from repro.mapping.spec import ChannelMapping, Mapping, MappingResult
@@ -29,17 +29,19 @@ from repro.mapping.scheduling import build_static_orders
 from repro.mapping.bound_graph import BoundGraph, build_bound_graph
 from repro.mapping.pipeline import (
     DEFAULT_STRATEGIES,
+    EFFORT_LEVELS,
     BindingStrategy,
     BufferPolicy,
+    MappingEffort,
     MappingPipeline,
     RoutingStrategy,
     SchedulingStrategy,
     StrategyTuple,
+    map_application,
     register_strategy,
     registered,
     resolve,
 )
-from repro.mapping.flow import EFFORT_LEVELS, MappingEffort, map_application
 
 __all__ = [
     "DEFAULT_STRATEGIES",

@@ -6,8 +6,8 @@ surrounding literature swaps these heuristics freely: Benhaoua et al.
 place communicating tasks along an outward spiral from the master tile
 (arXiv:1312.5764), and Quan & Pimentel's bias-elitist genetic algorithm
 beats greedy mappers on heterogeneous MPSoCs (arXiv:1406.7539).  This
-module turns each stage of :func:`repro.mapping.flow.map_application`
-into a *strategy* behind a small protocol, keyed by name in a registry:
+module turns each stage of the mapping flow into a *strategy* behind a
+small protocol, keyed by name in a registry:
 
 * :class:`BindingStrategy` -- actors -> tiles (``greedy``, ``spiral``,
   ``ga``, ``energy``);
@@ -19,12 +19,12 @@ into a *strategy* behind a small protocol, keyed by name in a registry:
   (``static-order``).
 
 A :class:`MappingPipeline` chains resolved stages and runs the
-constraint loop; :func:`repro.mapping.flow.map_application` is now a
-thin wrapper over the default pipeline and produces results identical
-to the pre-redesign monolith.  :class:`StrategyTuple` is the hashable
-identity of a pipeline configuration -- the design-space exploration
-engine embeds it in cache keys so two evaluations of the same platform
-under different strategies never collide.
+constraint loop; :func:`map_application` is the one-call entry point
+over it, and :class:`MappingEffort` is the only way to size a run.
+:class:`StrategyTuple` is the hashable identity of a pipeline
+configuration -- the design-space exploration engine embeds it in cache
+keys so two evaluations of the same platform under different strategies
+never collide.
 """
 
 from __future__ import annotations
@@ -61,12 +61,12 @@ from repro.mapping.costs import CostWeights
 from repro.mapping.routing import route_channels
 from repro.mapping.scheduling import build_static_orders
 from repro.mapping.spec import ChannelMapping, Mapping, MappingResult
-from repro.sdf.engine import ThroughputEngine, normalize_engine_mode
+from repro.sdf.engine import ThroughputEngine
 from repro.sdf.repetition import repetition_vector
 
 
 # ----------------------------------------------------------------------
-# effort presets (moved here from repro.mapping.flow, re-exported there)
+# effort presets
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MappingEffort:
@@ -74,18 +74,15 @@ class MappingEffort:
 
     The exploration engine sweeps *many* points, most of which it only
     needs a quick feasibility verdict on; the final chosen point deserves
-    the full retry budget.  An effort level bundles the knobs that
+    the full retry budget.  An effort level bundles the two knobs that
     trade mapping quality for wall-clock time: the number of buffer-growth
-    rounds, the state-space budget of the throughput analysis, and the
-    throughput-engine tier policy (:data:`repro.sdf.engine.ENGINE_MODES`;
-    ``auto`` lets the engine pick per graph and keeps the effort name --
-    and therefore every derived cache key -- unchanged).
+    rounds and the state-space budget of the throughput analysis.  It is
+    the only way to size a mapping run.
     """
 
     name: str
     max_buffer_rounds: int
     max_iterations: int
-    engine: str = "auto"
 
     @classmethod
     def of(cls, level: Union[str, "MappingEffort"]) -> "MappingEffort":
@@ -94,9 +91,7 @@ class MappingEffort:
         A ``+it<N>`` suffix (e.g. ``"normal+it50000"``) derives a preset
         with the state-space iteration budget overridden to ``N`` -- the
         string form the CLI's ``--max-iterations`` plumbs through the
-        exploration engine, whose candidates carry effort by name.  A
-        ``+eng<MODE>`` suffix pins the throughput-engine tier the same
-        way (the CLI's ``--engine``); suffixes combine in either order.
+        exploration engine, whose candidates carry effort by name.
         """
         if isinstance(level, MappingEffort):
             return level
@@ -107,54 +102,32 @@ class MappingEffort:
             raise ValueError(
                 f"unknown mapping effort {level!r}; pick from "
                 f"{sorted(EFFORT_LEVELS)} (optionally suffixed with "
-                "'+it<N>' to override the analysis iteration budget "
-                "and/or '+eng<MODE>' to pin the throughput engine)"
+                "'+it<N>' to override the analysis iteration budget)"
             ) from None
         for token in suffixes:
-            if token.startswith("it"):
-                try:
-                    iterations = int(token[2:])
-                except ValueError:
-                    raise ValueError(
-                        f"invalid iteration override in mapping effort "
-                        f"{level!r}; expected '+it<N>' with a positive "
-                        "integer N"
-                    ) from None
-                effort = effort.with_iterations(iterations)
-            elif token.startswith("eng"):
-                try:
-                    effort = effort.with_engine(token[3:])
-                except ValueError:
-                    raise ValueError(
-                        f"invalid engine override in mapping effort "
-                        f"{level!r}; expected '+eng<MODE>' with MODE one "
-                        "of auto, analytic, vectorized"
-                    ) from None
-            else:
+            if not token.startswith("it"):
                 raise ValueError(
                     f"unknown suffix {token!r} in mapping effort "
-                    f"{level!r}; expected '+it<N>' or '+eng<MODE>'"
+                    f"{level!r}; expected '+it<N>'"
                 )
+            try:
+                iterations = int(token[2:])
+            except ValueError:
+                raise ValueError(
+                    f"invalid iteration override in mapping effort "
+                    f"{level!r}; expected '+it<N>' with a positive "
+                    "integer N"
+                ) from None
+            effort = effort.with_iterations(iterations)
         return effort
-
-    def _derived_name(self, max_iterations: int, engine: str) -> str:
-        """Canonical derived name ``base[+it<N>][+eng<MODE>]``, eliding
-        suffixes that match the base preset / the ``auto`` default."""
-        base_name = self.name.split("+", 1)[0]
-        base = EFFORT_LEVELS.get(base_name)
-        name = base_name
-        if base is None or base.max_iterations != max_iterations:
-            name += f"+it{max_iterations}"
-        if engine != "auto":
-            name += f"+eng{engine}"
-        return name
 
     def with_iterations(self, max_iterations: int) -> "MappingEffort":
         """Same preset with a different state-space iteration budget.
 
-        The derived name round-trips through :meth:`of`, so the override
-        survives string-typed plumbing (CLI, design-space candidates,
-        cache keys).
+        The derived name ``base+it<N>`` (plain ``base`` when ``N`` is
+        the preset's own budget) round-trips through :meth:`of`, so the
+        override survives string-typed plumbing (CLI, design-space
+        candidates, cache keys).
         """
         if max_iterations < 1:
             raise ValueError(
@@ -162,29 +135,16 @@ class MappingEffort:
             )
         if max_iterations == self.max_iterations:
             return self
-        return MappingEffort(
-            name=self._derived_name(max_iterations, self.engine),
-            max_buffer_rounds=self.max_buffer_rounds,
-            max_iterations=max_iterations,
-            engine=self.engine,
-        )
+        base_name = self.name.split("+", 1)[0]
+        base = EFFORT_LEVELS.get(base_name)
+        name = base_name
+        if base is None or base.max_iterations != max_iterations:
+            name += f"+it{max_iterations}"
+        return replace(self, name=name, max_iterations=max_iterations)
 
-    def with_engine(self, engine: str) -> "MappingEffort":
-        """Same preset with the throughput-engine tier pinned.
-
-        ``auto`` (the default) keeps the name unchanged, so cache keys
-        derived from the effort name stay byte-identical; other modes
-        append ``+eng<MODE>`` and round-trip through :meth:`of`.
-        """
-        engine = normalize_engine_mode(engine)
-        if engine == self.engine:
-            return self
-        return MappingEffort(
-            name=self._derived_name(self.max_iterations, engine),
-            max_buffer_rounds=self.max_buffer_rounds,
-            max_iterations=self.max_iterations,
-            engine=engine,
-        )
+    def cache_token(self) -> str:
+        """The effort part of a mapping-result or library cache key."""
+        return f"{self.name}:{self.max_buffer_rounds}:{self.max_iterations}"
 
 
 #: The named effort presets, cheapest first.
@@ -888,8 +848,7 @@ class MappingPipeline:
     """Chains the four mapping stages and runs the constraint loop.
 
     Stages are given by registry name or as strategy instances; the
-    defaults reproduce :func:`repro.mapping.flow.map_application`'s
-    historic behaviour exactly.  ``seed`` feeds randomized binding
+    defaults are the paper's recipe.  ``seed`` feeds randomized binding
     strategies (the GA); deterministic strategies ignore it.
     """
 
@@ -912,10 +871,6 @@ class MappingPipeline:
         if isinstance(value, str):
             return resolve(kind, value)
         return value
-
-    @classmethod
-    def from_strategies(cls, strategies: StrategyTuple) -> "MappingPipeline":
-        return strategies.build_pipeline()
 
     @property
     def strategies(self) -> StrategyTuple:
@@ -950,18 +905,12 @@ class MappingPipeline:
         serialization_overrides: Optional[
             Dict[str, SerializationModel]
         ] = None,
-        max_buffer_rounds: Optional[int] = None,
         strict: bool = False,
-        max_iterations: Optional[int] = None,
         effort: Union[str, MappingEffort] = "normal",
     ) -> MappingResult:
-        """Map ``app`` onto ``arch``; see
-        :func:`repro.mapping.flow.map_application` for the parameters."""
+        """Map ``app`` onto ``arch``; see :func:`map_application` for the
+        parameters."""
         budget = MappingEffort.of(effort)
-        if max_buffer_rounds is None:
-            max_buffer_rounds = budget.max_buffer_rounds
-        if max_iterations is None:
-            max_iterations = budget.max_iterations
         if constraint is None:
             constraint = app.throughput_constraint
 
@@ -982,7 +931,7 @@ class MappingPipeline:
         bound = None
         analyzer = None
         analyzer_orders = None
-        for round_index in range(max_buffer_rounds + 1):
+        for round_index in range(budget.max_buffer_rounds + 1):
             if bound is None:
                 bound = build_bound_graph(
                     app, arch, binding, implementations, channels,
@@ -998,8 +947,7 @@ class MappingPipeline:
                         processor_of=bound.processor_of,
                         static_order=orders,
                         reference_actor=bound.app_actors[0],
-                        max_iterations=max_iterations,
-                        mode=budget.engine,
+                        max_iterations=budget.max_iterations,
                     )
                     analyzer_orders = orders
                 result = analyzer.analyze()
@@ -1023,7 +971,7 @@ class MappingPipeline:
             raise ThroughputConstraintError(
                 f"no deadlock-free buffer configuration found for "
                 f"{app.name!r} on {arch.name!r} within "
-                f"{max_buffer_rounds} rounds"
+                f"{budget.max_buffer_rounds} rounds"
             )
 
         result, orders, best_channels = best
@@ -1048,6 +996,79 @@ class MappingPipeline:
                 f"after {rounds_used} buffer-growth round(s)"
             )
         return outcome
+
+
+def map_application(
+    app: ApplicationModel,
+    arch: ArchitectureModel,
+    constraint: Optional[Fraction] = None,
+    weights: Optional[CostWeights] = None,
+    fixed: Optional[Dict[str, str]] = None,
+    serialization_overrides: Optional[Dict[str, SerializationModel]] = None,
+    strict: bool = False,
+    effort: Union[str, MappingEffort] = "normal",
+    binding: Union[str, BindingStrategy] = "greedy",
+    routing: Union[str, RoutingStrategy] = "xy",
+    buffer_policy: Union[str, BufferPolicy] = "linear",
+    scheduling: Union[str, SchedulingStrategy] = "static-order",
+    seed: Optional[int] = None,
+    pipeline: Optional[MappingPipeline] = None,
+) -> MappingResult:
+    """Map ``app`` onto ``arch`` and compute the throughput guarantee.
+
+    The end-to-end mapping flow (the SDF3 box of Fig. 1): binding,
+    routing, buffer allocation, static-order scheduling and throughput
+    analysis, growing buffer capacities until the throughput constraint
+    is met or the effort's retry budget runs out.  The result carries
+    the mapping -- the interchange object MAMPS consumes -- plus the
+    guarantee computed on the bound graph.
+
+    Parameters
+    ----------
+    constraint:
+        Required iterations per cycle; defaults to the application's own
+        ``throughput_constraint``.
+    weights:
+        Steers the generic cost functions of the *greedy* binder only
+        (the GA uses them just for its greedy bias genome; the spiral
+        binder optimizes locality, not the cost functions).
+    fixed:
+        Pin actors to tiles (e.g. the file-reading actor to the master).
+    serialization_overrides:
+        Per-tile serialization model substitutions (Section 6.3).
+    strict:
+        Raise :class:`ThroughputConstraintError` when the constraint cannot
+        be met; otherwise return the best mapping with
+        ``constraint_met == False``.
+    effort:
+        A :class:`MappingEffort` (or preset name, e.g. ``"low"`` or
+        ``"normal+it50000"``) supplying both retry budgets.
+    binding, routing, buffer_policy, scheduling, seed:
+        Stage strategies by registry name (or instance); the defaults are
+        the paper's recipe.  ``seed`` feeds randomized strategies (``ga``).
+    pipeline:
+        A prebuilt :class:`MappingPipeline` (e.g. from
+        :meth:`StrategyTuple.build_pipeline`); overrides the per-stage
+        arguments when given.
+    """
+    if pipeline is None:
+        pipeline = MappingPipeline(
+            binding=binding,
+            routing=routing,
+            buffer_policy=buffer_policy,
+            scheduling=scheduling,
+            seed=seed,
+        )
+    return pipeline.run(
+        app,
+        arch,
+        constraint=constraint,
+        weights=weights,
+        fixed=fixed,
+        serialization_overrides=serialization_overrides,
+        strict=strict,
+        effort=effort,
+    )
 
 
 def _copy_channel(channel: ChannelMapping) -> ChannelMapping:

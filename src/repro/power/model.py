@@ -210,9 +210,9 @@ class PowerCounters:
         self.platform = 0
         self.application = 0
 
-    def record(self, kind: str) -> None:
+    def record(self, kind: str, count: int = 1) -> None:
         with self._lock:
-            setattr(self, kind, getattr(self, kind) + 1)
+            setattr(self, kind, getattr(self, kind) + count)
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:

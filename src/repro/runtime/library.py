@@ -40,19 +40,12 @@ from repro.flow.fingerprint import (
     evaluation_key,
 )
 from repro.flow.spec import AppSpec, FlowSpec
-from repro.mapping.flow import MappingEffort, map_application
+from repro.mapping.pipeline import MappingEffort, map_application
 from repro.runtime.points import (
     LIBRARY_KIND,
     OperatingPointLibrary,
     operating_point_from_result,
 )
-
-
-def effort_token(effort: MappingEffort) -> str:
-    """The effort identity used by FlowSession mapping-result keys."""
-    return (
-        f"{effort.name}:{effort.max_buffer_rounds}:{effort.max_iterations}"
-    )
 
 
 def library_key(
@@ -94,7 +87,7 @@ def library_key_for(
         application_fingerprint(app),
         dataclasses.asdict(spec.architecture),
         spec.constraint_for(app_spec),
-        effort_token(effort),
+        effort.cache_token(),
         spec.strategies.cache_token(),
         fixed=spec.fixed_for(app_spec),
     )
@@ -152,7 +145,7 @@ def build_library(
         app_fp,
         dataclasses.asdict(arch_spec),
         constraint,
-        effort_token(effort),
+        effort.cache_token(),
         strategies.cache_token(),
         fixed=fixed,
     )
@@ -175,7 +168,7 @@ def build_library(
             architecture_fingerprint(arch),
             constraint,
             fixed,
-            effort_token(effort),
+            effort.cache_token(),
             strategy=strategies.cache_token(),
         )
         result = None

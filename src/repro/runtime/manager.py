@@ -51,13 +51,9 @@ from repro.exceptions import (
 )
 from repro.flow.fingerprint import application_fingerprint
 from repro.flow.spec import ArchSpec, FlowSpec
-from repro.mapping.flow import MappingEffort, map_application
+from repro.mapping.pipeline import MappingEffort, map_application
 from repro.runtime.journal import PlatformJournal
-from repro.runtime.library import (
-    _prefix_architecture,
-    effort_token,
-    library_key,
-)
+from repro.runtime.library import _prefix_architecture, library_key
 from repro.runtime.points import (
     LIBRARY_KIND,
     OperatingPoint,
@@ -322,7 +318,7 @@ class PlatformManager:
             application_fingerprint(app),
             dataclasses.asdict(spec.architecture),
             constraint,
-            effort_token(effort),
+            effort.cache_token(),
             spec.strategies.cache_token(),
             fixed=fixed,
         )

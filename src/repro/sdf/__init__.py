@@ -25,9 +25,8 @@ from repro.sdf.graph import Actor, Edge, SDFGraph
 from repro.sdf.repetition import is_consistent, repetition_vector
 from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.engine import (
-    ENGINE_MODES,
-    EngineUnsupportedError,
     ThroughputEngine,
+    analytic_throughput,
     collect_engine_counters,
     engine_counters,
 )
@@ -61,9 +60,8 @@ __all__ = [
     "is_consistent",
     "is_deadlock_free",
     "analyze_throughput",
-    "ENGINE_MODES",
-    "EngineUnsupportedError",
     "ThroughputEngine",
+    "analytic_throughput",
     "collect_engine_counters",
     "engine_counters",
     "ThroughputResult",

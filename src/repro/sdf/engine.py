@@ -25,7 +25,7 @@ with wildly different costs:
 tier *pays* cannot be read off the graph: two graphs with identical
 size features can have state spaces of 6 and 900 iterations (the
 whole reason the state space is simulated rather than predicted), so
-``auto`` decides adaptively.  When the HSDF transform is tractable and
+the engine decides adaptively.  When the HSDF transform is tractable and
 the binding / static-order constraints allow it, analyze() first runs
 the vectorized tier for a probe bounded by the *estimated analytic
 cost* (at least :data:`PROBE_ITERATIONS` iterations, stretched by
@@ -39,10 +39,11 @@ simulation-free analytic tier.  A relaxation budget
 adversarial expansion where the cycle-ratio iteration itself grinds;
 exceeding it falls back to the full vectorized run.  The chosen tier
 and the fallback reason are recorded in the
-:class:`~repro.sdf.throughput.ThroughputResult`.  The ``mode`` knob
-(``auto``/``analytic``/``vectorized``) pins a tier (no probe, no
-budget); a pinned ``analytic`` on an ineligible graph raises
-:class:`EngineUnsupportedError` rather than silently degrading.
+:class:`~repro.sdf.throughput.ThroughputResult`.  This adaptive policy
+is the only one: nothing pins a tier.  Tests that need one tier call it
+directly -- :func:`analytic_throughput` for the analytic tier,
+:meth:`~repro.sdf.simulation.SelfTimedSimulator.run_throughput` for the
+state-space tier.
 
 Consumers that need raw *stepping* (static-order derivation, the
 platform simulator, latency scans) construct the same
@@ -72,9 +73,6 @@ from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
 from repro.sdf.throughput import ThroughputResult, UnboundedExecutionError
 
-#: The selectable engine tiers, fastest-preferred first.
-ENGINE_MODES: Tuple[str, ...] = ("auto", "analytic", "vectorized")
-
 #: HSDF expansion budget: total actor copies (sum of the repetition
 #: vector).  Beyond this the quadratic token-dependency scan of the
 #: transform costs more than the simulation it replaces.
@@ -82,7 +80,7 @@ MAX_HSDF_COPIES = 256
 #: HSDF expansion budget: token dependencies examined by the transform
 #: (``sum over edges of q[dst] * consumption``).
 MAX_HSDF_WORK = 20_000
-#: ``auto`` probes the vectorized tier for at least this many iterations
+#: The engine probes the vectorized tier for at least this many iterations
 #: before escalating to the analytic tier.  Short state spaces (every
 #: observed easy instance recurs within ~14 iterations) finish inside
 #: the probe, where simulation is cheaper than the HSDF transform.
@@ -107,15 +105,6 @@ PROBE_WORK_FACTOR = 32
 MCM_RELAXATION_FACTOR = 512
 
 
-class EngineUnsupportedError(SimulationError):
-    """A pinned engine mode cannot analyze this graph exactly.
-
-    Raised only for forced modes (``--engine analytic`` on a graph whose
-    constraints the HSDF transform cannot express); ``auto`` never
-    raises this -- it falls back and records the reason instead.
-    """
-
-
 # ----------------------------------------------------------------------
 # tier counters
 # ----------------------------------------------------------------------
@@ -129,9 +118,9 @@ class EngineCounters:
         self.analytic = 0
         self.vectorized = 0
 
-    def record(self, tier: str) -> None:
+    def record(self, tier: str, count: int = 1) -> None:
         with self._lock:
-            setattr(self, tier, getattr(self, tier) + 1)
+            setattr(self, tier, getattr(self, tier) + count)
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
@@ -183,16 +172,6 @@ def _record_tier(tier: str) -> None:
 # ----------------------------------------------------------------------
 # the facade
 # ----------------------------------------------------------------------
-def normalize_engine_mode(mode: str) -> str:
-    """Validate an engine mode string; raises :class:`ValueError`."""
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown throughput engine mode {mode!r}; pick from "
-            f"{', '.join(ENGINE_MODES)}"
-        )
-    return mode
-
-
 def _is_strongly_connected(graph: SDFGraph) -> bool:
     """One SCC containing every actor (self-edges ignored)."""
     actors = [a.name for a in graph]
@@ -218,6 +197,53 @@ def _is_strongly_connected(graph: SDFGraph) -> bool:
     return reaches_all(forward) and reaches_all(backward)
 
 
+def analytic_throughput(
+    graph: SDFGraph, relaxation_factor: Optional[int] = None
+) -> ThroughputResult:
+    """The analytic tier: ``1 / MCM`` of the HSDF expansion of ``graph``.
+
+    Exact for graphs the engine finds eligible (sequential actors, no
+    static order or time-shared processor, strongly connected); callers
+    outside the engine are responsible for that.  The expansion is redone per call
+    because it embeds the graph's current initial tokens.
+    ``relaxation_factor`` bounds the cycle-ratio iteration to that
+    multiple of the HSDF size (actor copies + dependency edges) and
+    raises :class:`~repro.sdf.mcm.CycleRatioBudgetError` beyond it;
+    ``None`` runs it to completion.
+    """
+    hsdf = to_hsdf(graph)
+    max_relaxations = (
+        None if relaxation_factor is None
+        else relaxation_factor * (len(hsdf) + len(hsdf.edges))
+    )
+    mcm = maximum_cycle_mean(hsdf, max_relaxations)
+    if mcm is None:
+        # Unreachable for a strongly connected graph (the sequential
+        # actor cycles alone close a loop); kept as a typed error for
+        # defense in depth.
+        raise SimulationError(
+            f"analytic engine found no cycle in {graph.name!r}; "
+            "throughput is not cycle-limited"
+        )
+    if mcm == 0:
+        raise SimulationError(
+            f"graph {graph.name!r} has only zero-time cycles; "
+            "iterations complete in zero time -- throughput is "
+            "unbounded"
+        )
+    throughput = 1 / mcm
+    # The analytic tier proves the long-run rate directly; the
+    # synthesized periodic phase is the smallest one realizing it
+    # (state-space tiers may report a longer concrete phase).
+    return ThroughputResult(
+        throughput=throughput,
+        period=throughput.denominator,
+        iterations_per_period=throughput.numerator,
+        transient_iterations=0,
+        tier="analytic",
+    )
+
+
 class ThroughputEngine:
     """Tier-picking throughput analyzer for one graph structure.
 
@@ -233,8 +259,7 @@ class ThroughputEngine:
     tier re-expands from the live edge objects) -- the buffer-sizing
     warm path and the mapping flow's buffer-growth loop rely on this.
 
-    Parameters mirror :func:`repro.sdf.throughput.analyze_throughput`
-    plus ``mode``, one of :data:`ENGINE_MODES`.
+    Parameters mirror :func:`repro.sdf.throughput.analyze_throughput`.
     """
 
     def __init__(
@@ -245,9 +270,7 @@ class ThroughputEngine:
         static_order: Optional[Dict[str, Sequence[str]]] = None,
         reference_actor: Optional[str] = None,
         max_iterations: int = 10_000,
-        mode: str = "auto",
     ) -> None:
-        self.mode = normalize_engine_mode(mode)
         validate_graph(graph)
         self.graph = graph
         self.max_iterations = max_iterations
@@ -325,26 +348,8 @@ class ThroughputEngine:
 
     @property
     def analytic_decline_reason(self) -> Optional[str]:
-        """Why ``auto`` will not use the analytic tier (None: it will)."""
+        """Why the engine will not use the analytic tier (None: it will)."""
         return self._decline
-
-    def tier_for(self) -> Tuple[str, Optional[str]]:
-        """Static tier policy, with the fallback reason.
-
-        For ``auto`` this is the tier *on the menu* before the adaptive
-        probe runs: ``("analytic", None)`` means the analytic tier is
-        eligible and :meth:`analyze` will escalate to it whenever the
-        state space outlives the work-scaled probe (see
-        :data:`PROBE_WORK_FACTOR`); ``("vectorized", reason)`` means
-        analytic is structurally off.
-        The tier that actually produced a result is on
-        ``ThroughputResult.tier``.
-        """
-        if self.mode == "auto":
-            if self._decline is None:
-                return "analytic", None
-            return "vectorized", self._decline
-        return self.mode, f"engine mode {self.mode!r} forced"
 
     # -- analysis ------------------------------------------------------
     def analyze(
@@ -375,20 +380,6 @@ class ThroughputEngine:
             report = deadlock_report(self.graph)
             if report is not None:
                 raise DeadlockError(report)
-        if self.mode != "auto":
-            reason = f"engine mode {self.mode!r} forced"
-            if self.mode == "analytic":
-                if self._decline is not None:
-                    raise EngineUnsupportedError(
-                        f"analytic engine unavailable for "
-                        f"{self.graph.name!r}: {self._decline}"
-                    )
-                _record_tier("analytic")
-                result = self._analyze_analytic(budgeted=False)
-            else:
-                _record_tier("vectorized")
-                result = self._analyze_vectorized(max_iterations)
-            return replace(result, tier_reason=reason)
         if self._decline is not None:
             _record_tier("vectorized")
             result = self._analyze_vectorized(max_iterations)
@@ -409,7 +400,7 @@ class ThroughputEngine:
                 "probe; simulation is cheaper than the HSDF transform"
             ))
         try:
-            result = self._analyze_analytic(budgeted=True)
+            result = analytic_throughput(self.graph, MCM_RELAXATION_FACTOR)
         except CycleRatioBudgetError:
             _record_tier("vectorized")
             result = self._analyze_vectorized(max_iterations)
@@ -421,53 +412,6 @@ class ThroughputEngine:
         return replace(result, tier_reason=(
             f"state space outlived the {probe}-iteration probe"
         ))
-
-    def _resolve_reference(self) -> str:
-        ref = self._reference_actor or self.graph.actors[0].name
-        if ref not in self.graph:
-            raise SimulationError(
-                f"reference actor {ref!r} not in graph"
-            )
-        return ref
-
-    def _analyze_analytic(self, budgeted: bool = True) -> ThroughputResult:
-        # The reference actor does not influence the MCM, but an unknown
-        # one is still an error (historic contract).
-        self._resolve_reference()
-        # Re-expand per call: the expansion embeds initial tokens, which
-        # callers mutate in place between calls; the eligibility gate
-        # bounds the expansion cost.
-        hsdf = to_hsdf(self.graph)
-        max_relaxations = (
-            MCM_RELAXATION_FACTOR * (len(hsdf) + len(hsdf.edges))
-            if budgeted else None
-        )
-        mcm = maximum_cycle_mean(hsdf, max_relaxations)
-        if mcm is None:
-            # Unreachable for a strongly connected graph (the sequential
-            # actor cycles alone close a loop); kept as a typed error for
-            # defense in depth.
-            raise EngineUnsupportedError(
-                f"analytic engine found no cycle in {self.graph.name!r}; "
-                "throughput is not cycle-limited"
-            )
-        if mcm == 0:
-            raise SimulationError(
-                f"graph {self.graph.name!r} has only zero-time cycles; "
-                "iterations complete in zero time -- throughput is "
-                "unbounded"
-            )
-        throughput = 1 / mcm
-        # The analytic tier proves the long-run rate directly; the
-        # synthesized periodic phase is the smallest one realizing it
-        # (state-space tiers may report a longer concrete phase).
-        return ThroughputResult(
-            throughput=throughput,
-            period=throughput.denominator,
-            iterations_per_period=throughput.numerator,
-            transient_iterations=0,
-            tier="analytic",
-        )
 
     def _analyze_vectorized(self, max_iterations: int) -> ThroughputResult:
         sim = self._vector_sim
@@ -484,7 +428,11 @@ class ThroughputEngine:
         else:
             sim.reset()
         if self._vector_ref is None:
-            ref = self._resolve_reference()
+            ref = self._reference_actor or self.graph.actors[0].name
+            if ref not in self.graph:
+                raise SimulationError(
+                    f"reference actor {ref!r} not in graph"
+                )
             self._vector_ref = (ref, self._q[ref])
         ref, q_ref = self._vector_ref
         return sim.run_throughput(ref, q_ref, max_iterations)

@@ -71,9 +71,8 @@ class ThroughputResult:
         Metadata only -- excluded from equality, which compares the
         analysis outcome.
     tier_reason:
-        Why that tier was chosen when it was not the first choice (the
-        ``auto`` fallback reason, or a note that the mode was forced);
-        None when the preferred tier ran.  Metadata only.
+        Why the engine's adaptive policy picked that tier; None when a
+        tier (or the oracle) was called directly.  Metadata only.
     """
 
     throughput: Fraction
@@ -105,7 +104,6 @@ def analyze_throughput(
     static_order: Optional[Dict[str, Sequence[str]]] = None,
     reference_actor: Optional[str] = None,
     max_iterations: int = 10_000,
-    engine: str = "auto",
 ) -> ThroughputResult:
     """Compute the self-timed throughput of ``graph``.
 
@@ -116,8 +114,6 @@ def analyze_throughput(
     One-shot convenience wrapper over the tiered
     :class:`~repro.sdf.engine.ThroughputEngine`; construct the engine
     directly when analyzing the same graph structure repeatedly.
-    ``engine`` pins a tier (``auto``/``analytic``/``vectorized``); every
-    tier returns the same exact ``Fraction`` throughput.
 
     Raises
     ------
@@ -135,7 +131,6 @@ def analyze_throughput(
         static_order=static_order,
         reference_actor=reference_actor,
         max_iterations=max_iterations,
-        mode=engine,
     ).analyze()
 
 

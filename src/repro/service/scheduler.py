@@ -79,7 +79,7 @@ from repro.flow.usecases import UseCaseMapping
 from repro.mapping.spec import MappingResult
 from repro.runtime.manager import PlatformManager
 from repro.power import power_counters
-from repro.sdf.engine import engine_counters
+from repro.sdf.engine import collect_engine_counters, engine_counters
 
 #: Artifact kind of the served response documents.
 RESPONSE_KIND = "flow-response"
@@ -326,11 +326,19 @@ def _compute_response_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     idempotent -- concurrent workers and replicas computing the same
     key write identical bytes) and returns the exact canonical
     response text plus the finished stage records for the job view.
+
+    The engine-tier and power-estimate counts of the computation ride
+    back too, so the parent's ``/v1/healthz`` counts work done on
+    workers.  A worker runs one task at a time, so the before/after
+    difference of its power counters is this task's share.
     """
     spec = FlowSpec.from_dict(payload["document"])
     workspace = Path(payload["workspace"])
     store = ArtifactStore(workspace / "artifacts")
-    result = execute_spec(spec, workspace, store=store)
+    power_before = power_counters().snapshot()
+    with collect_engine_counters() as engine:
+        result = execute_spec(spec, workspace, store=store)
+    power_after = power_counters().snapshot()
     response = FlowResponse.from_session(payload["request_key"], result)
     document = to_payload(response)
     store.put(RESPONSE_KIND, payload["request_key"], document)
@@ -344,6 +352,11 @@ def _compute_response_task(payload: Dict[str, Any]) -> Dict[str, Any]:
             }
             for record in result.stages
         ],
+        "engine": engine.snapshot(),
+        "power": {
+            kind: power_after[kind] - power_before[kind]
+            for kind in power_after
+        },
     }
 
 
@@ -457,10 +470,12 @@ class FlowScheduler:
         ``engine`` exposes the process-wide throughput-engine tier
         counters (:func:`repro.sdf.engine.engine_counters`): how many
         analyses the analytic / vectorized tiers served since the
-        process started.  ``power`` exposes the power-model
-        counters (:func:`repro.power.power_counters`): how many platform
-        power / application energy estimates were computed (zero unless
-        a client opted into budgets; see docs/power.md).
+        process started, including analyses run on process-backend
+        workers (their deltas come back with each result).  ``power``
+        exposes the power-model counters
+        (:func:`repro.power.power_counters`) the same way: how many
+        platform power / application energy estimates were computed
+        (zero unless a client opted into budgets; see docs/power.md).
         """
         platform = self._platform
         return {
@@ -594,6 +609,10 @@ class FlowScheduler:
                     )
                 )
                 job.replace_stages(outcome["stages"])
+                for tier, count in outcome["engine"].items():
+                    engine_counters().record(tier, count)
+                for kind, count in outcome["power"].items():
+                    power_counters().record(kind, count)
                 text = outcome["text"]
             else:
                 text = await asyncio.wrap_future(

@@ -11,7 +11,6 @@ from repro.flow.backend import (
     ExecutionBackend,
     ProcessBackend,
     ThreadBackend,
-    WorkerPool,
     as_backend,
     backend_task,
     create_backend,
@@ -65,10 +64,6 @@ class TestTaskRegistry:
 
 
 class TestThreadBackend:
-    def test_is_the_worker_pool(self):
-        # the historic name keeps working for every existing caller
-        assert WorkerPool is ThreadBackend
-
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             ThreadBackend(0)

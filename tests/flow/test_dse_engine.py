@@ -28,7 +28,7 @@ from repro.flow.fingerprint import (
     architecture_fingerprint,
 )
 from repro.flow.report import exploration_csv, format_exploration_report
-from repro.mapping.flow import EFFORT_LEVELS, MappingEffort
+from repro.mapping import EFFORT_LEVELS, MappingEffort
 from repro.sdf import SDFGraph
 
 

@@ -8,6 +8,7 @@ from repro.arch import architecture_from_template
 from repro.comm.serialization import CASerialization
 from repro.exceptions import RoutingError, ThroughputConstraintError
 from repro.mapping import (
+    MappingPipeline,
     allocate_buffers,
     bind_actors,
     build_bound_graph,
@@ -232,17 +233,35 @@ class TestMapApplication:
             map_application(
                 chain_app, arch,
                 constraint=Fraction(1, 100),  # faster than Q alone
-                strict=True, max_buffer_rounds=3,
+                strict=True, effort="low",
             )
 
     def test_impossible_constraint_lenient_reports(self, chain_app):
         arch = architecture_from_template(3)
         result = map_application(
-            chain_app, arch, constraint=Fraction(1, 100),
-            max_buffer_rounds=3,
+            chain_app, arch, constraint=Fraction(1, 100), effort="low",
         )
         assert not result.constraint_met
         assert result.guaranteed_throughput < Fraction(1, 100)
+
+    @pytest.mark.parametrize(
+        "override", ("max_iterations", "max_buffer_rounds")
+    )
+    def test_effort_is_the_only_budget(self, small_app, override):
+        arch = architecture_from_template(2)
+        with pytest.raises(TypeError):
+            map_application(small_app, arch, **{override: 10})
+        with pytest.raises(TypeError):
+            MappingPipeline().run(small_app, arch, **{override: 10})
+
+    def test_pipeline_module_is_the_entry_point(self):
+        import importlib
+
+        from repro.mapping import pipeline
+
+        assert map_application is pipeline.map_application
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.mapping.flow")
 
     def test_mapping_describe(self, small_app):
         arch = architecture_from_template(2)

@@ -68,7 +68,7 @@ def platforms(draw):
 @given(applications(), platforms())
 @settings(max_examples=25, deadline=None)
 def test_mapping_invariants(app, arch):
-    result = map_application(app, arch, max_iterations=4000)
+    result = map_application(app, arch, effort="normal+it4000")
     mapping = result.mapping
     q = repetition_vector(app.graph)
 
@@ -105,8 +105,8 @@ def test_mapping_invariants(app, arch):
 def test_mapping_is_deterministic(app):
     arch1 = architecture_from_template(3, "fsl")
     arch2 = architecture_from_template(3, "fsl")
-    first = map_application(app, arch1, max_iterations=4000)
-    second = map_application(app, arch2, max_iterations=4000)
+    first = map_application(app, arch1, effort="normal+it4000")
+    second = map_application(app, arch2, effort="normal+it4000")
     assert first.mapping.actor_binding == second.mapping.actor_binding
     assert first.mapping.static_orders == second.mapping.static_orders
     assert first.guaranteed_throughput == second.guaranteed_throughput
@@ -118,7 +118,7 @@ def test_single_tile_guarantee_is_serial_execution(app):
     """On one tile the bound graph is fully serialized: the guarantee
     equals one iteration of total work (including dispatch)."""
     arch = architecture_from_template(1)
-    result = map_application(app, arch, max_iterations=4000)
+    result = map_application(app, arch, effort="normal+it4000")
     q = repetition_vector(app.graph)
     dispatch = arch.tiles[0].processor.context_switch_cycles
     serial_work = sum(

@@ -23,7 +23,7 @@ from repro.arch.interconnect import FSLInterconnect
 from repro.arch.noc import SDMNoC, xy_route
 from repro.artifacts import ArtifactStore
 from repro.exceptions import AdmissionError
-from repro.mapping.flow import MappingEffort, map_application
+from repro.mapping import MappingEffort, map_application
 from repro.runtime import PlatformManager, build_library
 from repro.runtime.residual import mesh_links
 

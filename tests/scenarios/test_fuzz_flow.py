@@ -44,6 +44,7 @@ from repro.sdf.buffers import (
 from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.simulation_reference import reference_analyze_throughput
 from repro.sdf.throughput import analyze_throughput
+from tests.sdf.tiers import simulated_throughput
 
 #: tier-1 default; CI sets FUZZ_SCENARIOS=200 in the fuzz-smoke job
 SWEEP = max(5, int(os.environ.get("FUZZ_SCENARIOS", "25")))
@@ -84,10 +85,10 @@ class TestSweep:
 
     def test_incremental_matches_reference_exactly(self, spec):
         bounded = _bounded(build_scenario_graph(spec))
-        # The vectorized tier promises bit-identical state-space fields;
-        # the auto policy (possibly the analytic tier) promises the same
-        # exact throughput value.
-        fast = analyze_throughput(bounded, engine="vectorized")
+        # The state-space tier promises bit-identical fields; the
+        # engine's adaptive policy (possibly the analytic tier) promises
+        # the same exact throughput value.
+        fast = simulated_throughput(bounded)
         slow = reference_analyze_throughput(bounded)
         assert fast.throughput == slow.throughput
         assert fast.period == slow.period

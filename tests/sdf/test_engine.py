@@ -12,17 +12,16 @@ from repro.sdf.buffers import (
     retune_buffer_capacity,
 )
 from repro.sdf.engine import (
-    ENGINE_MODES,
     MAX_HSDF_COPIES,
     EngineCounters,
-    EngineUnsupportedError,
     ThroughputEngine,
+    analytic_throughput,
     collect_engine_counters,
     engine_counters,
-    normalize_engine_mode,
 )
 from repro.sdf.simulation_reference import reference_analyze_throughput
 from repro.sdf.throughput import ThroughputResult, analyze_throughput
+from tests.sdf.tiers import simulated_throughput
 
 
 def bounded(graph, capacities):
@@ -50,7 +49,6 @@ class TestTierPolicy:
         # probe -- simulation already was the cheaper exact analysis.
         engine = ThroughputEngine(figure2_bounded)
         assert engine.analytic_decline_reason is None
-        assert engine.tier_for() == ("analytic", None)
         result = engine.analyze()
         assert result.tier == "vectorized"
         assert "probe" in result.tier_reason
@@ -79,9 +77,7 @@ class TestTierPolicy:
         assert result.throughput == Fraction(1, 7)
 
     def test_analytic_agrees_with_oracle_value(self, figure2_bounded):
-        analytic = ThroughputEngine(
-            figure2_bounded, mode="analytic"
-        ).analyze()
+        analytic = analytic_throughput(figure2_bounded)
         oracle = reference_analyze_throughput(figure2_bounded)
         assert analytic.throughput == oracle.throughput
 
@@ -91,8 +87,7 @@ class TestTierPolicy:
             processor_of={"A": "t", "B": "t", "C": "t"},
             static_order={"t": ["A", "B", "B", "C"]},
         )
-        tier, reason = engine.tier_for()
-        assert tier == "vectorized"
+        reason = engine.analytic_decline_reason
         assert "static-order" in reason
         result = engine.analyze()
         assert result.tier == "vectorized"
@@ -103,8 +98,7 @@ class TestTierPolicy:
         engine = ThroughputEngine(
             figure2_bounded, processor_of={"A": "t", "B": "t"}
         )
-        tier, reason = engine.tier_for()
-        assert tier == "vectorized"
+        reason = engine.analytic_decline_reason
         assert "time-share" in reason and "t" in reason
 
     def test_exclusive_processors_keep_analytic(self, figure2_bounded):
@@ -112,21 +106,17 @@ class TestTierPolicy:
             figure2_bounded,
             processor_of={"A": "t0", "B": "t1", "C": "t2"},
         )
-        assert engine.tier_for() == ("analytic", None)
+        assert engine.analytic_decline_reason is None
         assert engine.analyze().throughput == Fraction(1, 6)
 
     def test_auto_concurrency_declines_analytic(self, figure2_bounded):
         engine = ThroughputEngine(figure2_bounded, auto_concurrency=None)
-        tier, reason = engine.tier_for()
-        assert tier == "vectorized"
-        assert "auto-concurrency" in reason
+        assert "auto-concurrency" in engine.analytic_decline_reason
 
     def test_unconnected_graph_declines_analytic(self, two_actor_pipeline):
         # No back-edge: the pipeline is not strongly connected.
         engine = ThroughputEngine(two_actor_pipeline)
-        tier, reason = engine.tier_for()
-        assert tier == "vectorized"
-        assert "strongly connected" in reason
+        assert "strongly connected" in engine.analytic_decline_reason
 
     def test_oversized_expansion_declines_analytic(self):
         big = MAX_HSDF_COPIES
@@ -138,76 +128,65 @@ class TestTierPolicy:
         g.add_edge("ba", "B", "A", production=1, consumption=big,
                    initial_tokens=big)
         engine = ThroughputEngine(g)
-        tier, reason = engine.tier_for()
-        assert tier == "vectorized"
-        assert "HSDF expansion too large" in reason
+        assert "HSDF expansion too large" in engine.analytic_decline_reason
         # The fallback still analyzes the graph exactly: credits return
         # one per B firing, so A waits out all 256 (2 + 256 cycles).
         assert engine.analyze().throughput == Fraction(1, big + 2)
 
 
 # ----------------------------------------------------------------------
-# forced modes
+# tiers called directly (the engine has no pin)
 # ----------------------------------------------------------------------
-class TestForcedModes:
-    def test_forced_vectorized_is_recorded(self, figure2_bounded):
-        result = ThroughputEngine(
-            figure2_bounded, mode="vectorized"
-        ).analyze()
+TIERS = {
+    "auto": lambda graph: ThroughputEngine(graph).analyze(),
+    "analytic": analytic_throughput,
+    "vectorized": simulated_throughput,
+}
+
+
+class TestDirectTiers:
+    def test_simulated_tier_matches_oracle(self, figure2_bounded):
+        result = simulated_throughput(figure2_bounded)
         assert result.tier == "vectorized"
-        assert result.tier_reason == "engine mode 'vectorized' forced"
         assert result == reference_analyze_throughput(figure2_bounded)
 
-    def test_forced_analytic_on_eligible_graph(self, figure2_bounded):
-        result = ThroughputEngine(
-            figure2_bounded, mode="analytic"
-        ).analyze()
+    def test_analytic_tier_on_eligible_graph(self, figure2_bounded):
+        result = analytic_throughput(figure2_bounded)
         assert result.tier == "analytic"
-        assert result.tier_reason == "engine mode 'analytic' forced"
+        assert result.transient_iterations == 0
+        assert result.throughput == Fraction(1, 6)
 
-    def test_forced_analytic_on_ineligible_graph_raises(
-        self, figure2_bounded
-    ):
-        engine = ThroughputEngine(
-            figure2_bounded,
-            processor_of={"A": "t", "B": "t", "C": "t"},
-            static_order={"t": ["A", "B", "B", "C"]},
-            mode="analytic",
-        )
-        with pytest.raises(EngineUnsupportedError, match="static-order"):
-            engine.analyze()
+    def test_analytic_budget_raises(self, long_transient_bounded):
+        from repro.sdf.mcm import CycleRatioBudgetError
 
-    def test_unknown_mode_rejected(self, figure2_bounded):
-        with pytest.raises(ValueError, match="unknown throughput engine"):
-            ThroughputEngine(figure2_bounded, mode="turbo")
-        with pytest.raises(ValueError, match="turbo"):
-            normalize_engine_mode("turbo")
-        for mode in ENGINE_MODES:
-            assert normalize_engine_mode(mode) == mode
+        with pytest.raises(CycleRatioBudgetError):
+            analytic_throughput(long_transient_bounded, relaxation_factor=0)
 
-    def test_reference_mode_is_gone(self, figure2_bounded):
-        assert ENGINE_MODES == ("auto", "analytic", "vectorized")
-        with pytest.raises(ValueError, match="unknown throughput engine"):
-            ThroughputEngine(figure2_bounded, mode="reference")
+    def test_engine_takes_no_mode(self, figure2_bounded):
+        with pytest.raises(TypeError):
+            ThroughputEngine(figure2_bounded, mode="vectorized")
+        with pytest.raises(TypeError):
+            analyze_throughput(figure2_bounded, engine="analytic")
 
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
-    def test_every_mode_runs_deadlock_precheck(self, mode):
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_every_tier_rejects_deadlock(self, tier):
         g = SDFGraph("dead")
         g.add_actor("A", execution_time=1)
         g.add_actor("B", execution_time=1)
         g.add_edge("ab", "A", "B")
         g.add_edge("ba", "B", "A")  # no initial tokens: deadlock
         with pytest.raises(DeadlockError):
-            ThroughputEngine(g, mode=mode).analyze()
+            TIERS[tier](g)
 
-    def test_analyze_throughput_engine_knob(self, figure2_bounded):
-        auto = analyze_throughput(figure2_bounded)
-        pinned = analyze_throughput(figure2_bounded, engine="analytic")
-        assert auto.tier == "vectorized"
-        assert pinned.tier == "analytic"
-        assert auto.throughput == pinned.throughput
-        with pytest.raises(ValueError, match="unknown throughput engine"):
-            analyze_throughput(figure2_bounded, engine="warp")
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_every_tier_rejects_zero_time_cycles(self, tier):
+        g = SDFGraph("instant")
+        g.add_actor("A", execution_time=0)
+        g.add_actor("B", execution_time=0)
+        g.add_edge("ab", "A", "B")
+        g.add_edge("ba", "B", "A", initial_tokens=1)
+        with pytest.raises(SimulationError, match="unbounded"):
+            TIERS[tier](g)
 
 
 # ----------------------------------------------------------------------
@@ -225,13 +204,14 @@ def test_tier_fields_do_not_affect_equality():
     assert a == b
 
 
-def test_bad_reference_actor_rejected_by_every_tier(figure2_bounded):
-    for mode in ENGINE_MODES:
-        engine = ThroughputEngine(
-            figure2_bounded, reference_actor="ZZZ", mode=mode
-        )
-        with pytest.raises(SimulationError, match="reference actor"):
-            engine.analyze()
+@pytest.mark.parametrize("processor_of", (None, {"A": "t", "B": "t"}))
+def test_bad_reference_actor_rejected(figure2_bounded, processor_of):
+    # eligible (probe first) and ineligible (simulation only) graphs
+    engine = ThroughputEngine(
+        figure2_bounded, reference_actor="ZZZ", processor_of=processor_of
+    )
+    with pytest.raises(SimulationError, match="reference actor"):
+        engine.analyze()
 
 
 # ----------------------------------------------------------------------
@@ -240,40 +220,41 @@ def test_bad_reference_actor_rejected_by_every_tier(figure2_bounded):
 class TestWarmReuse:
     def test_retuned_tokens_reanalyzed_exactly(self, two_actor_pipeline):
         bounded_graph = bounded(two_actor_pipeline, {"p2q": 1})
-        engine = ThroughputEngine(bounded_graph, mode="vectorized")
+        engine = ThroughputEngine(bounded_graph)
         assert engine.analyze().throughput == Fraction(1, 12)
         for capacity in (2, 4, 1, 3):
             retune_buffer_capacity(bounded_graph, "p2q", capacity)
             warm = engine.analyze()
-            cold = analyze_throughput(
-                bounded(two_actor_pipeline, {"p2q": capacity}),
-                engine="vectorized",
+            cold = simulated_throughput(
+                bounded(two_actor_pipeline, {"p2q": capacity})
             )
+            assert warm.tier == "vectorized"
             assert warm == cold
 
     def test_analytic_rereads_mutated_tokens(self, two_actor_pipeline):
         bounded_graph = bounded(two_actor_pipeline, {"p2q": 1})
-        engine = ThroughputEngine(bounded_graph, mode="analytic")
-        assert engine.tier_for()[0] == "analytic"
-        assert engine.analyze().throughput == Fraction(1, 12)
+        assert ThroughputEngine(bounded_graph).analytic_decline_reason is None
+        assert analytic_throughput(bounded_graph).throughput == Fraction(1, 12)
         retune_buffer_capacity(bounded_graph, "p2q", 4)
-        assert engine.analyze().throughput == Fraction(1, 7)
+        assert analytic_throughput(bounded_graph).throughput == Fraction(1, 7)
 
 
 # ----------------------------------------------------------------------
 # counters
 # ----------------------------------------------------------------------
 class TestCounters:
-    def test_global_counters_increment(self, figure2_bounded):
+    def test_global_counters_increment(
+        self, figure2_bounded, long_transient_bounded
+    ):
         before = engine_counters().snapshot()
         ThroughputEngine(figure2_bounded).analyze()
-        ThroughputEngine(figure2_bounded, mode="analytic").analyze()
+        ThroughputEngine(long_transient_bounded).analyze()
         after = engine_counters().snapshot()
         assert after["vectorized"] == before["vectorized"] + 1
         assert after["analytic"] == before["analytic"] + 1
 
     def test_scoped_collector_counts_only_inside(self, figure2_bounded):
-        engine = ThroughputEngine(figure2_bounded, mode="vectorized")
+        engine = ThroughputEngine(figure2_bounded)
         engine.analyze()  # outside: must not be collected
         with collect_engine_counters() as tiers:
             engine.analyze()

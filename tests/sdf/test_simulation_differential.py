@@ -31,6 +31,7 @@ from repro.sdf.simulation_reference import (
 )
 from repro.sdf.throughput import analyze_throughput
 from tests.sdf.static_orders import derive_static_orders
+from tests.sdf.tiers import simulated_throughput
 
 
 def random_bounded_graph(rng: random.Random) -> SDFGraph:
@@ -169,16 +170,13 @@ def test_static_order_execution_matches_reference(seed):
 def _both_analyses(graph, **kwargs):
     """Run both analyzers; return (result, result) or (error, error).
 
-    The vectorized tier is pinned for the field-exact comparison: it
-    promises bit-identical state-space results (period, transient, ...);
-    the analytic tier promises only the same exact throughput value and
-    is compared separately.
+    The state-space tier is called directly for the field-exact
+    comparison: it promises bit-identical results (period, transient,
+    ...); the analytic tier promises only the same exact throughput
+    value and is compared separately.
     """
     outcomes = []
-    for analyze in (
-        lambda g, **kw: analyze_throughput(g, engine="vectorized", **kw),
-        reference_analyze_throughput,
-    ):
+    for analyze in (simulated_throughput, reference_analyze_throughput):
         try:
             outcomes.append(analyze(graph, **kwargs))
         except ReproError as error:
@@ -192,7 +190,7 @@ def test_throughput_analysis_matches_reference(seed):
     graph = random_bounded_graph(rng)
     fast, slow = _both_analyses(graph, max_iterations=2_000)
     assert fast == slow  # identical ThroughputResult or same error class
-    # The tier the auto policy picks must agree on the throughput value.
+    # The tier the adaptive policy picks must agree on the throughput value.
     try:
         auto = analyze_throughput(graph, max_iterations=2_000)
     except ReproError as error:

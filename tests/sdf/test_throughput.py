@@ -207,9 +207,9 @@ class TestReusedEngine:
 
     def test_matches_oracle_and_one_shot_analysis(self, figure2_graph):
         g = bounded(figure2_graph, {"a2b": 4, "a2c": 2, "b2c": 3})
-        engine = ThroughputEngine(g, mode="vectorized")
+        engine = ThroughputEngine(g)
         # Field-exact against the oracle; value-exact against whatever
-        # tier the auto policy picks.
+        # tier the adaptive policy picks.
         assert engine.analyze() == reference_analyze_throughput(g)
         assert engine.analyze().throughput == \
             analyze_throughput(g).throughput
@@ -224,7 +224,7 @@ class TestReusedEngine:
         g.add_actor("B", execution_time=4)
         g.add_edge("ab", "A", "B", token_size=4)
         bounded_graph = bounded(g, {"ab": 1})
-        engine = ThroughputEngine(bounded_graph, mode="vectorized")
+        engine = ThroughputEngine(bounded_graph)
         assert engine.analyze().throughput == Fraction(1, 7)
         for capacity in (2, 3, 2, 1):
             retune_buffer_capacity(bounded_graph, "ab", capacity)
@@ -241,7 +241,7 @@ class TestReusedEngine:
         g.add_actor("B", execution_time=1)
         g.add_edge("ab", "A", "B")
         g.add_edge("ba", "B", "A")  # no initial tokens: deadlock
-        engine = ThroughputEngine(g, mode="vectorized")
+        engine = ThroughputEngine(g)
         with pytest.raises(DeadlockError, match="blocked after"):
             engine.analyze(check_deadlock=False)
 
@@ -252,7 +252,7 @@ class TestReusedEngine:
         g.add_edge("pq", "P", "Q", token_size=4)
         g.add_edge("selfP", "P", "P", initial_tokens=1)
         g.add_edge("selfQ", "Q", "Q", initial_tokens=1)
-        engine = ThroughputEngine(g, mode="vectorized", max_iterations=5)
+        engine = ThroughputEngine(g, max_iterations=5)
         with pytest.raises(UnboundedExecutionError, match="within 5 "):
             engine.analyze()
         with pytest.raises(UnboundedExecutionError, match="within 9 "):

@@ -239,14 +239,14 @@ class TestShutdown:
         assert time.monotonic() - start < 10.0
         release.set()  # let the worker thread finish
 
-    def test_worker_pool_close_without_wait(self):
-        """WorkerPool.close(wait=False) returns while a worker runs."""
+    def test_thread_backend_close_without_wait(self):
+        """ThreadBackend.close(wait=False) returns while a worker runs."""
         import time
 
-        from repro.flow.dse import WorkerPool
+        from repro.flow.backend import ThreadBackend
 
         release = threading.Event()
-        pool = WorkerPool(1)
+        pool = ThreadBackend(1)
         future = pool.submit(release.wait, 60)
         start = time.monotonic()
         pool.close(wait=False)

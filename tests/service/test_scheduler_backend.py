@@ -104,6 +104,28 @@ class TestHealth:
             assert health["backend"] == "thread"
             assert health["replica"].startswith("replica-")
 
+    def test_worker_analyses_reach_the_health_counters(self, tmp_path):
+        """Both backends report identical engine/power deltas for one
+        computed spec: process workers ship theirs back."""
+        deltas = {}
+        for backend in ("thread", "process"):
+            with FlowScheduler(
+                tmp_path / backend, jobs=1, backend=backend
+            ) as scheduler:
+                before = scheduler.health()
+                wait_done(scheduler, scheduler.submit(SOLO)["id"])
+                after = scheduler.health()
+            assert after["counters"]["computed"] == 1
+            deltas[backend] = {
+                section: {
+                    key: after[section][key] - before[section][key]
+                    for key in after[section]
+                }
+                for section in ("engine", "power")
+            }
+        assert sum(deltas["thread"]["engine"].values()) > 0
+        assert deltas["process"] == deltas["thread"]
+
 
 class TestPromptShutdown:
     def test_close_terminates_workers_behind_a_wedged_job(

@@ -216,24 +216,17 @@ class TestMaxIterationsPlumbing:
             "analytic", "vectorized"
         )
 
-    def test_analyze_engine_pin(self, graph_file, capsys):
-        assert main(
-            ["analyze", graph_file, "--json", "--engine", "vectorized"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["throughput"]["engine_tier"] == "vectorized"
-
-    @pytest.mark.parametrize("engine", ("turbo", "reference"))
-    def test_analyze_rejects_unknown_engine(self, graph_file, engine):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize("engine", ("auto", "analytic", "vectorized"))
+    def test_analyze_has_no_engine_pin(self, graph_file, engine):
+        with pytest.raises(SystemExit) as exit_info:
             main(["analyze", graph_file, "--engine", engine])
+        assert exit_info.value.code == 2  # argparse usage error
 
-    def test_explore_engine_pin(self, capsys):
-        code = main(
-            ["explore", "gradient", "--max-tiles", "1",
-             "--effort", "low", "--engine", "vectorized"]
-        )
-        assert code == 0
+    def test_explore_has_no_engine_pin(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "gradient", "--max-tiles", "1",
+                  "--engine", "vectorized"])
+        assert exit_info.value.code == 2
 
     def test_explore_budget_override(self, capsys):
         code = main(
@@ -253,7 +246,7 @@ class TestMaxIterationsPlumbing:
 
 class TestEffortIterationSuffix:
     def test_of_parses_override(self):
-        from repro.mapping.flow import MappingEffort
+        from repro.mapping import MappingEffort
 
         effort = MappingEffort.of("low+it12345")
         assert effort.max_iterations == 12345
@@ -264,7 +257,7 @@ class TestEffortIterationSuffix:
         assert MappingEffort.of(effort.name) == effort
 
     def test_with_iterations_is_stable(self):
-        from repro.mapping.flow import MappingEffort
+        from repro.mapping import MappingEffort
 
         base = MappingEffort.of("normal")
         assert base.with_iterations(base.max_iterations) is base
@@ -272,7 +265,7 @@ class TestEffortIterationSuffix:
         assert derived.with_iterations(77).name == "normal+it77"
 
     def test_bad_overrides_rejected(self):
-        from repro.mapping.flow import MappingEffort
+        from repro.mapping import MappingEffort
 
         with pytest.raises(ValueError, match="positive integer"):
             MappingEffort.of("low+itxyz")
@@ -282,60 +275,29 @@ class TestEffortIterationSuffix:
             MappingEffort.of("low").with_iterations(0)
 
 
-class TestEffortEngineSuffix:
-    def test_of_parses_engine_pin(self):
-        from repro.mapping.flow import MappingEffort
+class TestEffortCacheToken:
+    @pytest.mark.parametrize("name, token", (
+        ("low", "low:4:4000"),
+        ("normal", "normal:12:10000"),
+        ("high", "high:24:40000"),
+        ("normal+it50000", "normal+it50000:12:50000"),
+        # an override equal to the preset's budget is the preset
+        ("low+it4000", "low:4:4000"),
+    ))
+    def test_tokens_are_pinned(self, name, token):
+        """Mapping-result and library keys embed these literals; a
+        change here invalidates every persisted workspace."""
+        from repro.mapping import MappingEffort
 
-        effort = MappingEffort.of("normal+engvectorized")
-        assert effort.engine == "vectorized"
-        assert effort.max_iterations == (
-            MappingEffort.of("normal").max_iterations
-        )
-        assert MappingEffort.of(effort.name) == effort
+        assert MappingEffort.of(name).cache_token() == token
 
-    def test_suffixes_combine_in_either_order(self):
-        from repro.mapping.flow import MappingEffort
+    def test_engine_suffix_is_gone(self):
+        from repro.mapping import MappingEffort
 
-        a = MappingEffort.of("low+it5000+engvectorized")
-        b = MappingEffort.of("low+engvectorized+it5000")
-        assert a == b
-        assert a.max_iterations == 5000
-        assert a.engine == "vectorized"
-        # canonical derived name: iterations before engine
-        assert a.name == "low+it5000+engvectorized"
-
-    def test_with_engine_round_trips(self):
-        from repro.mapping.flow import MappingEffort
-
-        base = MappingEffort.of("high")
-        pinned = base.with_engine("analytic")
-        assert pinned.name == "high+enganalytic"
-        assert MappingEffort.of(pinned.name) == pinned
-        # auto is the default: pinning it back erases the suffix, so
-        # cache keys derived from the name stay byte-identical
-        assert pinned.with_engine("auto").name == "high"
-        assert base.with_engine("auto") is base
-
-    def test_with_iterations_preserves_engine_pin(self):
-        from repro.mapping.flow import MappingEffort
-
-        pinned = MappingEffort.of("normal+engvectorized")
-        derived = pinned.with_iterations(77)
-        assert derived.engine == "vectorized"
-        assert derived.name == "normal+it77+engvectorized"
-        assert MappingEffort.of(derived.name) == derived
-
-    def test_bad_engine_suffix_rejected(self):
-        from repro.mapping.flow import MappingEffort
-
-        with pytest.raises(ValueError, match="invalid engine override"):
-            MappingEffort.of("low+engturbo")
-        with pytest.raises(ValueError, match="invalid engine override"):
-            MappingEffort.of("normal+engreference")
+        with pytest.raises(ValueError, match="unknown suffix"):
+            MappingEffort.of("normal+engvectorized")
         with pytest.raises(ValueError, match="unknown suffix"):
             MappingEffort.of("low+zz5")
-        with pytest.raises(ValueError, match="unknown throughput engine"):
-            MappingEffort.of("low").with_engine("turbo")
 
 
 class TestCanonicalPayloads:
