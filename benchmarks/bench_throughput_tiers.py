@@ -38,6 +38,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from benchmarks.conftest import RESULTS_DIR, write_results
+from repro import counters
 from repro.arch import architecture_from_template
 from repro.flow.spec import load_flow_spec
 from repro.mapping import map_application
@@ -53,7 +54,7 @@ from repro.sdf.buffers import (
     retune_buffer_capacity,
 )
 from repro.sdf.deadlock import is_deadlock_free
-from repro.sdf.engine import ThroughputEngine, collect_engine_counters
+from repro.sdf.engine import ThroughputEngine
 from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
 from repro.sdf.simulation_reference import reference_analyze_throughput
@@ -261,11 +262,12 @@ def _greedy_sizing_calls(graph, constraint, max_rounds=200, step=1):
 def _sizing_calls():
     graph, constraint = _sizing_chain()
     greedy_calls, greedy_dist = _greedy_sizing_calls(graph, constraint)
-    with collect_engine_counters() as tiers:
+    with counters.collect() as scope:
         distribution, result = minimal_buffer_distribution(
             graph, throughput_constraint=constraint
         )
-    monotone_calls = tiers.total()
+    tiers = scope.snapshot("engine")
+    monotone_calls = sum(tiers.values())
     assert result.throughput >= constraint
     # Same quality: the monotone search must not gold-plate capacities.
     assert (
@@ -279,7 +281,7 @@ def _sizing_calls():
         "greedy_calls": greedy_calls,
         "monotone_calls": monotone_calls,
         "total_tokens": sum(distribution.capacities.values()),
-        "tiers": tiers.snapshot(),
+        "tiers": tiers,
     }
 
 

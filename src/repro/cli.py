@@ -136,20 +136,20 @@ def _map_template(
     return app, arch, result
 
 
-def _parse_budget(value: Optional[str], flag: str) -> Optional[Fraction]:
-    """Parse a positive budget flag value as an exact fraction."""
+def _positive_fraction(value: Optional[str], flag: str) -> Optional[Fraction]:
+    """Parse a positive flag value (a budget, a constraint) exactly."""
     if value is None:
         return None
     try:
-        budget = Fraction(value)
+        number = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ReproError(
             f"invalid {flag} {value!r}; expected a number like 250, "
-            "1.5 or 81/2"
+            "1.5 or 1/6000"
         ) from None
-    if budget <= 0:
+    if number <= 0:
         raise ReproError(f"{flag} must be > 0, got {value}")
-    return budget
+    return number
 
 
 def _power_model(args: argparse.Namespace):
@@ -158,8 +158,8 @@ def _power_model(args: argparse.Namespace):
     """
     from repro.power import BASE_TECH_NM, PowerModel
 
-    power_budget = _parse_budget(args.power_budget, "--power-budget")
-    energy_budget = _parse_budget(args.energy_budget, "--energy-budget")
+    power_budget = _positive_fraction(args.power_budget, "--power-budget")
+    energy_budget = _positive_fraction(args.energy_budget, "--energy-budget")
     if (
         power_budget is None
         and energy_budget is None
@@ -318,8 +318,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         load_flow_spec,
     )
 
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     if args.backend == "process" and not args.workspace:
         raise ReproError(
             "--backend process runs the analysis-side session on a "
@@ -349,7 +347,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.backend == "process":
             from repro.flow import create_backend
 
-            engine = create_backend("process", args.jobs)
+            engine = create_backend("process")
             try:
                 result = execute_spec_on(
                     spec, args.workspace, backend=engine
@@ -418,20 +416,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     if args.jobs < 1:
         raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.max_tiles < 1:
+        raise ReproError(f"--max-tiles must be >= 1, got {args.max_tiles}")
     if args.early_exit and not args.constraint:
         raise ReproError(
             "--early-exit needs --constraint (the case-study application "
             "carries no throughput constraint of its own)"
         )
-    constraint = None
-    if args.constraint:
-        try:
-            constraint = Fraction(args.constraint)
-        except (ValueError, ZeroDivisionError):
-            raise ReproError(
-                f"invalid --constraint {args.constraint!r}; expected a "
-                "fraction like 1/6000"
-            ) from None
+    constraint = _positive_fraction(args.constraint, "--constraint")
     effort = args.effort
     if args.max_iterations is not None:
         if args.max_iterations < 1:
@@ -799,10 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend; 'process' computes the session on a "
              "worker process (needs --workspace) with byte-identical "
              "artifacts",
-    )
-    run.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker count of the execution backend (default 1)",
     )
     run.set_defaults(handler=_cmd_run)
 

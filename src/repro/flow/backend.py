@@ -24,6 +24,11 @@ engine (:mod:`repro.flow.dse`), the batch runner
   or N independent ``repro serve`` replicas sharing a workspace --
   ever need.
 
+:func:`run_task` runs every registered task inside a
+:func:`repro.counters.collect` scope and returns its counts with the
+result; the process backend merges them into the parent's counts and
+hands callers the task's own result, so counts match across backends.
+
 Both backends also accept *local* callables via :meth:`submit`; on the
 process backend those run on a small auxiliary **thread** pool (bound
 methods and closures are not picklable), which is exactly what the
@@ -37,6 +42,7 @@ trees (regression-tested in ``tests/flow/test_session_backends.py``).
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import multiprocessing
 import os
@@ -44,12 +50,14 @@ import threading
 import time
 from concurrent.futures import (
     Future,
+    InvalidStateError,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
+from repro import counters
 from repro.exceptions import ReproError
 
 #: The selectable backend names (the ``--backend`` choices).
@@ -127,12 +135,15 @@ def _warm_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"pid": os.getpid()}
 
 
-def run_task(name: str, module: str, payload: Dict[str, Any]) -> Any:
+def run_task(
+    name: str, module: str, payload: Dict[str, Any]
+) -> Tuple[Any, Dict[str, int]]:
     """Worker-process entry point: import, resolve, dispatch.
 
     Importing ``module`` (re-)runs its :func:`backend_task`
     registrations, so a freshly spawned worker that never saw the
-    parent's imports still resolves the task.
+    parent's imports still resolves the task.  Returns the task's
+    result and the :mod:`repro.counters` counts it made.
     """
     task = _TASKS.get(name)
     if task is None:
@@ -142,7 +153,36 @@ def run_task(name: str, module: str, payload: Dict[str, Any]) -> Any:
         raise BackendError(
             f"task {name!r} not registered by importing {module!r}"
         )
-    return task.fn(payload)
+    with counters.collect() as scope:
+        result = task.fn(payload)
+    return result, scope.snapshot()
+
+
+def _merging(future: Future) -> Future:
+    """A future of the task's own result from a :func:`run_task` future.
+
+    The worker's counts merge into this process's as the task finishes,
+    whether or not anyone reads the result.  Cancelling either future
+    cancels the other.
+    """
+    unwrapped: Future = Future()
+
+    def settle(done: Future) -> None:
+        if done.cancelled():
+            unwrapped.cancel()
+            return
+        with contextlib.suppress(InvalidStateError):  # cancelled meanwhile
+            if done.exception() is not None:
+                unwrapped.set_exception(done.exception())
+                return
+            result, counts = done.result()
+            for name, amount in counts.items():
+                counters.count(name, amount)
+            unwrapped.set_result(result)
+
+    future.add_done_callback(settle)
+    unwrapped.add_done_callback(lambda f: f.cancelled() and future.cancel())
+    return unwrapped
 
 
 # ----------------------------------------------------------------------
@@ -387,9 +427,9 @@ class ProcessBackend(ExecutionBackend):
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.jobs, mp_context=self._context
                 )
-            return self._executor.submit(
+            return _merging(self._executor.submit(
                 run_task, task.name, task.module, payload
-            )
+            ))
 
     def run_tasks_ordered(
         self,
@@ -411,7 +451,9 @@ class ProcessBackend(ExecutionBackend):
             max_workers=self.jobs, mp_context=self._context
         ) as pool:
             futures = [
-                pool.submit(run_task, task.name, task.module, payload)
+                _merging(
+                    pool.submit(run_task, task.name, task.module, payload)
+                )
                 for payload in items
             ]
             try:

@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.flow.dse
     from repro.flow.dse import CandidatePoint, DesignPoint
     from repro.flow.spec import FlowSpec
 
+from repro import counters
 from repro.appmodel.model import ApplicationModel
 from repro.arch.platform import ArchitectureModel
 from repro.comm.serialization import SerializationModel
@@ -36,7 +37,6 @@ from repro.mapping.pipeline import (
     map_application,
 )
 from repro.mapping.spec import MappingResult
-from repro.sdf.engine import collect_engine_counters
 from repro.sim.platform_sim import MeasuredThroughput, PlatformSimulator
 
 
@@ -190,7 +190,7 @@ class DesignFlow:
         (e.g. for timing-only studies on non-functional models)."""
         effort = EffortReport()
 
-        with collect_engine_counters() as tiers:
+        with counters.collect() as scope:
             with effort.step("Generating architecture model"):
                 self.arch.validate()
 
@@ -230,7 +230,7 @@ class DesignFlow:
                 )
         effort.engine_tiers = {
             tier: count
-            for tier, count in tiers.snapshot().items()
+            for tier, count in scope.snapshot("engine").items()
             if count
         }
         return FlowResult(

@@ -511,12 +511,17 @@ def _parse_constraint(value) -> Optional[Fraction]:
     if value is None:
         return None
     try:
-        return Fraction(value)
+        constraint = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise FlowSpecError(
             f"invalid constraint {value!r}; expected a fraction like "
             "'1/6000'"
         ) from None
+    if constraint <= 0:
+        raise FlowSpecError(
+            f"constraint must be > 0 iterations/cycle, got {value!r}"
+        )
+    return constraint
 
 
 def load_flow_spec(path: Union[str, Path]) -> FlowSpec:

@@ -19,18 +19,14 @@ from repro.power.estimate import (
 from repro.power.model import (
     BASE_TECH_NM,
     TECH_NODES,
-    PowerCounters,
     PowerModel,
-    power_counters,
     words_per_token,
 )
 
 __all__ = [
     "BASE_TECH_NM",
     "TECH_NODES",
-    "PowerCounters",
     "PowerModel",
-    "power_counters",
     "words_per_token",
     "EnergyEstimate",
     "PowerEstimate",

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.counters import count
 from repro.exceptions import PowerError
-from repro.power.model import PowerModel, power_counters
+from repro.power.model import PowerModel
 from repro.sdf.repetition import repetition_vector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,7 +137,7 @@ def platform_power(
         dynamic_uw += model.interconnect_dynamic_uw(
             architecture.interconnect
         )
-    power_counters().record("platform")
+    count("power.platform")
     return PowerEstimate(
         static_mw=static_uw / 1000,
         dynamic_mw=dynamic_uw / 1000,
@@ -196,7 +197,7 @@ def application_energy(
         * period_cycles
         * model.clock_ns
     )
-    power_counters().record("application")
+    count("power.application")
     return EnergyEstimate(
         compute_pj=compute_fj / 1000,
         communication_pj=communication_pj,

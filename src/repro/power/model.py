@@ -18,7 +18,6 @@ schema.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -198,43 +197,9 @@ class PowerModel:
         )
 
 
-class PowerCounters:
-    """Process-wide counters of power/energy estimates, mirrored into
-    the service ``/v1/healthz`` payload (same idiom as the throughput
-    engine's tier counters)."""
-
-    __slots__ = ("_lock", "platform", "application")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.platform = 0
-        self.application = 0
-
-    def record(self, kind: str, count: int = 1) -> None:
-        with self._lock:
-            setattr(self, kind, getattr(self, kind) + count)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "platform": self.platform,
-                "application": self.application,
-            }
-
-
-_GLOBAL_COUNTERS = PowerCounters()
-
-
-def power_counters() -> PowerCounters:
-    """The process-wide power-estimate counters."""
-    return _GLOBAL_COUNTERS
-
-
 __all__ = [
     "BASE_TECH_NM",
     "TECH_NODES",
     "PowerModel",
-    "PowerCounters",
-    "power_counters",
     "words_per_token",
 ]

@@ -27,8 +27,6 @@ from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.engine import (
     ThroughputEngine,
     analytic_throughput,
-    collect_engine_counters,
-    engine_counters,
 )
 from repro.sdf.throughput import ThroughputResult, analyze_throughput
 from repro.sdf.simulation import SelfTimedSimulator, SimulationTrace
@@ -62,8 +60,6 @@ __all__ = [
     "analyze_throughput",
     "ThroughputEngine",
     "analytic_throughput",
-    "collect_engine_counters",
-    "engine_counters",
     "ThroughputResult",
     "SelfTimedSimulator",
     "SimulationTrace",

@@ -50,20 +50,17 @@ platform simulator, latency scans) construct the same
 :class:`~repro.sdf.simulation.SelfTimedSimulator` directly, with their
 hooks.
 
-Tier usage is counted process-wide (:func:`engine_counters`, surfaced
-by ``GET /v1/healthz``) and per scope via
-:func:`collect_engine_counters` (surfaced in
-:class:`~repro.flow.effort.EffortReport`).
+Every analysis counts its tier in :mod:`repro.counters`
+(``engine.analytic`` / ``engine.vectorized``), which ``GET /v1/healthz``
+and :class:`~repro.flow.effort.EffortReport` read.
 """
 
 from __future__ import annotations
 
-import contextvars
-import threading
-from contextlib import contextmanager
 from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.counters import count
 from repro.exceptions import DeadlockError, SimulationError
 from repro.sdf.deadlock import deadlock_report
 from repro.sdf.graph import SDFGraph, validate_graph
@@ -103,70 +100,6 @@ PROBE_WORK_FACTOR = 32
 #: adversarial dense multi-rate expansions run into the thousands and
 #: are cheaper to simulate.
 MCM_RELAXATION_FACTOR = 512
-
-
-# ----------------------------------------------------------------------
-# tier counters
-# ----------------------------------------------------------------------
-class EngineCounters:
-    """Monotonic per-tier analysis counts (thread-safe)."""
-
-    __slots__ = ("_lock", "analytic", "vectorized")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.analytic = 0
-        self.vectorized = 0
-
-    def record(self, tier: str, count: int = 1) -> None:
-        with self._lock:
-            setattr(self, tier, getattr(self, tier) + count)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "analytic": self.analytic,
-                "vectorized": self.vectorized,
-            }
-
-    def total(self) -> int:
-        with self._lock:
-            return self.analytic + self.vectorized
-
-
-_GLOBAL_COUNTERS = EngineCounters()
-
-_collector_stack: "contextvars.ContextVar[Tuple[EngineCounters, ...]]" = (
-    contextvars.ContextVar("engine_counter_collectors", default=())
-)
-
-
-def engine_counters() -> EngineCounters:
-    """The process-wide tier counters (``/v1/healthz`` reads these)."""
-    return _GLOBAL_COUNTERS
-
-
-@contextmanager
-def collect_engine_counters() -> Iterator[EngineCounters]:
-    """Additionally count tier hits into a scoped collector.
-
-    Collectors nest; every analysis inside the ``with`` block (in this
-    context -- worker threads spawned inside the block keep their own
-    context and only feed the process-wide counters) is recorded in the
-    yielded :class:`EngineCounters` as well as globally.
-    """
-    collector = EngineCounters()
-    token = _collector_stack.set(_collector_stack.get() + (collector,))
-    try:
-        yield collector
-    finally:
-        _collector_stack.reset(token)
-
-
-def _record_tier(tier: str) -> None:
-    _GLOBAL_COUNTERS.record(tier)
-    for collector in _collector_stack.get():
-        collector.record(tier)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +314,7 @@ class ThroughputEngine:
             if report is not None:
                 raise DeadlockError(report)
         if self._decline is not None:
-            _record_tier("vectorized")
+            count("engine.vectorized")
             result = self._analyze_vectorized(max_iterations)
             return replace(result, tier_reason=self._decline)
         # Adaptive probe: a state space that recurs before the simulation
@@ -394,7 +327,7 @@ class ThroughputEngine:
         except UnboundedExecutionError:
             pass
         else:
-            _record_tier("vectorized")
+            count("engine.vectorized")
             return replace(result, tier_reason=(
                 f"state space recurred within the {probe}-iteration "
                 "probe; simulation is cheaper than the HSDF transform"
@@ -402,13 +335,13 @@ class ThroughputEngine:
         try:
             result = analytic_throughput(self.graph, MCM_RELAXATION_FACTOR)
         except CycleRatioBudgetError:
-            _record_tier("vectorized")
+            count("engine.vectorized")
             result = self._analyze_vectorized(max_iterations)
             return replace(result, tier_reason=(
                 "cycle-ratio iteration exceeded its relaxation budget; "
                 "fell back to the vectorized simulation"
             ))
-        _record_tier("analytic")
+        count("engine.analytic")
         return replace(result, tier_reason=(
             f"state space outlived the {probe}-iteration probe"
         ))

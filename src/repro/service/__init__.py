@@ -44,7 +44,6 @@ from repro.service.scheduler import (
     FlowScheduler,
     FlowServiceError,
     QueueFullError,
-    ServiceCounters,
     UnknownJobError,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "FlowServiceServer",
     "QueueFullError",
     "ServiceClientError",
-    "ServiceCounters",
     "UnknownJobError",
     "serve",
 ]

@@ -138,6 +138,11 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
     # Nagle's algorithm holds the body back until the client's delayed
     # ACK, stalling every keep-alive response by tens of milliseconds
     disable_nagle_algorithm = True
+    # per-connection socket timeout, in seconds: a client that stalls
+    # mid-request (or idles on a kept-alive connection) is disconnected
+    # instead of pinning a handler thread forever; http.server logs the
+    # timeout through log_message and closes the connection
+    timeout = 30.0
 
     # the server is annotated for the benefit of route helpers
     server: FlowServiceServer

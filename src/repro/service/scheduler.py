@@ -66,6 +66,7 @@ from repro.artifacts.schema import (
     to_payload,
 )
 from repro.artifacts.store import ArtifactStore
+from repro.counters import PROCESS, Counters
 from repro.exceptions import ReproError, UnknownAppError
 from repro.flow.backend import (
     ExecutionBackend,
@@ -78,8 +79,6 @@ from repro.flow.spec import FlowSpec, load_flow_spec
 from repro.flow.usecases import UseCaseMapping
 from repro.mapping.spec import MappingResult
 from repro.runtime.manager import PlatformManager
-from repro.power import power_counters
-from repro.sdf.engine import collect_engine_counters, engine_counters
 
 #: Artifact kind of the served response documents.
 RESPONSE_KIND = "flow-response"
@@ -293,24 +292,9 @@ class Job:
             }
 
 
-@dataclass
-class ServiceCounters:
-    """Monotonic service counters, surfaced by ``GET /v1/healthz``."""
-
-    submitted: int = 0
-    coalesced: int = 0
-    artifact_hits: int = 0
-    computed: int = 0
-    failed: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "artifact_hits": self.artifact_hits,
-            "computed": self.computed,
-            "failed": self.failed,
-        }
+#: A scheduler's own counts (``counters`` in ``GET /v1/healthz``).
+SERVICE_COUNTS = ("submitted", "coalesced", "artifact_hits", "computed",
+                  "failed")
 
 
 # ----------------------------------------------------------------------
@@ -326,19 +310,12 @@ def _compute_response_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     idempotent -- concurrent workers and replicas computing the same
     key write identical bytes) and returns the exact canonical
     response text plus the finished stage records for the job view.
-
-    The engine-tier and power-estimate counts of the computation ride
-    back too, so the parent's ``/v1/healthz`` counts work done on
-    workers.  A worker runs one task at a time, so the before/after
-    difference of its power counters is this task's share.
+    (Its engine and power counts come back through the backend.)
     """
     spec = FlowSpec.from_dict(payload["document"])
     workspace = Path(payload["workspace"])
     store = ArtifactStore(workspace / "artifacts")
-    power_before = power_counters().snapshot()
-    with collect_engine_counters() as engine:
-        result = execute_spec(spec, workspace, store=store)
-    power_after = power_counters().snapshot()
+    result = execute_spec(spec, workspace, store=store)
     response = FlowResponse.from_session(payload["request_key"], result)
     document = to_payload(response)
     store.put(RESPONSE_KIND, payload["request_key"], document)
@@ -352,11 +329,6 @@ def _compute_response_task(payload: Dict[str, Any]) -> Dict[str, Any]:
             }
             for record in result.stages
         ],
-        "engine": engine.snapshot(),
-        "power": {
-            kind: power_after[kind] - power_before[kind]
-            for kind in power_after
-        },
     }
 
 
@@ -415,7 +387,7 @@ class FlowScheduler:
         # quiet -- forking lazily at first request risks inheriting a
         # lock another thread holds mid-operation
         self.pool.warm()
-        self.counters = ServiceCounters()
+        self.counters = Counters(SERVICE_COUNTS)
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, Job] = {}
         self._platform: Optional[PlatformManager] = None
@@ -467,15 +439,11 @@ class FlowScheduler:
     def health(self) -> Dict[str, Any]:
         """Queue depth plus the monotonic counters (``/v1/healthz``).
 
-        ``engine`` exposes the process-wide throughput-engine tier
-        counters (:func:`repro.sdf.engine.engine_counters`): how many
-        analyses the analytic / vectorized tiers served since the
-        process started, including analyses run on process-backend
-        workers (their deltas come back with each result).  ``power``
-        exposes the power-model counters
-        (:func:`repro.power.power_counters`) the same way: how many
-        platform power / application energy estimates were computed
-        (zero unless a client opted into budgets; see docs/power.md).
+        ``counters`` are this scheduler's own; ``engine`` (analyses
+        per throughput-engine tier) and ``power`` (estimates; zero
+        unless a client opted into budgets, see docs/power.md) are the
+        process-wide :mod:`repro.counters`, which include the counts
+        of process-backend workers.
         """
         platform = self._platform
         return {
@@ -489,8 +457,8 @@ class FlowScheduler:
             "queue_depth": self._pending,
             "jobs_tracked": len(self._jobs),
             "counters": self.counters.snapshot(),
-            "engine": engine_counters().snapshot(),
-            "power": power_counters().snapshot(),
+            "engine": PROCESS.snapshot("engine"),
+            "power": PROCESS.snapshot("power"),
             "platform": (
                 platform.occupancy()
                 if platform is not None
@@ -561,12 +529,12 @@ class FlowScheduler:
     # loop-side internals
     # ------------------------------------------------------------------
     async def _submit(self, spec: FlowSpec) -> Dict[str, Any]:
-        self.counters.submitted += 1
+        self.counters.add("submitted")
         key = flow_request_key(spec)
         inflight = self._inflight.get(key)
         if inflight is not None:
             # coalesce: one computation fans out to every waiter
-            self.counters.coalesced += 1
+            self.counters.add("coalesced")
             return inflight.view(coalesced=True)
         text = self.store.get_text(RESPONSE_KIND, key)
         if text is not None:
@@ -574,7 +542,7 @@ class FlowScheduler:
             # The document rides along in the submit response -- it is
             # already in hand, and making the client fetch it by id
             # would race bounded-history eviction under load.
-            self.counters.artifact_hits += 1
+            self.counters.add("artifact_hits")
             job = self._new_job(key, spec)
             job.mark_done(SOURCE_ARTIFACTS, text)
             view = job.view()
@@ -609,10 +577,6 @@ class FlowScheduler:
                     )
                 )
                 job.replace_stages(outcome["stages"])
-                for tier, count in outcome["engine"].items():
-                    engine_counters().record(tier, count)
-                for kind, count in outcome["power"].items():
-                    power_counters().record(kind, count)
                 text = outcome["text"]
             else:
                 text = await asyncio.wrap_future(
@@ -626,10 +590,10 @@ class FlowScheduler:
                 else f"{type(error).__name__}: {error}"
             )
             job.mark_failed(detail)
-            self.counters.failed += 1
+            self.counters.add("failed")
         else:
             job.mark_done(SOURCE_COMPUTED, text)
-            self.counters.computed += 1
+            self.counters.add("computed")
         finally:
             self._pending -= 1
             self._inflight.pop(job.request_key, None)

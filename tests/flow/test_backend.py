@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import counters
 from repro.flow.backend import (
     BACKENDS,
     BackendError,
@@ -27,6 +28,18 @@ def _double_task(payload):
 @backend_task("test.pid")
 def _pid_task(payload):
     return {"pid": os.getpid()}
+
+
+@backend_task("test.count")
+def _count_task(payload):
+    for _ in range(payload["times"]):
+        counters.count("power.platform")
+    return {"counted": payload["times"]}
+
+
+@backend_task("test.fail")
+def _fail_task(payload):
+    raise ValueError(payload["message"])
 
 
 @backend_task("test.sleep")
@@ -58,9 +71,42 @@ class TestTaskRegistry:
 
     def test_run_task_reimports_and_dispatches(self):
         # the child-process entry point: resolve by (name, module)
-        assert run_task("test.double", __name__, {"value": 5}) == {
+        assert run_task("test.double", __name__, {"value": 5})[0] == {
             "value": 10
         }
+
+    def test_run_task_returns_the_counts_it_made(self):
+        assert run_task("test.count", __name__, {"times": 2}) == (
+            {"counted": 2},
+            {"engine.analytic": 0, "engine.vectorized": 0,
+             "power.platform": 2, "power.application": 0},
+        )
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_task_counts_reach_this_process(self, name):
+        before = counters.PROCESS.snapshot()
+        with create_backend(name, 2) as pool:
+            assert pool.submit_task(
+                "test.count", {"times": 2}
+            ).result() == {"counted": 2}
+            assert list(pool.run_tasks_ordered(
+                "test.count", [{"times": 1}, {"times": 3}]
+            )) == [{"counted": 1}, {"counted": 3}]
+        after = counters.PROCESS.snapshot()
+        assert {
+            counter: after[counter] - before[counter] for counter in after
+        } == {
+            "engine.analytic": 0, "engine.vectorized": 0,
+            "power.platform": 6, "power.application": 0,
+        }
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_task_errors_reach_the_caller(self, name):
+        with create_backend(name, 1) as pool:
+            with pytest.raises(ValueError, match="broken"):
+                pool.submit_task("test.fail", {"message": "broken"}).result()
+            with pytest.raises(ValueError, match="broken"):
+                pool.run_tasks_ordered("test.fail", [{"message": "broken"}])
 
 
 class TestThreadBackend:

@@ -90,6 +90,13 @@ class TestParsing:
         with pytest.raises(FlowSpecError, match="constraint"):
             FlowSpec.from_dict({"mapping": {"constraint": "fast"}})
 
+    @pytest.mark.parametrize("value", ("0", "-1/5", -3))
+    def test_nonpositive_constraint_rejected(self, value):
+        with pytest.raises(FlowSpecError, match="constraint must be > 0"):
+            FlowSpec.from_dict({"mapping": {"constraint": value}})
+        with pytest.raises(FlowSpecError, match="constraint must be > 0"):
+            FlowSpec.from_dict({"app": {"constraint": value}})
+
     def test_boolean_constraint_rejected(self):
         # bool subclasses int; `constraint = true` must not become
         # Fraction(1) (an absurd 1 iteration/cycle requirement)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import counters
 from repro.arch import architecture_from_template
 from repro.artifacts import canonical_json, from_payload, to_payload
 from repro.exceptions import PowerError
@@ -14,7 +15,6 @@ from repro.power import (
     PowerModel,
     application_energy,
     platform_power,
-    power_counters,
 )
 from repro.scenarios import generate_scenarios, scenario_flow_spec
 
@@ -74,9 +74,9 @@ class TestPlatformPower:
         )
 
     def test_counts_into_process_counters(self):
-        before = power_counters().snapshot()["platform"]
+        before = counters.PROCESS.snapshot("power")["platform"]
         platform_power(architecture_from_template(1, "fsl"))
-        assert power_counters().snapshot()["platform"] == before + 1
+        assert counters.PROCESS.snapshot("power")["platform"] == before + 1
 
 
 class TestApplicationEnergy:
@@ -143,8 +143,8 @@ class TestApplicationEnergy:
 
     def test_counts_into_process_counters(self, mapped_scenario):
         app, arch, result = mapped_scenario
-        before = power_counters().snapshot()["application"]
+        before = counters.PROCESS.snapshot("power")["application"]
         application_energy(app, result, arch)
         assert (
-            power_counters().snapshot()["application"] == before + 1
+            counters.PROCESS.snapshot("power")["application"] == before + 1
         )

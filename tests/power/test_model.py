@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from repro import counters
 from repro.arch import architecture_from_template, master_tile, slave_tile
 from repro.arch.area import tile_area
 from repro.exceptions import PowerError, ReproError
 from repro.power import (
     BASE_TECH_NM,
     TECH_NODES,
-    PowerCounters,
     PowerModel,
+    platform_power,
     words_per_token,
 )
 from repro.power.model import (
@@ -147,11 +148,20 @@ class TestInterconnectEnergy:
 
 class TestCounters:
     def test_record_and_snapshot(self):
-        counters = PowerCounters()
-        counters.record("platform")
-        counters.record("application")
-        counters.record("application")
-        assert counters.snapshot() == {
+        power = counters.Counters(("platform", "application"))
+        power.add("platform")
+        power.add("application")
+        power.add("application")
+        assert power.snapshot() == {
             "platform": 1,
             "application": 2,
         }
+
+    def test_estimates_count_into_collector_scopes(self):
+        arch = architecture_from_template(1, "fsl")
+        with counters.collect() as outer:
+            with counters.collect() as inner:
+                platform_power(arch)
+            platform_power(arch)
+        assert inner.snapshot("power") == {"platform": 1, "application": 0}
+        assert outer.snapshot("power") == {"platform": 2, "application": 0}

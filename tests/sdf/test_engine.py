@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from repro import counters
+from repro.counters import Counters
 from repro.exceptions import DeadlockError, SimulationError
 from repro.sdf import SDFGraph
 from repro.sdf.buffers import (
@@ -13,11 +15,8 @@ from repro.sdf.buffers import (
 )
 from repro.sdf.engine import (
     MAX_HSDF_COPIES,
-    EngineCounters,
     ThroughputEngine,
     analytic_throughput,
-    collect_engine_counters,
-    engine_counters,
 )
 from repro.sdf.simulation_reference import reference_analyze_throughput
 from repro.sdf.throughput import ThroughputResult, analyze_throughput
@@ -246,36 +245,37 @@ class TestCounters:
     def test_global_counters_increment(
         self, figure2_bounded, long_transient_bounded
     ):
-        before = engine_counters().snapshot()
+        before = counters.PROCESS.snapshot("engine")
         ThroughputEngine(figure2_bounded).analyze()
         ThroughputEngine(long_transient_bounded).analyze()
-        after = engine_counters().snapshot()
+        after = counters.PROCESS.snapshot("engine")
         assert after["vectorized"] == before["vectorized"] + 1
         assert after["analytic"] == before["analytic"] + 1
 
     def test_scoped_collector_counts_only_inside(self, figure2_bounded):
         engine = ThroughputEngine(figure2_bounded)
         engine.analyze()  # outside: must not be collected
-        with collect_engine_counters() as tiers:
+        with counters.collect() as scope:
             engine.analyze()
             engine.analyze()
         engine.analyze()  # after: must not be collected
-        assert tiers.snapshot() == {"analytic": 0, "vectorized": 2}
-        assert tiers.total() == 2
+        tiers = scope.snapshot("engine")
+        assert tiers == {"analytic": 0, "vectorized": 2}
+        assert sum(tiers.values()) == 2
 
     def test_collectors_nest(self, figure2_bounded):
         engine = ThroughputEngine(figure2_bounded)
-        with collect_engine_counters() as outer:
+        with counters.collect() as outer:
             engine.analyze()
-            with collect_engine_counters() as inner:
+            with counters.collect() as inner:
                 engine.analyze()
-        assert outer.snapshot()["vectorized"] == 2
-        assert inner.snapshot()["vectorized"] == 1
+        assert outer.snapshot("engine")["vectorized"] == 2
+        assert inner.snapshot("engine")["vectorized"] == 1
 
     def test_counters_are_plain_value_objects(self):
-        counters = EngineCounters()
-        counters.record("vectorized")
-        counters.record("vectorized")
-        counters.record("analytic")
-        assert counters.total() == 3
-        assert counters.snapshot() == {"analytic": 1, "vectorized": 2}
+        tiers = Counters(("analytic", "vectorized"))
+        tiers.add("vectorized")
+        tiers.add("vectorized")
+        tiers.add("analytic")
+        assert sum(tiers.snapshot().values()) == 3
+        assert tiers.snapshot() == {"analytic": 1, "vectorized": 2}

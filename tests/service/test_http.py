@@ -90,6 +90,13 @@ class TestFlowEndpoints:
             client.submit({"nonsense": True})
         assert outcome.value.status == 400
 
+    def test_nonpositive_constraint_answers_400(self, client):
+        negative = dict(SOLO, mapping={"constraint": "-1/5"})
+        with pytest.raises(ServiceClientError) as outcome:
+            client.submit(negative)
+        assert outcome.value.status == 400
+        assert "constraint must be > 0" in str(outcome.value)
+
     def test_unknown_job_answers_404(self, client):
         with pytest.raises(ServiceClientError) as outcome:
             client.job("job-999999")
@@ -218,6 +225,28 @@ class TestServiceMeta:
         assert lines[0].split()[1] == "400"
         assert "Connection: close" in lines[1:]
         assert "invalid Content-Length" in json.loads(body)["error"]
+
+    def test_stalled_body_is_disconnected(self, service, monkeypatch,
+                                          capfd):
+        """A client that declares a body and stops sending it is
+        dropped after the handler's socket timeout, quietly."""
+        import socket
+
+        from repro.service.http import FlowRequestHandler
+
+        # the handler's own timeout is finite (http.server's is None)
+        assert FlowRequestHandler.timeout is not None
+        assert FlowRequestHandler.timeout > 0
+        monkeypatch.setattr(FlowRequestHandler, "timeout", 0.5)
+        host, port = service.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                f"POST /v1/flows HTTP/1.1\r\nHost: {host}\r\n"
+                "Content-Type: application/json\r\n"
+                "Content-Length: 100\r\n\r\n{\"name\": 1".encode("ascii")
+            )
+            assert sock.recv(4096) == b""  # closed, no response
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_keepalive_responses_do_not_stall(self, service):
         """Header and body writes must not wait on the client's delayed

@@ -98,5 +98,5 @@ class TestSharedWorkspaceReplicas:
             view = second.submit(SOLO)
             assert view["status"] == "done"
             assert view["source"] == "artifacts"
-            assert second.counters.computed == 0
-            assert second.counters.artifact_hits == 1
+            assert second.counters.snapshot()["computed"] == 0
+            assert second.counters.snapshot()["artifact_hits"] == 1

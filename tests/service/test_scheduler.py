@@ -100,9 +100,9 @@ class TestSubmission:
             scheduler.result_text(first["id"])
         # the whole second submission did zero mapping analyses
         assert len(count_analyses) == 1
-        counters = scheduler.counters
-        assert counters.computed == 1
-        assert counters.artifact_hits == 1
+        counters = scheduler.counters.snapshot()
+        assert counters["computed"] == 1
+        assert counters["artifact_hits"] == 1
 
     def test_multi_app_request_serves_use_case_union(self, scheduler):
         view = submit_done(scheduler, DUO)
@@ -132,7 +132,7 @@ class TestSubmission:
         assert view["status"] == "failed"
         assert view["error"]
         assert scheduler.result_text(view["id"]) is None
-        assert scheduler.counters.failed == 1
+        assert scheduler.counters.snapshot()["failed"] == 1
         # the stage whose compute raised is closed out, not left
         # "running" inside a failed job
         assert view["stages"]
@@ -180,14 +180,14 @@ class TestCoalescing:
         assert all(v["status"] == "done" for v in views)
         # exactly one underlying computation...
         assert len(count_analyses) == 1
-        assert scheduler.counters.computed == 1
+        assert scheduler.counters.snapshot()["computed"] == 1
         # ...and every client got the same bytes
         texts = {scheduler.result_text(v["id"]) for v in views}
         assert len(texts) == 1
         # in-flight duplicates shared the computing job
         shared = {v["id"] for v in views if v["source"] != SOURCE_ARTIFACTS}
         assert len(shared) == 1
-        assert scheduler.counters.coalesced >= 1
+        assert scheduler.counters.snapshot()["coalesced"] >= 1
 
     def test_queue_bound_rejects_excess_submissions(
         self, tmp_path, monkeypatch

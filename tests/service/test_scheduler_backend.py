@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import counters
 from repro.service import (
     RESPONSE_KIND,
     SOURCE_ARTIFACTS,
@@ -19,6 +20,14 @@ SOLO = {
     "architecture": {"tiles": 2},
     "mapping": {"fixed": {"VLD": "tile0"}},
 }
+
+
+def process_deltas(work):
+    """What ``work()`` added to the process-wide counts."""
+    before = counters.PROCESS.snapshot()
+    work()
+    after = counters.PROCESS.snapshot()
+    return {name: after[name] - before[name] for name in after}
 
 
 def wait_done(scheduler, job_id, timeout=120.0):
@@ -67,7 +76,7 @@ class TestProcessCompute:
         again = process_scheduler.submit(SOLO)
         assert again["status"] == "done"
         assert again["source"] == SOURCE_ARTIFACTS
-        assert process_scheduler.counters.artifact_hits == 1
+        assert process_scheduler.counters.snapshot()["artifact_hits"] == 1
         assert process_scheduler.result_text(
             again["id"]
         ) == process_scheduler.result_text(first["id"])
@@ -124,6 +133,41 @@ class TestHealth:
                 for section in ("engine", "power")
             }
         assert sum(deltas["thread"]["engine"].values()) > 0
+        assert deltas["process"] == deltas["thread"]
+
+    # One worker: with more, each process worker's private evaluation
+    # cache may re-run an analysis the thread run takes from its shared
+    # cache.
+    def test_worker_sweep_counts_reach_the_parent(self):
+        from repro.flow import explore_design_space
+        from repro.flow.spec import build_case_study_app
+        from repro.power import PowerModel
+
+        app = build_case_study_app("gradient", frames=1)
+        deltas = {
+            backend: process_deltas(lambda: explore_design_space(
+                app, tile_counts=(1, 2), interconnects=("fsl",),
+                fixed={"VLD": "tile0"}, power_model=PowerModel(),
+                backend=backend, jobs=1,
+            ))
+            for backend in ("thread", "process")
+        }
+        assert deltas["thread"]["engine.vectorized"] \
+            + deltas["thread"]["engine.analytic"] >= 2
+        assert deltas["thread"]["power.platform"] == 2
+        assert deltas["process"] == deltas["thread"]
+
+    def test_worker_batch_counts_reach_the_parent(self, tmp_path):
+        from repro.flow import FlowSpec, run_batch
+
+        spec = FlowSpec.from_dict(SOLO)
+        deltas = {
+            backend: process_deltas(lambda: run_batch(
+                [spec], tmp_path / backend, jobs=1, backend=backend
+            ))
+            for backend in ("thread", "process")
+        }
+        assert sum(deltas["thread"].values()) > 0
         assert deltas["process"] == deltas["thread"]
 
 

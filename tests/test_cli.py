@@ -235,6 +235,20 @@ class TestMaxIterationsPlumbing:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("value", ("-1/5", "0"))
+    def test_explore_rejects_nonpositive_constraint(self, value, capsys):
+        code = main(
+            ["explore", "gradient", "--max-tiles", "1",
+             f"--constraint={value}"]
+        )
+        assert code == 1
+        assert "--constraint must be > 0" in capsys.readouterr().err
+
+    def test_explore_rejects_an_empty_sweep(self, capsys):
+        code = main(["explore", "gradient", "--max-tiles", "0"])
+        assert code == 1
+        assert "--max-tiles" in capsys.readouterr().err
+
     def test_explore_rejects_nonpositive_budget(self, capsys):
         code = main(
             ["explore", "gradient", "--max-tiles", "1",
@@ -639,6 +653,28 @@ class TestBackendFlags:
             encoding="utf-8",
         )
         return path
+
+    def test_run_has_no_jobs_flag(self, tmp_path):
+        # one session is one task: a worker count cannot change a run
+        spec = self.write_spec(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--spec", str(spec), "--jobs", "2"])
+        assert exit_info.value.code == 2  # argparse usage error
+
+    def test_run_and_batch_reject_nonpositive_constraint(self, tmp_path,
+                                                         capsys):
+        spec = tmp_path / "negative.toml"
+        spec.write_text(
+            self.write_spec(tmp_path).read_text(encoding="utf-8")
+            + '\n[mapping]\nconstraint = "-1/5"\n',
+            encoding="utf-8",
+        )
+        assert main(["run", "--spec", str(spec)]) == 1
+        assert "constraint must be > 0" in capsys.readouterr().err
+        assert main(
+            ["batch", str(spec), "--workspace", str(tmp_path / "ws")]
+        ) == 1
+        assert "constraint must be > 0" in capsys.readouterr().out
 
     def test_run_process_backend_needs_workspace(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)

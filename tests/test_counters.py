@@ -1,0 +1,79 @@
+"""Tests for the counter registry (repro.counters)."""
+
+import sys
+import threading
+
+import pytest
+
+from repro import counters
+from repro.counters import PROCESS_COUNTS, Counters
+
+
+class TestCountersClass:
+    def test_snapshot_lists_declared_zeros_in_order(self):
+        assert Counters(("b", "a")).snapshot() == {"b": 0, "a": 0}
+
+    def test_prefix_selects_and_strips_a_namespace(self):
+        mixed = Counters(("engine.analytic", "engine.vectorized",
+                          "power.platform", "enginex.other"))
+        mixed.add("engine.vectorized", 3)
+        assert mixed.snapshot("engine") == {"analytic": 0, "vectorized": 3}
+        assert mixed.snapshot("power") == {"platform": 0}
+
+    def test_undeclared_name_raises(self):
+        with pytest.raises(KeyError, match="undeclared counter"):
+            Counters(("submitted",)).add("submited")
+
+    def test_counts_only_grow(self):
+        with pytest.raises(ValueError, match="only grow"):
+            Counters(("computed",)).add("computed", -1)
+
+    def test_concurrent_adds_lose_no_update(self):
+        shared = Counters(("hits",))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [shared.add("hits") for _ in range(2000)]
+                )
+                for _ in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert shared.snapshot() == {"hits": 8 * 2000}
+
+
+class TestProcessCounts:
+    def test_process_counts_are_declared(self):
+        assert tuple(counters.PROCESS.snapshot()) == PROCESS_COUNTS
+
+    def test_count_records_process_wide_and_in_scopes(self):
+        before = counters.PROCESS.snapshot()
+        with counters.collect() as scope:
+            counters.count("engine.analytic", 2)
+            counters.count("power.application")
+        after = counters.PROCESS.snapshot()
+        assert after["engine.analytic"] == before["engine.analytic"] + 2
+        assert after["power.application"] == \
+            before["power.application"] + 1
+        assert scope.snapshot() == {
+            "engine.analytic": 2, "engine.vectorized": 0,
+            "power.platform": 0, "power.application": 1,
+        }
+
+    def test_scopes_stay_in_their_context(self):
+        with counters.collect() as scope:
+            other = threading.Thread(
+                target=counters.count, args=("engine.vectorized",)
+            )
+            other.start()
+            other.join(timeout=10)
+            counters.count("engine.analytic")
+        assert not other.is_alive()
+        assert scope.snapshot("engine") == {"analytic": 1, "vectorized": 0}
