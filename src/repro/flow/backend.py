@@ -26,8 +26,9 @@ engine (:mod:`repro.flow.dse`), the batch runner
 
 :func:`run_task` runs every registered task inside a
 :func:`repro.counters.collect` scope and returns its counts with the
-result; the process backend merges them into the parent's counts and
-hands callers the task's own result, so counts match across backends.
+result (or on the exception it raised); the process backend merges
+them into the parent's counts and hands callers the task's own result
+or exception, so counts match across backends.
 
 Both backends also accept *local* callables via :meth:`submit`; on the
 process backend those run on a small auxiliary **thread** pool (bound
@@ -154,7 +155,12 @@ def run_task(
             f"task {name!r} not registered by importing {module!r}"
         )
     with counters.collect() as scope:
-        result = task.fn(payload)
+        try:
+            result = task.fn(payload)
+        except Exception as error:
+            # Pickled with the exception (it lives in its __dict__).
+            error.task_counts = scope.snapshot()
+            raise
     return result, scope.snapshot()
 
 
@@ -162,8 +168,8 @@ def _merging(future: Future) -> Future:
     """A future of the task's own result from a :func:`run_task` future.
 
     The worker's counts merge into this process's as the task finishes,
-    whether or not anyone reads the result.  Cancelling either future
-    cancels the other.
+    whether or not anyone reads the result, and also when the task
+    raised.  Cancelling either future cancels the other.
     """
     unwrapped: Future = Future()
 
@@ -172,13 +178,17 @@ def _merging(future: Future) -> Future:
             unwrapped.cancel()
             return
         with contextlib.suppress(InvalidStateError):  # cancelled meanwhile
-            if done.exception() is not None:
-                unwrapped.set_exception(done.exception())
-                return
-            result, counts = done.result()
+            error = done.exception()
+            if error is None:
+                result, counts = done.result()
+            else:
+                counts = getattr(error, "task_counts", {})
             for name, amount in counts.items():
                 counters.count(name, amount)
-            unwrapped.set_result(result)
+            if error is None:
+                unwrapped.set_result(result)
+            else:
+                unwrapped.set_exception(error)
 
     future.add_done_callback(settle)
     unwrapped.add_done_callback(lambda f: f.cancelled() and future.cancel())

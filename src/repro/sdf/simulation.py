@@ -32,11 +32,13 @@ integer-indexed arrays precomputed once from the graph in ``__init__``;
 name-keyed views (:attr:`tokens`, :attr:`completed`, ...) are derived on
 demand for callers.
 
-The *lean path* -- no ``execution_time_of``, no ``on_finish``, no
-``record_trace`` -- is what :meth:`SelfTimedSimulator.run_throughput`
-runs: token arrays, the completion heap and the dirty sets, nothing else.
-:meth:`SelfTimedSimulator.step` adds token peaks, the trace and the hooks
-on top of the same start and finish code.
+Two lean loops run on token arrays, the completion heap and the dirty sets
+only: :meth:`SelfTimedSimulator.run_throughput` (the engine) and
+:meth:`SelfTimedSimulator.run_until` (the platform simulator, counting
+target firings down as they finish).  :meth:`SelfTimedSimulator.step` adds
+token peaks, the trace and the ``on_finish`` hook (static-order derivation)
+on top of the same start and finish code.  Duration hooks are per actor,
+so only the platform simulator's application actors pay for one.
 
 The dirty-set engine starts firings in the same deterministic order as the
 naive full rescan (static-order processors in declaration order, then the
@@ -52,7 +54,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import DeadlockError, GraphError, SimulationError
 from repro.sdf.graph import SDFGraph
@@ -116,21 +118,20 @@ class SelfTimedSimulator:
         priority over the order head when both are ready, mirroring the
         wrapper servicing communication before dispatching the next actor.
     execution_time_of:
-        Optional override returning the duration of the *k*-th firing of an
-        actor (k counts from 0).  Defaults to the actor's static
-        ``execution_time``.  The platform simulator uses this hook to feed
-        measured, data-dependent execution times through the same engine.
+        Optional per-actor hooks ``{actor: fn(k) -> cycles}`` giving the
+        duration of that actor's *k*-th firing (k counts from 0); other
+        actors keep their static ``execution_time``.  The platform
+        simulator hooks its application actors to run their code.
     on_finish:
         Optional hook called with (actor, k) when the *k*-th firing of an
-        actor finishes, after its tokens are produced (the platform
-        simulator's value transport; static-order derivation's completion
-        order).
+        actor finishes, after its tokens are produced (static-order
+        derivation's completion order).
     record_trace:
         Keep a full firing list (memory-heavy for long runs).
 
-    :meth:`step`/:meth:`run` honour all three hooks;
-    :meth:`run_throughput` is the lean analysis loop and ignores
-    ``on_finish`` and ``record_trace``.
+    Duration hooks apply in every loop; ``on_finish`` only in
+    :meth:`step`/:meth:`run`; ``record_trace`` in those and
+    :meth:`run_until`.
 
     :meth:`reset` re-reads every edge's ``initial_tokens`` from the graph,
     so callers may mutate initial token counts in place (the buffer-sizing
@@ -143,7 +144,9 @@ class SelfTimedSimulator:
         auto_concurrency: Optional[int] = 1,
         processor_of: Optional[Dict[str, str]] = None,
         static_order: Optional[Dict[str, Sequence[str]]] = None,
-        execution_time_of: Optional[Callable[[str, int], int]] = None,
+        execution_time_of: Optional[
+            Mapping[str, Callable[[int], int]]
+        ] = None,
         on_finish: Optional[Callable[[str, int], None]] = None,
         record_trace: bool = False,
     ) -> None:
@@ -155,7 +158,6 @@ class SelfTimedSimulator:
         self.static_order = {
             proc: list(order) for proc, order in (static_order or {}).items()
         }
-        self._execution_time_of = execution_time_of
         self._on_finish = on_finish
         self.record_trace = record_trace
 
@@ -209,7 +211,18 @@ class SelfTimedSimulator:
         self._edge_names: List[str] = [e.name for e in edges]
         edge_index = {name: i for i, name in enumerate(self._edge_names)}
 
-        self._exec_time: List[int] = [a.execution_time for a in actors]
+        # A hooked actor's static time is None: its duration comes from
+        # its hook, found by the same lookup an unhooked start makes.
+        self._exec_time: List[Optional[int]] = [
+            a.execution_time for a in actors
+        ]
+        self._duration_hook: Dict[int, Callable[[int], int]] = {}
+        for name, hook in (execution_time_of or {}).items():
+            idx = self._actor_index.get(name)
+            if idx is None:
+                raise GraphError(f"duration hook for unknown actor {name!r}")
+            self._duration_hook[idx] = hook
+            self._exec_time[idx] = None
         self._cap: List[Optional[int]] = [
             a.concurrency if a.concurrency is not None else auto_concurrency
             for a in actors
@@ -434,11 +447,16 @@ class SelfTimedSimulator:
         tokens = self._tokens
         for e, c in self._in_rates[idx]:
             tokens[e] -= c
-        if self._execution_time_of is None:
-            # Static times were validated non-negative with the graph.
-            end = self.now + self._exec_time[idx]
-        else:
-            end = self.now + self._hooked_duration(idx)
+        # Static times were validated non-negative with the graph.
+        duration = self._exec_time[idx]
+        if duration is None:
+            duration = self._duration_hook[idx](self._started[idx])
+            if duration < 0:
+                raise SimulationError(
+                    f"negative execution time for firing "
+                    f"{self._started[idx]} of {self._actor_names[idx]!r}"
+                )
+        end = self.now + duration
         self._started[idx] += 1
         self._ongoing[idx] += 1
         heapq.heappush(self._queue, (end, self._seq, idx, self.now))
@@ -446,16 +464,6 @@ class SelfTimedSimulator:
         pid = self._proc_of[idx]
         if pid >= 0:
             self._proc_busy[pid] = end
-
-    def _hooked_duration(self, idx: int) -> int:
-        index = self._started[idx]
-        duration = self._execution_time_of(self._actor_names[idx], index)
-        if duration < 0:
-            raise SimulationError(
-                f"negative execution time for firing {index} of "
-                f"{self._actor_names[idx]!r}"
-            )
-        return duration
 
     def _finish_firing(self, idx: int) -> None:
         """Produce the firing's tokens and mark what it may enable."""
@@ -565,9 +573,6 @@ class SelfTimedSimulator:
             if self.record_trace:
                 self._trace.firings.append(Firing(actor, start, end))
             if on_finish is not None:
-                # Called after token production, before any dependent
-                # firing can start -- the hook point for value transport
-                # in the platform simulator.
                 on_finish(actor, self._completed[idx] - 1)
             finished.append((actor, end))
         self._start_all_ready()
@@ -650,6 +655,52 @@ class SelfTimedSimulator:
             "buffer back-edges (repro.sdf.buffers.add_buffer_edges) before "
             "analyzing"
         )
+
+    def run_until(self, targets: Mapping[str, int], max_steps: int) -> int:
+        """Run until each actor in ``targets`` has completed at least its
+        target number of firings, or for ``max_steps`` completion instants;
+        returns :attr:`now` (callers read the completed counts to tell the
+        two apart).
+
+        Like :meth:`step`, each instant finishes every firing ending then
+        and starts what that enables.  Outstanding target firings are
+        counted down as they finish; no token peaks, no ``on_finish``.
+        Raises :class:`~repro.exceptions.DeadlockError` when the execution
+        blocks first.
+        """
+        remaining = [0] * len(self._actor_names)
+        for actor, target in targets.items():
+            idx = self._actor_index[actor]
+            remaining[idx] = max(0, target - self._completed[idx])
+        outstanding = sum(remaining)
+        queue = self._queue
+        heappop = heapq.heappop
+        finish = self._finish_firing
+        names = self._actor_names
+        firings = self._trace.firings if self.record_trace else None
+
+        self._start_all_ready()
+        for _ in range(max_steps):
+            if not outstanding:
+                break
+            if not queue:
+                raise DeadlockError(
+                    f"execution of {self.graph.name!r} blocked at "
+                    f"t={self.now} with {outstanding} target firing(s) "
+                    "outstanding"
+                )
+            end = queue[0][0]
+            self.now = end
+            while queue and queue[0][0] == end:
+                _end, _seq, idx, start = heappop(queue)
+                finish(idx)
+                if remaining[idx]:
+                    remaining[idx] -= 1
+                    outstanding -= 1
+                if firings is not None:
+                    firings.append(Firing(names[idx], start, end))
+            self._start_all_ready()
+        return self.now
 
     def _finalize_trace(self) -> SimulationTrace:
         """Hand out the trace with a private ``completed_count`` snapshot.

@@ -3,16 +3,21 @@
 :class:`PlatformSimulator` takes the application model, the mapping (via its
 bound graph) and runs the system functionally:
 
-* token *values* travel along the application's explicit channels (through
-  the serialization/deserialization chain of inter-tile channels, which
-  preserves FIFO order end to end);
-* each application-actor firing calls the actor's functional implementation
-  with the consumed values and takes the returned cycle count (plus the
-  tile scheduler's dispatch overhead) as its duration;
+* each application-actor firing pops its input *values* from one FIFO per
+  explicit application channel as it starts, calls the actor's functional
+  implementation and pushes the outputs onto the channels' FIFOs; the
+  returned cycle count (plus the tile scheduler's dispatch overhead) is
+  its duration;
 * communication actors (serialization, link traversal) keep their
-  model-determined times -- that hardware is data-independent;
+  model-determined times -- that hardware is data-independent -- and move
+  token counts only;
 * static-order schedules and all buffer credits are enforced by the
   underlying :class:`~repro.sdf.simulation.SelfTimedSimulator`.
+
+Carrying the values along the application channel rather than through the
+serialization chain is exact: firing *k* of an actor always reads the same
+values (Kahn determinism), and a consumer starts only after its tokens
+arrived, which follows the start of the firing that pushed their values.
 
 The measured throughput is the long-term average of graph iterations per
 clock cycle, sampled after a configurable warm-up, exactly matching the
@@ -24,12 +29,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Deque, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Deque, Dict, List
 
-from repro.appmodel.implementation import FiringContext, FiringOutput
+from repro.appmodel.implementation import FiringContext
 from repro.appmodel.model import ApplicationModel
 from repro.arch.platform import ArchitectureModel
-from repro.exceptions import SimulationError
+from repro.exceptions import DeadlockError, SimulationError
 from repro.mapping.bound_graph import BoundGraph
 from repro.mapping.spec import Mapping
 from repro.sdf.repetition import repetition_vector
@@ -94,7 +100,6 @@ class PlatformSimulator:
         self.bound = bound
         self.record_trace = record_trace
         self.q = repetition_vector(app.graph)
-        self.reference = bound.app_actors[0]
 
         self._impl_of = dict(mapping.implementations)
         self._dispatch: Dict[str, int] = {}
@@ -104,39 +109,13 @@ class PlatformSimulator:
                 tile.processor.context_switch_cycles if tile.processor else 0
             )
 
-        # Edge-name translation: the consumer of an inter-tile channel reads
-        # from `<edge>__dst`, the producer writes to `<edge>__src`.
-        self._consume_edge: Dict[str, str] = {}  # bound edge -> original
-        self._produce_edge: Dict[str, str] = {}
-        self._s1_of_channel: Dict[str, str] = {}  # s1 actor -> original edge
-        self._d2_of_channel: Dict[str, str] = {}
+        # The explicit channel behind each bound-graph edge a consumer
+        # reads: an inter-tile channel arrives on `<edge>__dst`.
+        self._channel_of: Dict[str, str] = {}
         for edge in app.graph.explicit_edges():
             names = bound.comm_names.get(edge.name)
-            if names is None:  # intra-tile channel, name unchanged
-                self._consume_edge[edge.name] = edge.name
-                self._produce_edge[edge.name] = edge.name
-            else:
-                self._consume_edge[names.destination_edge] = edge.name
-                self._produce_edge[names.source_edge] = edge.name
-                self._s1_of_channel[names.s1] = edge.name
-                self._d2_of_channel[names.d2] = edge.name
-
-        # Direct lookups for the per-firing hooks.
-        self._s1_source_edge: Dict[str, str] = {}
-        self._d2_dst_edge: Dict[str, str] = {}
-        for edge in app.graph.explicit_edges():
-            names = bound.comm_names.get(edge.name)
-            if names is not None:
-                self._s1_source_edge[names.s1] = names.source_edge
-                self._d2_dst_edge[names.d2] = names.destination_edge
-
-        self._values: Dict[str, Deque[object]] = {}
-        self._in_transit: Dict[str, Deque[object]] = {}
-        self._pending_outputs: Dict[str, Deque[Dict[str, List[object]]]] = {}
-        self._states: Dict[str, Dict[str, object]] = {}
-        self._firing_cycles: Dict[str, List[int]] = {}
-        self._tokens_delivered: Dict[str, int] = {}
-        self._sim: Optional[SelfTimedSimulator] = None
+            dst_edge = edge.name if names is None else names.destination_edge
+            self._channel_of[dst_edge] = edge.name
         self.reset()
 
     # ------------------------------------------------------------------
@@ -144,33 +123,22 @@ class PlatformSimulator:
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Fresh platform state: initial token values from init functions."""
-        self._values = {
-            e: deque()
-            for e in list(self._consume_edge) + list(self._produce_edge)
-        }
-        self._in_transit = {
+        self._fifos: Dict[str, Deque[object]] = {
             edge.name: deque() for edge in self.app.graph.explicit_edges()
         }
-        self._pending_outputs = {a: deque() for a in self.bound.app_actors}
         self._states = {a: {} for a in self.bound.app_actors}
         self._firing_cycles = {a: [] for a in self.bound.app_actors}
-        self._tokens_delivered = {
-            e.name: 0 for e in self.app.graph.explicit_edges()
-        }
 
         # Initial token values: produced by the init functions (Listing 1),
         # pre-loaded into the destination-side buffers by the generated
         # communication-initialisation code (Section 5.2).
-        by_consumer_edge: Dict[str, List[object]] = {}
         for actor in self.app.graph:
             impl = self._impl_of[actor.name]
             initial = {}
             if impl.init_function is not None:
                 initial = impl.init_function(self._states[actor.name])
             for edge in self.app.graph.out_edges(actor.name):
-                if edge.is_self_edge or edge.implicit:
-                    continue
-                if edge.initial_tokens == 0:
+                if edge.name not in self._fifos or edge.initial_tokens == 0:
                     continue
                 provided = initial.get(edge.name)
                 if provided is None or len(provided) != edge.initial_tokens:
@@ -179,52 +147,32 @@ class PlatformSimulator:
                         f"{edge.initial_tokens} value(s) for edge "
                         f"{edge.name!r}"
                     )
-                by_consumer_edge[edge.name] = list(provided)
-        for bound_edge, original in self._consume_edge.items():
-            for value in by_consumer_edge.get(original, []):
-                self._values[bound_edge].append(value)
+                self._fifos[edge.name].extend(provided)
 
         self._sim = SelfTimedSimulator(
             self.bound.graph,
             processor_of=self.bound.processor_of,
             static_order=self.mapping.static_orders,
-            execution_time_of=self._execution_time_of,
-            on_finish=self._on_finish,
+            execution_time_of={
+                actor: partial(self._fire, actor)
+                for actor in self.bound.app_actors
+            },
             record_trace=self.record_trace,
         )
 
-    # ------------------------------------------------------------------
-    # value transport hooks
-    # ------------------------------------------------------------------
-    def _execution_time_of(self, actor: str, index: int) -> int:
-        # Channel entry: s1 starts serializing a token -> capture its value.
-        if actor in self._s1_of_channel:
-            original = self._s1_of_channel[actor]
-            bound_edge = self._s1_source_edge[actor]
-            self._in_transit[original].append(
-                self._values[bound_edge].popleft()
-            )
-            return self.bound.graph.actor(actor).execution_time
-
-        if actor not in self._pending_outputs:
-            # Communication/bookkeeping actor: model-determined time.
-            return self.bound.graph.actor(actor).execution_time
-
-        # Application actor: consume values, run the implementation.
+    def _fire(self, actor: str, index: int) -> int:
+        """Firing ``index`` of an application actor, run as it starts:
+        pop its inputs, run the implementation, push its outputs onto the
+        application channels; returns the firing's duration."""
         impl = self._impl_of[actor]
-        context = FiringContext(
-            inputs={},
-            state=self._states[actor],
-            firing_index=index,
-        )
+        fifos = self._fifos
+        context = FiringContext(state=self._states[actor], firing_index=index)
         for edge in self.bound.graph.in_edges(actor):
-            original = self._consume_edge.get(edge.name)
-            if original is None:
-                continue
-            context.inputs[original] = [
-                self._values[edge.name].popleft()
-                for _ in range(edge.consumption)
-            ]
+            channel = self._channel_of.get(edge.name)
+            if channel is not None:
+                context.inputs[channel] = [
+                    fifos[channel].popleft() for _ in range(edge.consumption)
+                ]
         output = impl.fire(context)
         if output.cycles > impl.wcet:
             raise SimulationError(
@@ -232,46 +180,18 @@ class PlatformSimulator:
                 f"above its declared WCET of {impl.wcet}; the throughput "
                 "guarantee would be unsound"
             )
-        self._check_output_counts(actor, output)
-        self._pending_outputs[actor].append(output.outputs)
-        self._firing_cycles[actor].append(output.cycles)
-        return output.cycles + self._dispatch[actor]
-
-    def _check_output_counts(self, actor: str, output: FiringOutput) -> None:
         for edge in self.app.graph.out_edges(actor):
-            if edge.is_self_edge or edge.implicit:
+            if edge.name not in fifos:  # self-edge or implicit: no values
                 continue
-            produced = output.outputs.get(edge.name)
-            count = 0 if produced is None else len(produced)
-            if count != edge.production:
+            produced = output.outputs.get(edge.name) or ()
+            if len(produced) != edge.production:
                 raise SimulationError(
-                    f"actor {actor!r} produced {count} token(s) on "
+                    f"actor {actor!r} produced {len(produced)} token(s) on "
                     f"{edge.name!r}, expected {edge.production}"
                 )
-
-    def _on_finish(self, actor: str, index: int) -> None:
-        # Channel exit: d2 deposits a reassembled token at the destination.
-        if actor in self._d2_of_channel:
-            original = self._d2_of_channel[actor]
-            bound_edge = self._d2_dst_edge[actor]
-            self._values[bound_edge].append(
-                self._in_transit[original].popleft()
-            )
-            self._tokens_delivered[original] += 1
-            return
-        outputs = self._pending_outputs.get(actor)
-        if outputs is None or not outputs:
-            return  # communication actor without values
-        produced = outputs.popleft()
-        for edge in self.app.graph.out_edges(actor):
-            if edge.is_self_edge or edge.implicit:
-                continue
-            values = produced.get(edge.name, [])
-            names = self.bound.comm_names.get(edge.name)
-            if names is None:
-                self._values[edge.name].extend(values)
-            else:
-                self._values[names.source_edge].extend(values)
+            fifos[edge.name].extend(produced)
+        self._firing_cycles[actor].append(output.cycles)
+        return output.cycles + self._dispatch[actor]
 
     # ------------------------------------------------------------------
     # running
@@ -288,19 +208,23 @@ class PlatformSimulator:
         the rate while the pipeline fills.
         """
         sim = self._sim
-        for _ in range(max_steps):
-            if self.completed_iterations() >= iterations:
-                return sim.now
-            if not sim.step():
-                raise SimulationError(
-                    f"platform deadlocked at t={sim.now} after "
-                    f"{self.completed_iterations()} complete iteration(s) "
-                    "-- generated system is broken"
-                )
-        raise SimulationError(
-            f"platform did not reach {iterations} iterations within "
-            f"{max_steps} simulation steps"
-        )
+        try:
+            now = sim.run_until(
+                {a: self.q[a] * iterations for a in self.bound.app_actors},
+                max_steps,
+            )
+        except DeadlockError:
+            raise SimulationError(
+                f"platform deadlocked at t={sim.now} after "
+                f"{self.completed_iterations()} complete iteration(s) "
+                "-- generated system is broken"
+            ) from None
+        if self.completed_iterations() < iterations:
+            raise SimulationError(
+                f"platform did not reach {iterations} iterations within "
+                f"{max_steps} simulation steps"
+            )
+        return now
 
     def measure_throughput(
         self, iterations: int = 50, warmup_iterations: int = 5
@@ -335,16 +259,13 @@ class PlatformSimulator:
         return {a: list(c) for a, c in self._firing_cycles.items()}
 
     def traffic(self) -> TrafficStats:
-        """Interconnect traffic so far, in bytes per original channel."""
-        bytes_by_channel = {}
-        for edge in self.app.graph.explicit_edges():
-            names = self.bound.comm_names.get(edge.name)
-            if names is None:
-                continue
-            bytes_by_channel[edge.name] = (
-                self._tokens_delivered[edge.name] * edge.token_size
-            )
-        return TrafficStats(bytes_by_channel=bytes_by_channel)
+        """Interconnect traffic so far, in bytes per original channel
+        (each firing of a channel's ``d2`` delivers one token)."""
+        return TrafficStats(bytes_by_channel={
+            edge.name: self._sim.completed_of(names.d2) * edge.token_size
+            for edge in self.app.graph.explicit_edges()
+            if (names := self.bound.comm_names.get(edge.name)) is not None
+        })
 
     def utilization_report(self):
         """Per-resource utilization from the recorded trace (requires
@@ -369,7 +290,6 @@ class PlatformSimulator:
 
     def completed_iterations(self) -> int:
         """Complete graph iterations delivered by the whole pipeline."""
-        # completed_of is O(1); this runs once per simulation step.
         return min(
             self._sim.completed_of(a) // self.q[a]
             for a in self.bound.app_actors

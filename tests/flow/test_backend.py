@@ -42,6 +42,13 @@ def _fail_task(payload):
     raise ValueError(payload["message"])
 
 
+@backend_task("test.count_then_fail")
+def _count_then_fail_task(payload):
+    for _ in range(payload["times"]):
+        counters.count("engine.vectorized")
+    raise ValueError("counted, then failed")
+
+
 @backend_task("test.sleep")
 def _sleep_task(payload):
     time.sleep(payload["seconds"])
@@ -107,6 +114,35 @@ class TestTaskRegistry:
                 pool.submit_task("test.fail", {"message": "broken"}).result()
             with pytest.raises(ValueError, match="broken"):
                 pool.run_tasks_ordered("test.fail", [{"message": "broken"}])
+
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_failed_task_counts_reach_this_process(self, name):
+        before = counters.PROCESS.snapshot()
+        with create_backend(name, 1) as pool:
+            with pytest.raises(ValueError, match="counted, then failed"):
+                pool.submit_task(
+                    "test.count_then_fail", {"times": 2}
+                ).result()
+            with pytest.raises(ValueError, match="counted, then failed"):
+                pool.run_tasks_ordered(
+                    "test.count_then_fail", [{"times": 3}]
+                )
+        after = counters.PROCESS.snapshot()
+        assert {
+            counter: after[counter] - before[counter] for counter in after
+        } == {
+            "engine.analytic": 0, "engine.vectorized": 5,
+            "power.platform": 0, "power.application": 0,
+        }
+
+    def test_run_task_attaches_counts_to_the_error(self):
+        with pytest.raises(ValueError) as raised:
+            run_task("test.count_then_fail", __name__, {"times": 1})
+        assert raised.value.task_counts == {
+            "engine.analytic": 0, "engine.vectorized": 1,
+            "power.platform": 0, "power.application": 0,
+        }
 
 
 class TestThreadBackend:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import GraphError, SimulationError
+from repro.exceptions import DeadlockError, GraphError, SimulationError
 from repro.sdf import SDFGraph, SelfTimedSimulator
 
 
@@ -165,18 +165,104 @@ def test_max_token_tracking(figure2_graph):
 
 def test_data_dependent_execution_times(two_actor_pipeline):
     durations = {"P": [3, 9, 3], "Q": [2, 2, 2]}
-
-    def exec_time(actor, index):
-        series = durations[actor]
-        return series[index % len(series)]
+    hooks = {
+        actor: (lambda k, series=series: series[k % len(series)])
+        for actor, series in durations.items()
+    }
 
     sim = SelfTimedSimulator(
-        two_actor_pipeline, execution_time_of=exec_time, record_trace=True
+        two_actor_pipeline, execution_time_of=hooks, record_trace=True
     )
     sim.run(max_firings=6)
     p_firings = sim.trace.firings_of("P")
     assert p_firings[0].duration == 3
     assert p_firings[1].duration == 9
+
+
+def test_only_mapped_actors_are_hooked(two_actor_pipeline):
+    calls = []
+
+    def p_time(k):
+        calls.append(k)
+        return (3, 9)[k % 2]
+
+    sim = SelfTimedSimulator(
+        two_actor_pipeline, execution_time_of={"P": p_time},
+        record_trace=True,
+    )
+    sim.run(max_firings=8)
+    assert [f.duration for f in sim.trace.firings_of("P")][:4] == [3, 9, 3, 9]
+    # Q is not in the mapping: every firing takes its static time.
+    assert {f.duration for f in sim.trace.firings_of("Q")} == {7}
+    assert calls == list(range(sim.started["P"]))
+
+
+def test_hook_for_unknown_actor_rejected(two_actor_pipeline):
+    with pytest.raises(GraphError, match="hook for unknown actor 'X'"):
+        SelfTimedSimulator(
+            two_actor_pipeline, execution_time_of={"X": lambda k: 1}
+        )
+
+
+def test_negative_hooked_duration_rejected(two_actor_pipeline):
+    sim = SelfTimedSimulator(
+        two_actor_pipeline, execution_time_of={"Q": lambda k: -1}
+    )
+    with pytest.raises(SimulationError,
+                       match="negative execution time for firing 0 of 'Q'"):
+        sim.run(max_firings=4)
+
+
+def _stepped_until(sim, actor, target):
+    while sim.completed_of(actor) < target:
+        assert sim.step()
+    return sim.now
+
+
+@pytest.mark.parametrize("resources", [
+    {},
+    {"processor_of": {"B": "t", "C": "t"},
+     "static_order": {"t": ["B", "B", "C"]}},
+])
+def test_run_until_matches_stepping(figure2_graph, resources):
+    stepped = SelfTimedSimulator(
+        figure2_graph, record_trace=True, **resources
+    )
+    lean = SelfTimedSimulator(figure2_graph, record_trace=True, **resources)
+    for target in (3, 3, 7):  # a met target returns without stepping
+        now = _stepped_until(stepped, "C", target)
+        assert lean.run_until({"C": target}, max_steps=1000) == now
+        assert lean.completed == stepped.completed
+        assert lean.trace.firings == stepped.trace.firings
+
+
+def test_run_until_counts_down_every_target(figure2_graph):
+    sim = SelfTimedSimulator(figure2_graph)
+    sim.run_until({"A": 4, "B": 8}, max_steps=1000)
+    assert sim.completed_of("A") >= 4 and sim.completed_of("B") >= 8
+    assert sim.completed_of("B") < 8 + 2  # stops at the instant B gets 8
+
+
+def test_run_until_stops_at_the_step_budget(figure2_graph):
+    stepped = SelfTimedSimulator(figure2_graph)
+    for _ in range(3):
+        stepped.step()
+    lean = SelfTimedSimulator(figure2_graph)
+    assert lean.run_until({"C": 1000}, max_steps=3) == stepped.now
+    assert lean.completed == stepped.completed
+
+
+def test_run_until_reports_deadlock():
+    g = SDFGraph("blocked")
+    g.add_actor("A", execution_time=1)
+    g.add_actor("B", execution_time=1)
+    g.add_edge("ab", "A", "B")
+    g.add_edge("ba", "B", "A", initial_tokens=1)
+    sim = SelfTimedSimulator(
+        g, processor_of={"A": "t", "B": "t"}, static_order={"t": ["B", "A"]}
+    )
+    with pytest.raises(DeadlockError, match="blocked at t=0 with 1 target"):
+        sim.run_until({"B": 1}, max_steps=100)
 
 
 def test_state_key_is_time_invariant():

@@ -11,6 +11,7 @@ graphs, bindings and static orders and compare everything.
 """
 
 import random
+from functools import partial
 from math import gcd
 
 import pytest
@@ -227,7 +228,11 @@ def test_data_dependent_times_match_reference(seed):
         return values[index % len(values)]
 
     fast = SelfTimedSimulator(
-        graph, execution_time_of=exec_time, record_trace=True
+        graph,
+        execution_time_of={
+            a.name: partial(exec_time, a.name) for a in graph
+        },
+        record_trace=True,
     )
     slow = ReferenceSelfTimedSimulator(
         graph, execution_time_of=exec_time, record_trace=True
