@@ -7,7 +7,7 @@ workloads -- the MJPEG decoder mapped onto the 5-tile FSL (fig6a) and
 NoC (fig6b) template platforms -- with both engines:
 
 * ``before``: the retained full-rescan reference engine
-  (:mod:`repro.sdf.simulation_reference`);
+  (:mod:`tests.sdf.simulation_reference`);
 * ``after``: the incremental dirty-set engine behind
   :func:`repro.sdf.throughput.analyze_throughput`.
 
@@ -27,7 +27,7 @@ from repro.arch import architecture_from_template
 from repro.mapping import map_application
 from repro.mapping.bound_graph import build_bound_graph
 from repro.mjpeg import build_mjpeg_application
-from repro.sdf.simulation_reference import reference_analyze_throughput
+from tests.sdf.simulation_reference import reference_analyze_throughput
 from repro.sdf.throughput import analyze_throughput
 
 #: (figure, interconnect) of the two Fig. 6 platforms.

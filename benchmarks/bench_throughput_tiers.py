@@ -7,7 +7,7 @@ Three measurements of :class:`repro.sdf.engine.ThroughputEngine`:
   (:meth:`~repro.sdf.simulation.SelfTimedSimulator.run_throughput`, the
   engine's own call), over every committed
   ``examples/corpus/`` scenario.  Both must equal the test oracle
-  (:func:`repro.sdf.simulation_reference.reference_analyze_throughput`)
+  (:func:`tests.sdf.simulation_reference.reference_analyze_throughput`)
   in the exact ``Fraction``; a mismatch is a hard failure.
   Short-state-space scenarios stay on the vectorized probe (parity with
   the direct call is the *win*: the engine did not pay for the HSDF
@@ -57,7 +57,7 @@ from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.engine import ThroughputEngine
 from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
-from repro.sdf.simulation_reference import reference_analyze_throughput
+from tests.sdf.simulation_reference import reference_analyze_throughput
 
 CORPUS = sorted(
     (Path(__file__).resolve().parents[1] / "examples" / "corpus").glob(

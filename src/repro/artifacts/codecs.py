@@ -6,6 +6,14 @@ full (enveloped) payloads, so every sub-document is self-describing and
 round-trips through the generic :func:`~repro.artifacts.schema.to_payload`
 / :func:`~repro.artifacts.schema.from_payload` pair on its own.
 
+Most kinds register the class alone and get the *field codec*: the
+payload is exactly the dataclass's fields, keyed by field name and
+converted by one type-hint-driven rule (``docs/artifacts.md``, "How a
+type becomes an artifact").  Renaming such a field is a schema change.
+The codecs written out below are the kinds whose payload is *not* just
+their fields -- renamed or flattened keys, derived keys, a dropped live
+object, a legacy default for a missing key -- and each says which.
+
 Two deliberate losses, both documented in ``docs/artifacts.md``:
 
 * functional models (Python callables on
@@ -81,8 +89,31 @@ def _maybe(payload: Optional[Dict[str, Any]]) -> Optional[Any]:
 
 
 # ----------------------------------------------------------------------
+# field-codec kinds: the payload is exactly the dataclass's fields
+# ----------------------------------------------------------------------
+register("architecture", ArchitectureModel)
+register("channel-parameters", ChannelParameters)
+register("channel-mapping", ChannelMapping)
+register("mapping", Mapping)
+register("mapping-result", MappingResult)
+register("strategy-tuple", StrategyTuple)
+register("tile-mix", TileMix)
+register("candidate-point", CandidatePoint)
+register("area-estimate", AreaEstimate)
+register("power-estimate", PowerEstimate)
+register("energy-estimate", EnergyEstimate)
+register("cache-stats", CacheStats)
+register("evaluation-outcome", EvaluationOutcome)
+register("exploration-result", ExplorationResult)
+register("measured-throughput", MeasuredThroughput)
+register("platform-project", PlatformProject)
+register("use-case-mapping", UseCaseMapping)
+
+
+# ----------------------------------------------------------------------
 # SDF graph
 # ----------------------------------------------------------------------
+# Flattened: actors and edges are graph-internal records, not fields.
 def _encode_graph(graph: SDFGraph) -> Dict[str, Any]:
     return {
         "name": graph.name,
@@ -140,6 +171,7 @@ register("sdf-graph", SDFGraph, _encode_graph, _decode_graph)
 # ----------------------------------------------------------------------
 # application model
 # ----------------------------------------------------------------------
+# Flattened metrics; callables recorded by name, decoded to None.
 def _encode_implementation(impl: ActorImplementation) -> Dict[str, Any]:
     return {
         "actor": impl.actor,
@@ -178,6 +210,7 @@ register(
 )
 
 
+# Renamed key: ``throughput_constraint`` is stored as ``constraint``.
 def _encode_application(app: ApplicationModel) -> Dict[str, Any]:
     return {
         "name": app.name,
@@ -209,6 +242,7 @@ register(
 # ----------------------------------------------------------------------
 # architecture model (tiles, TileMix memories, FSL / NoC interconnect)
 # ----------------------------------------------------------------------
+# Flattened components: memories, NI and peripherals by size / name.
 def _encode_tile(tile: Tile) -> Dict[str, Any]:
     processor = None
     if tile.processor is not None:
@@ -270,6 +304,7 @@ def _decode_tile(payload: Dict[str, Any]) -> Tile:
 register("tile", Tile, _encode_tile, _decode_tile)
 
 
+# Not a dataclass: the configuration only, never the link reservations.
 def _encode_fsl(fabric: FSLInterconnect) -> Dict[str, Any]:
     return {
         "fifo_depth_words": fabric.fifo_depth_words,
@@ -289,6 +324,8 @@ def _decode_fsl(payload: Dict[str, Any]) -> FSLInterconnect:
 register("interconnect-fsl", FSLInterconnect, _encode_fsl, _decode_fsl)
 
 
+# Not a dataclass: the configuration only (``tile_names`` stored as
+# ``tiles``), never the wire reservations.
 def _encode_noc(fabric: SDMNoC) -> Dict[str, Any]:
     return {
         "tiles": list(fabric.tile_names),
@@ -314,144 +351,12 @@ def _decode_noc(payload: Dict[str, Any]) -> SDMNoC:
 register("interconnect-noc", SDMNoC, _encode_noc, _decode_noc)
 
 
-def _encode_architecture(arch: ArchitectureModel) -> Dict[str, Any]:
-    return {
-        "name": arch.name,
-        "tiles": [to_payload(tile) for tile in arch.tiles],
-        "interconnect": (
-            None
-            if arch.interconnect is None
-            else to_payload(arch.interconnect)
-        ),
-    }
-
-
-def _decode_architecture(payload: Dict[str, Any]) -> ArchitectureModel:
-    return ArchitectureModel(
-        name=payload["name"],
-        tiles=[from_payload(p) for p in payload["tiles"]],
-        interconnect=_maybe(payload["interconnect"]),
-    )
-
-
-register(
-    "architecture", ArchitectureModel, _encode_architecture,
-    _decode_architecture,
-)
-
-
 # ----------------------------------------------------------------------
-# mapping: channel parameters, channel mappings, the mapping, the result
+# analysis and exploration results
 # ----------------------------------------------------------------------
-def _encode_channel_parameters(
-    parameters: ChannelParameters,
-) -> Dict[str, Any]:
-    return {
-        "words_in_flight": parameters.words_in_flight,
-        "network_buffer_words": parameters.network_buffer_words,
-        "injection_cycles_per_word": parameters.injection_cycles_per_word,
-        "channel_latency": parameters.channel_latency,
-    }
 
 
-def _decode_channel_parameters(
-    payload: Dict[str, Any],
-) -> ChannelParameters:
-    return ChannelParameters(
-        words_in_flight=payload["words_in_flight"],
-        network_buffer_words=payload["network_buffer_words"],
-        injection_cycles_per_word=payload["injection_cycles_per_word"],
-        channel_latency=payload["channel_latency"],
-    )
-
-
-register(
-    "channel-parameters",
-    ChannelParameters,
-    _encode_channel_parameters,
-    _decode_channel_parameters,
-)
-
-
-def _encode_channel_mapping(channel: ChannelMapping) -> Dict[str, Any]:
-    return {
-        "edge": channel.edge,
-        "src_tile": channel.src_tile,
-        "dst_tile": channel.dst_tile,
-        "capacity": channel.capacity,
-        "alpha_src": channel.alpha_src,
-        "alpha_dst": channel.alpha_dst,
-        "parameters": (
-            None
-            if channel.parameters is None
-            else to_payload(channel.parameters)
-        ),
-    }
-
-
-def _decode_channel_mapping(payload: Dict[str, Any]) -> ChannelMapping:
-    return ChannelMapping(
-        edge=payload["edge"],
-        src_tile=payload["src_tile"],
-        dst_tile=payload["dst_tile"],
-        capacity=payload["capacity"],
-        alpha_src=payload["alpha_src"],
-        alpha_dst=payload["alpha_dst"],
-        parameters=_maybe(payload["parameters"]),
-    )
-
-
-register(
-    "channel-mapping",
-    ChannelMapping,
-    _encode_channel_mapping,
-    _decode_channel_mapping,
-)
-
-
-def _encode_mapping(mapping: Mapping) -> Dict[str, Any]:
-    return {
-        "application": mapping.application,
-        "architecture": mapping.architecture,
-        "actor_binding": dict(mapping.actor_binding),
-        "implementations": {
-            actor: to_payload(impl)
-            for actor, impl in mapping.implementations.items()
-        },
-        "channels": {
-            name: to_payload(channel)
-            for name, channel in mapping.channels.items()
-        },
-        "static_orders": {
-            tile: list(order)
-            for tile, order in mapping.static_orders.items()
-        },
-    }
-
-
-def _decode_mapping(payload: Dict[str, Any]) -> Mapping:
-    return Mapping(
-        application=payload["application"],
-        architecture=payload["architecture"],
-        actor_binding=dict(payload["actor_binding"]),
-        implementations={
-            actor: from_payload(p)
-            for actor, p in payload["implementations"].items()
-        },
-        channels={
-            name: from_payload(p)
-            for name, p in payload["channels"].items()
-        },
-        static_orders={
-            tile: list(order)
-            for tile, order in payload["static_orders"].items()
-        },
-    )
-
-
-register("mapping", Mapping, _encode_mapping, _decode_mapping)
-
-
+# Legacy default: payloads older than the tiered engine have no tier.
 def _encode_throughput(result: ThroughputResult) -> Dict[str, Any]:
     return {
         "throughput": encode_fraction(result.throughput),
@@ -482,162 +387,9 @@ register(
 )
 
 
-def _encode_mapping_result(result: MappingResult) -> Dict[str, Any]:
-    return {
-        "mapping": to_payload(result.mapping),
-        "throughput": to_payload(result.throughput),
-        "constraint": encode_fraction(result.constraint),
-        "buffer_growth_rounds": result.buffer_growth_rounds,
-    }
 
 
-def _decode_mapping_result(payload: Dict[str, Any]) -> MappingResult:
-    return MappingResult(
-        mapping=from_payload(payload["mapping"]),
-        throughput=from_payload(payload["throughput"]),
-        constraint=decode_fraction(payload["constraint"]),
-        buffer_growth_rounds=payload["buffer_growth_rounds"],
-    )
-
-
-register(
-    "mapping-result", MappingResult, _encode_mapping_result,
-    _decode_mapping_result,
-)
-
-
-# ----------------------------------------------------------------------
-# strategies and exploration
-# ----------------------------------------------------------------------
-def _encode_strategy(strategy: StrategyTuple) -> Dict[str, Any]:
-    return {
-        "binding": strategy.binding,
-        "routing": strategy.routing,
-        "buffer_policy": strategy.buffer_policy,
-        "scheduling": strategy.scheduling,
-        "seed": strategy.seed,
-    }
-
-
-def _decode_strategy(payload: Dict[str, Any]) -> StrategyTuple:
-    return StrategyTuple(
-        binding=payload["binding"],
-        routing=payload["routing"],
-        buffer_policy=payload["buffer_policy"],
-        scheduling=payload["scheduling"],
-        seed=payload["seed"],
-    )
-
-
-register(
-    "strategy-tuple", StrategyTuple, _encode_strategy, _decode_strategy
-)
-
-
-def _encode_tile_mix(mix: TileMix) -> Dict[str, Any]:
-    return {
-        "name": mix.name,
-        "master_kb": list(mix.master_kb),
-        "slave_kb": list(mix.slave_kb),
-    }
-
-
-def _decode_tile_mix(payload: Dict[str, Any]) -> TileMix:
-    return TileMix(
-        name=payload["name"],
-        master_kb=tuple(payload["master_kb"]),
-        slave_kb=tuple(payload["slave_kb"]),
-    )
-
-
-register("tile-mix", TileMix, _encode_tile_mix, _decode_tile_mix)
-
-
-def _encode_candidate(candidate: CandidatePoint) -> Dict[str, Any]:
-    return {
-        "tiles": candidate.tiles,
-        "interconnect": candidate.interconnect,
-        "with_ca": candidate.with_ca,
-        "mix": to_payload(candidate.mix),
-        "effort": candidate.effort,
-        "strategy": to_payload(candidate.strategy),
-    }
-
-
-def _decode_candidate(payload: Dict[str, Any]) -> CandidatePoint:
-    return CandidatePoint(
-        tiles=payload["tiles"],
-        interconnect=payload["interconnect"],
-        with_ca=payload["with_ca"],
-        mix=from_payload(payload["mix"]),
-        effort=payload["effort"],
-        strategy=from_payload(payload["strategy"]),
-    )
-
-
-register(
-    "candidate-point", CandidatePoint, _encode_candidate,
-    _decode_candidate,
-)
-
-
-def _encode_area(area: AreaEstimate) -> Dict[str, Any]:
-    return {"slices": area.slices, "brams": area.brams}
-
-
-def _decode_area(payload: Dict[str, Any]) -> AreaEstimate:
-    return AreaEstimate(slices=payload["slices"], brams=payload["brams"])
-
-
-register("area-estimate", AreaEstimate, _encode_area, _decode_area)
-
-
-def _encode_power_estimate(power: PowerEstimate) -> Dict[str, Any]:
-    return {
-        "static_mw": encode_fraction(power.static_mw),
-        "dynamic_mw": encode_fraction(power.dynamic_mw),
-        "tech_nm": power.tech_nm,
-    }
-
-
-def _decode_power_estimate(payload: Dict[str, Any]) -> PowerEstimate:
-    return PowerEstimate(
-        static_mw=decode_fraction(payload["static_mw"]),
-        dynamic_mw=decode_fraction(payload["dynamic_mw"]),
-        tech_nm=payload["tech_nm"],
-    )
-
-
-register(
-    "power-estimate", PowerEstimate, _encode_power_estimate,
-    _decode_power_estimate,
-)
-
-
-def _encode_energy_estimate(energy: EnergyEstimate) -> Dict[str, Any]:
-    return {
-        "compute_pj": encode_fraction(energy.compute_pj),
-        "communication_pj": encode_fraction(energy.communication_pj),
-        "static_pj": encode_fraction(energy.static_pj),
-        "tech_nm": energy.tech_nm,
-    }
-
-
-def _decode_energy_estimate(payload: Dict[str, Any]) -> EnergyEstimate:
-    return EnergyEstimate(
-        compute_pj=decode_fraction(payload["compute_pj"]),
-        communication_pj=decode_fraction(payload["communication_pj"]),
-        static_pj=decode_fraction(payload["static_pj"]),
-        tech_nm=payload["tech_nm"],
-    )
-
-
-register(
-    "energy-estimate", EnergyEstimate, _encode_energy_estimate,
-    _decode_energy_estimate,
-)
-
-
+# Derived key (``label``); power/energy omitted, not null, when None.
 def _encode_design_point(point: DesignPoint) -> Dict[str, Any]:
     payload = {
         "label": point.label,  # derived; kept for downstream tooling
@@ -688,6 +440,7 @@ register(
 )
 
 
+# Not a dataclass: the front is rebuilt by re-adding its points.
 def _encode_front(front: ParetoFront) -> Dict[str, Any]:
     return {"points": [to_payload(p) for p in front.points()]}
 
@@ -702,82 +455,10 @@ def _decode_front(payload: Dict[str, Any]) -> ParetoFront:
 register("pareto-front", ParetoFront, _encode_front, _decode_front)
 
 
-def _encode_cache_stats(stats: CacheStats) -> Dict[str, Any]:
-    return {"hits": stats.hits, "misses": stats.misses}
-
-
-def _decode_cache_stats(payload: Dict[str, Any]) -> CacheStats:
-    return CacheStats(hits=payload["hits"], misses=payload["misses"])
-
-
-register(
-    "cache-stats", CacheStats, _encode_cache_stats, _decode_cache_stats
-)
-
-
-def _encode_outcome(outcome: EvaluationOutcome) -> Dict[str, Any]:
-    return {
-        "label": outcome.label,
-        "point": (
-            None if outcome.point is None else to_payload(outcome.point)
-        ),
-        "reason": outcome.reason,
-    }
-
-
-def _decode_outcome(payload: Dict[str, Any]) -> EvaluationOutcome:
-    return EvaluationOutcome(
-        label=payload["label"],
-        point=_maybe(payload["point"]),
-        reason=payload["reason"],
-    )
-
-
-register(
-    "evaluation-outcome", EvaluationOutcome, _encode_outcome,
-    _decode_outcome,
-)
-
-
-def _encode_exploration(result: ExplorationResult) -> Dict[str, Any]:
-    return {
-        "points": [to_payload(p) for p in result.points],
-        "failures": [list(pair) for pair in result.failures],
-        "front": None if result.front is None else to_payload(result.front),
-        "cache_stats": (
-            None
-            if result.cache_stats is None
-            else to_payload(result.cache_stats)
-        ),
-        "elapsed_seconds": result.elapsed_seconds,
-        "jobs": result.jobs,
-        "early_exit": result.early_exit,
-        "skipped": result.skipped,
-    }
-
-
-def _decode_exploration(payload: Dict[str, Any]) -> ExplorationResult:
-    return ExplorationResult(
-        points=[from_payload(p) for p in payload["points"]],
-        failures=[tuple(pair) for pair in payload["failures"]],
-        front=_maybe(payload["front"]),
-        cache_stats=_maybe(payload["cache_stats"]),
-        elapsed_seconds=payload["elapsed_seconds"],
-        jobs=payload["jobs"],
-        early_exit=payload["early_exit"],
-        skipped=payload["skipped"],
-    )
-
-
-register(
-    "exploration-result", ExplorationResult, _encode_exploration,
-    _decode_exploration,
-)
-
-
 # ----------------------------------------------------------------------
-# flow results: effort, measurement, project, flow, use-cases
+# flow results
 # ----------------------------------------------------------------------
+# Legacy default: payloads older than per-tier counts have none.
 def _encode_effort(report: EffortReport) -> Dict[str, Any]:
     return {
         "timings": [
@@ -800,48 +481,9 @@ def _decode_effort(payload: Dict[str, Any]) -> EffortReport:
 register("effort-report", EffortReport, _encode_effort, _decode_effort)
 
 
-def _encode_measured(measured: MeasuredThroughput) -> Dict[str, Any]:
-    return {
-        "throughput": encode_fraction(measured.throughput),
-        "iterations": measured.iterations,
-        "cycles": measured.cycles,
-        "warmup_iterations": measured.warmup_iterations,
-    }
-
-
-def _decode_measured(payload: Dict[str, Any]) -> MeasuredThroughput:
-    return MeasuredThroughput(
-        throughput=decode_fraction(payload["throughput"]),
-        iterations=payload["iterations"],
-        cycles=payload["cycles"],
-        warmup_iterations=payload["warmup_iterations"],
-    )
-
-
-register(
-    "measured-throughput", MeasuredThroughput, _encode_measured,
-    _decode_measured,
-)
-
-
-def _encode_project(project: PlatformProject) -> Dict[str, Any]:
-    return {"name": project.name, "files": dict(project.files)}
-
-
-def _decode_project(payload: Dict[str, Any]) -> PlatformProject:
-    return PlatformProject(
-        name=payload["name"], files=dict(payload["files"])
-    )
-
-
-register(
-    "platform-project", PlatformProject, _encode_project, _decode_project
-)
-
-
+# Dropped live object: the simulator is a running process, not data
+# (decoded results carry simulator=None).
 def _encode_flow_result(result: FlowResult) -> Dict[str, Any]:
-    # The simulator is a live process object; it is deliberately not
-    # part of the artifact (decoded results carry simulator=None).
     return {
         "mapping_result": to_payload(result.mapping_result),
         "project": to_payload(result.project),
@@ -864,34 +506,4 @@ def _decode_flow_result(payload: Dict[str, Any]) -> FlowResult:
 
 register(
     "flow-result", FlowResult, _encode_flow_result, _decode_flow_result
-)
-
-
-def _encode_use_cases(mapping: UseCaseMapping) -> Dict[str, Any]:
-    return {
-        "results": {
-            name: to_payload(result)
-            for name, result in mapping.results.items()
-        },
-        "link_pairs": [list(pair) for pair in mapping.link_pairs],
-        "tiles_used": list(mapping.tiles_used),
-    }
-
-
-def _decode_use_cases(payload: Dict[str, Any]) -> UseCaseMapping:
-    return UseCaseMapping(
-        results={
-            name: from_payload(p)
-            for name, p in payload["results"].items()
-        },
-        link_pairs=tuple(
-            tuple(pair) for pair in payload["link_pairs"]
-        ),
-        tiles_used=tuple(payload["tiles_used"]),
-    )
-
-
-register(
-    "use-case-mapping", UseCaseMapping, _encode_use_cases,
-    _decode_use_cases,
 )

@@ -24,14 +24,19 @@ byte-identical workspaces regardless of worker count or scheduling.
 Codecs register themselves with :func:`register` (see
 :mod:`repro.artifacts.codecs`); :func:`to_payload` dispatches on the
 object's exact type and :func:`from_payload` on the envelope's ``kind``.
+A dataclass registered without an encoder/decoder pair gets the *field
+codec*: its body is exactly its fields, converted by one rule driven by
+the type hints (see :func:`register` and ``docs/artifacts.md``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import typing
 from fractions import Fraction
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
 
 from repro.exceptions import ReproError
 
@@ -168,11 +173,18 @@ _ENCODERS: Dict[Type, Tuple[str, Encoder]] = {}
 _DECODERS: Dict[str, Decoder] = {}
 
 
-def register(kind: str, cls: Type, encode: Encoder, decode: Decoder) -> None:
+def register(
+    kind: str,
+    cls: Type,
+    encode: Optional[Encoder] = None,
+    decode: Optional[Decoder] = None,
+) -> None:
     """Register a codec: ``encode(obj) -> body``, ``decode(payload) -> obj``.
 
     ``encode`` returns the *body* only (the envelope is added here);
-    ``decode`` receives the full validated payload.
+    ``decode`` receives the full validated payload.  Without the pair,
+    ``cls`` must be a dataclass and gets the field codec: the body is
+    exactly its fields, keyed by field name (:func:`_field_codec`).
     """
     if kind in _DECODERS:
         raise ArtifactError(f"artifact kind {kind!r} already registered")
@@ -181,6 +193,8 @@ def register(kind: str, cls: Type, encode: Encoder, decode: Decoder) -> None:
             f"type {cls.__name__} already has an artifact codec "
             f"({_ENCODERS[cls][0]!r})"
         )
+    if encode is None:
+        encode, decode = _field_codec(cls)
     _ENCODERS[cls] = (kind, encode)
     _DECODERS[kind] = decode
 
@@ -224,7 +238,103 @@ def from_payload(payload: Dict[str, Any]) -> Any:
         ) from None
     try:
         return decode(payload)
-    except (KeyError, IndexError, TypeError, ValueError) as error:
+    except (
+        AttributeError, KeyError, IndexError, TypeError, ValueError
+    ) as error:
         raise ArtifactError(
             f"malformed {kind!r} artifact payload: {error!r}"
         ) from None
+
+
+# ----------------------------------------------------------------------
+# the field codec: a dataclass's body is exactly its fields
+# ----------------------------------------------------------------------
+#: A compiled value converter; ``None`` is the identity (primitives).
+Converter = Optional[Callable[[Any], Any]]
+
+_PRIMITIVES = (str, int, float, bool)
+
+
+def _field_codec(cls: Type) -> Tuple[Encoder, Decoder]:
+    """Encoder/decoder whose body is exactly ``cls``'s dataclass fields.
+
+    Each field's converter is compiled once, from the type hints, on
+    first use -- when every codec a hint can name is registered.
+    Decoding is strict: every field key must be present (extra keys,
+    such as the envelope's, are ignored).
+    """
+    plan: Optional[List[Tuple[str, Converter, Converter]]] = None
+
+    def compiled() -> List[Tuple[str, Converter, Converter]]:
+        nonlocal plan
+        if plan is None:
+            import repro.artifacts.codecs  # noqa: F401  (hinted codecs)
+
+            hints = typing.get_type_hints(cls)
+            plan = [
+                (f.name, *_converters(hints[f.name]))
+                for f in dataclasses.fields(cls)
+            ]
+        return plan
+
+    def encode(obj: Any) -> Dict[str, Any]:
+        body = {}
+        for name, to_json, _ in compiled():
+            value = getattr(obj, name)
+            body[name] = value if to_json is None else to_json(value)
+        return body
+
+    def decode(payload: Dict[str, Any]) -> Any:
+        values = {}
+        for name, _, from_json in compiled():
+            value = payload[name]
+            values[name] = value if from_json is None else from_json(value)
+        return cls(**values)
+
+    return encode, decode
+
+
+def _converters(hint: Any) -> Tuple[Converter, Converter]:
+    """The (encode, decode) converters of one type hint."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:
+        present = [arg for arg in args if arg is not type(None)]
+        if len(present) == 1:
+            return tuple(_or_none(c) for c in _converters(present[0]))
+    elif origin in (list, tuple):
+        # List[X], Tuple[X, ...] and Tuple[X, X]: one item type
+        items = {arg for arg in args if arg is not Ellipsis}
+        if len(items) == 1:
+            to_json, from_json = _converters(items.pop())
+            rebuild = list if origin is list else tuple
+            return (
+                list if to_json is None
+                else lambda value: [to_json(item) for item in value],
+                rebuild if from_json is None
+                else lambda value: rebuild(from_json(item) for item in value),
+            )
+    elif origin is dict:
+        to_json, from_json = _converters(args[1])
+        return (
+            dict if to_json is None
+            else lambda value: {k: to_json(v) for k, v in value.items()},
+            dict if from_json is None
+            else lambda value: {k: from_json(v) for k, v in value.items()},
+        )
+    elif hint is Fraction:
+        return encode_fraction, decode_fraction
+    elif isinstance(hint, type) and any(
+        issubclass(registered, hint) for registered in _ENCODERS
+    ):
+        return to_payload, from_payload
+    elif dataclasses.is_dataclass(hint):
+        return _field_codec(hint)
+    elif hint in _PRIMITIVES:
+        return None, None
+    raise ArtifactError(f"no artifact field rule for type {hint!r}")
+
+
+def _or_none(convert: Converter) -> Converter:
+    if convert is None:
+        return None
+    return lambda value: None if value is None else convert(value)

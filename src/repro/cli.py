@@ -58,9 +58,10 @@ Commands mirror the tool invocations of the original flow:
   ``platform depart APP_ID --url URL [--migrate]`` /
   ``platform status --url URL`` -- the run-time side
   (:mod:`repro.runtime`): precompute per-application operating-point
-  libraries at design time, then admit/depart applications against a
-  live ``repro serve`` platform with zero re-analysis (see
-  docs/runtime.md).
+  libraries at design time -- one mapping per platform size ``1 ..``
+  the spec's ``[architecture] tiles``, which alone bounds the sweep --
+  then admit/depart applications against a live ``repro serve``
+  platform with zero re-analysis (see docs/runtime.md).
 """
 
 from __future__ import annotations
@@ -518,12 +519,7 @@ def _cmd_platform(args: argparse.Namespace) -> int:
         store = ArtifactStore(Path(args.workspace) / "artifacts")
         summaries = []
         for app_spec in spec.apps:
-            build = build_library(
-                spec,
-                store=store,
-                app_spec=app_spec,
-                max_tiles=args.max_tiles,
-            )
+            build = build_library(spec, store=store, app_spec=app_spec)
             summaries.append(build.summary())
         if args.json:
             print(json.dumps(summaries, indent=2, sort_keys=True))
@@ -1022,11 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact workspace the libraries (and per-size mapping "
              "results) are persisted into; point 'repro serve' at the "
              "same workspace to admit from them",
-    )
-    build_lib.add_argument(
-        "--max-tiles", type=int, default=None, metavar="N",
-        help="cap the swept platform sizes (default: the spec's "
-             "architecture tile count)",
     )
     build_lib.add_argument(
         "--json", action="store_true",

@@ -656,80 +656,12 @@ def _decode_stage(payload: Dict[str, Any]) -> StageRecord:
 
 
 register("stage-record", StageRecord, _encode_stage, _decode_stage)
+register("session-result", SessionResult)
+register("batch-entry", BatchEntry)
 
 
-def _encode_session(result: SessionResult) -> Dict[str, Any]:
-    return {
-        "spec_name": result.spec_name,
-        "workspace": result.workspace,
-        "stages": [to_payload(s) for s in result.stages],
-        "mappings": {
-            name: to_payload(mapping)
-            for name, mapping in result.mappings.items()
-        },
-        "use_cases": (
-            None
-            if result.use_cases is None
-            else to_payload(result.use_cases)
-        ),
-    }
-
-
-def _decode_session(payload: Dict[str, Any]) -> SessionResult:
-    return SessionResult(
-        spec_name=payload["spec_name"],
-        workspace=payload["workspace"],
-        stages=[from_payload(p) for p in payload["stages"]],
-        mappings={
-            name: from_payload(p)
-            for name, p in payload["mappings"].items()
-        },
-        use_cases=(
-            None
-            if payload["use_cases"] is None
-            else from_payload(payload["use_cases"])
-        ),
-    )
-
-
-register(
-    "session-result", SessionResult, _encode_session, _decode_session
-)
-
-
-def _encode_batch_entry(entry: BatchEntry) -> Dict[str, Any]:
-    return {
-        "spec": entry.spec,
-        "name": entry.name,
-        "ok": entry.ok,
-        "error": entry.error,
-        "stages_total": entry.stages_total,
-        "stages_resumed": entry.stages_resumed,
-        "elapsed_seconds": entry.elapsed_seconds,
-        "guarantees": dict(entry.guarantees),
-        "constraints_met": entry.constraints_met,
-    }
-
-
-def _decode_batch_entry(payload: Dict[str, Any]) -> BatchEntry:
-    return BatchEntry(
-        spec=payload["spec"],
-        name=payload["name"],
-        ok=payload["ok"],
-        error=payload["error"],
-        stages_total=payload["stages_total"],
-        stages_resumed=payload["stages_resumed"],
-        elapsed_seconds=payload["elapsed_seconds"],
-        guarantees=dict(payload["guarantees"]),
-        constraints_met=payload["constraints_met"],
-    )
-
-
-register(
-    "batch-entry", BatchEntry, _encode_batch_entry, _decode_batch_entry
-)
-
-
+# Derived keys: the report's totals and resume rate, for readers of
+# ``batch-report.json``.
 def _encode_batch(report: BatchReport) -> Dict[str, Any]:
     return {
         "entries": [to_payload(e) for e in report.entries],

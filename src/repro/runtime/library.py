@@ -121,13 +121,12 @@ def build_library(
     spec: FlowSpec,
     store: Optional[ArtifactStore] = None,
     app_spec: Optional[AppSpec] = None,
-    max_tiles: Optional[int] = None,
 ) -> LibraryBuild:
     """Build (or resume) the operating-point library for one app.
 
     Sweeps canonical prefix platforms ``tiles = 1 .. spec.architecture.
-    tiles`` (capped by ``max_tiles``), mapping the application onto each
-    with the spec's strategies and effort.  With a ``store``, per-size
+    tiles``, mapping the application onto each with the spec's
+    strategies and effort.  With a ``store``, per-size
     results resume from / persist to ``mapping-result`` artifacts under
     the FlowSession keying, and the finished library is persisted under
     :func:`library_key`.
@@ -156,7 +155,7 @@ def build_library(
                 key=key, library=from_payload(stored), resumed=0
             )
 
-    sizes = range(1, (max_tiles or arch_spec.tiles) + 1)
+    sizes = range(1, arch_spec.tiles + 1)
     front = ParetoFront()
     results_by_tiles: Dict[int, Any] = {}
     analyses = resumed = 0

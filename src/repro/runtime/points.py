@@ -43,13 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.arch.interconnect import FSLInterconnect
 from repro.arch.noc import SDMNoC
 from repro.arch.platform import ArchitectureModel
-from repro.artifacts.schema import (
-    decode_fraction,
-    encode_fraction,
-    from_payload,
-    register,
-    to_payload,
-)
+from repro.artifacts.schema import from_payload, register, to_payload
 from repro.comm.params import WORD_BITS
 from repro.mapping.binding import (
     RUNTIME_DATA_BYTES,
@@ -157,6 +151,10 @@ class OperatingPointLibrary:
         return from_payload(payload)
 
 
+register(POINT_KIND, OperatingPoint)
+register(LIBRARY_KIND, OperatingPointLibrary)
+
+
 # ----------------------------------------------------------------------
 # deriving a point from a mapping result
 # ----------------------------------------------------------------------
@@ -243,89 +241,3 @@ def transfer_cycles(state_bytes: int, wires: int = 0) -> int:
     cycles_per_word = 1 if wires < 1 else math.ceil(WORD_BITS / wires)
     return words * cycles_per_word
 
-
-# ----------------------------------------------------------------------
-# artifact codecs
-# ----------------------------------------------------------------------
-def _encode_point(point: OperatingPoint) -> Dict[str, Any]:
-    return {
-        "label": point.label,
-        "tiles": list(point.tiles),
-        "interconnect": point.interconnect,
-        "throughput": encode_fraction(point.throughput),
-        "constraint_met": point.constraint_met,
-        "area_slices": point.area_slices,
-        "tile_memory": {
-            tile: list(memory)
-            for tile, memory in sorted(point.tile_memory.items())
-        },
-        "channels": [
-            {
-                "edge": c.edge,
-                "src": c.src,
-                "dst": c.dst,
-                "hops": c.hops,
-                "wires": c.wires,
-            }
-            for c in point.channels
-        ],
-        "state_bytes": point.state_bytes,
-        "result": (
-            None if point.result is None else to_payload(point.result)
-        ),
-    }
-
-
-def _decode_point(payload: Dict[str, Any]) -> OperatingPoint:
-    return OperatingPoint(
-        label=payload["label"],
-        tiles=tuple(payload["tiles"]),
-        interconnect=payload["interconnect"],
-        throughput=decode_fraction(payload["throughput"]),
-        constraint_met=payload["constraint_met"],
-        area_slices=payload["area_slices"],
-        tile_memory={
-            tile: (memory[0], memory[1])
-            for tile, memory in payload["tile_memory"].items()
-        },
-        channels=tuple(
-            ChannelFootprint(
-                edge=c["edge"],
-                src=c["src"],
-                dst=c["dst"],
-                hops=c["hops"],
-                wires=c["wires"],
-            )
-            for c in payload["channels"]
-        ),
-        state_bytes=payload["state_bytes"],
-        result=(
-            None
-            if payload["result"] is None
-            else from_payload(payload["result"])
-        ),
-    )
-
-
-def _encode_library(library: OperatingPointLibrary) -> Dict[str, Any]:
-    return {
-        "app_name": library.app_name,
-        "app_fingerprint": library.app_fingerprint,
-        "constraint": encode_fraction(library.constraint),
-        "points": [to_payload(p) for p in library.points],
-    }
-
-
-def _decode_library(payload: Dict[str, Any]) -> OperatingPointLibrary:
-    return OperatingPointLibrary(
-        app_name=payload["app_name"],
-        app_fingerprint=payload["app_fingerprint"],
-        constraint=decode_fraction(payload["constraint"]),
-        points=[from_payload(p) for p in payload["points"]],
-    )
-
-
-register(POINT_KIND, OperatingPoint, _encode_point, _decode_point)
-register(
-    LIBRARY_KIND, OperatingPointLibrary, _encode_library, _decode_library
-)

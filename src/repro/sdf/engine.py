@@ -18,8 +18,8 @@ with wildly different costs:
   bookkeeping, no ``Fraction`` in the inner loop; the exact
   ``Fraction`` is reconstructed once, at period detection.  Every
   result field (period, transient, ...) is bit-identical to the test
-  oracle :func:`~repro.sdf.simulation_reference.
-  reference_analyze_throughput`.
+  oracle ``reference_analyze_throughput``
+  (``tests/sdf/simulation_reference.py``).
 
 :class:`ThroughputEngine` owns the tier policy.  Whether the analytic
 tier *pays* cannot be read off the graph: two graphs with identical

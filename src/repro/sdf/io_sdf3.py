@@ -177,6 +177,17 @@ def save_graph(graph: SDFGraph, path: Union[str, Path]) -> None:
 
 
 def load_graph(path: Union[str, Path]) -> SDFGraph:
-    """Read an SDF3-style XML file into an :class:`SDFGraph`."""
-    tree = ET.parse(str(path))
+    """Read an SDF3-style XML file into an :class:`SDFGraph`.
+
+    Raises :class:`GraphError` naming ``path`` when the file cannot be
+    read or is not XML.
+    """
+    try:
+        tree = ET.parse(str(path))
+    except OSError as error:
+        raise GraphError(
+            f"cannot read SDF graph {path}: {error.strerror}"
+        ) from None
+    except ET.ParseError as error:
+        raise GraphError(f"{path} is not an SDF3 XML file: {error}") from None
     return graph_from_xml(tree.getroot())

@@ -44,9 +44,9 @@ The dirty-set engine starts firings in the same deterministic order as the
 naive full rescan (static-order processors in declaration order, then the
 remaining actors in graph insertion order), so recorded traces, hook-call
 order and tie-breaking among simultaneous completions are identical to the
-retained reference implementation
-(:mod:`repro.sdf.simulation_reference`), which the differential test suite
-checks on randomized graphs.
+retained reference implementation (the test oracle
+``tests/sdf/simulation_reference.py``), which the differential test
+suite checks on randomized graphs.
 """
 
 from __future__ import annotations
@@ -594,9 +594,9 @@ class SelfTimedSimulator:
         ``on_finish`` hook.  A started firing never enables another
         start, so one dirty-set pass per completion batch reaches the
         same fixpoint as step()'s two, and the result is the one the
-        step()-driven analysis (the oracle
-        :func:`repro.sdf.simulation_reference.reference_analyze_throughput`)
-        returns, field for field.
+        step()-driven analysis (the oracle ``reference_analyze_throughput``
+        in ``tests/sdf/simulation_reference.py``) returns, field for
+        field.
 
         Raises :class:`~repro.exceptions.DeadlockError` when the execution
         blocks and :class:`~repro.sdf.throughput.UnboundedExecutionError`

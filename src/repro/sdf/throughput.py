@@ -66,8 +66,9 @@ class ThroughputResult:
         Which engine tier produced the result (``analytic`` or
         ``vectorized``; see :mod:`repro.sdf.engine`).  The default,
         ``reference``, marks results of the test oracle
-        (:func:`repro.sdf.simulation_reference.reference_analyze_throughput`)
-        and of payloads stored before the tiered engine existed.
+        (``reference_analyze_throughput`` in
+        ``tests/sdf/simulation_reference.py``) and of payloads stored
+        before the tiered engine existed.
         Metadata only -- excluded from equality, which compares the
         analysis outcome.
     tier_reason:

@@ -287,6 +287,30 @@ class TestEnvelope:
         with pytest.raises(ArtifactError, match="application"):
             from_payload(payload)
 
+    def test_wrong_typed_container_is_malformed_field_codec(self):
+        # "mapping" has the field codec: a str where a dict belongs
+        payload = {
+            "schema_version": SCHEMA_VERSION, "kind": "mapping",
+            "application": "a", "architecture": "b",
+            "actor_binding": {}, "implementations": "oops",
+            "channels": {}, "static_orders": {},
+        }
+        with pytest.raises(ArtifactError, match="malformed 'mapping'"):
+            from_payload(payload)
+
+    def test_wrong_typed_container_is_malformed_hand_written(self):
+        import repro.service.scheduler  # noqa: F401  (flow-response)
+
+        payload = {
+            "schema_version": SCHEMA_VERSION, "kind": "flow-response",
+            "spec_name": "s", "request_key": "k", "mappings": "oops",
+            "use_cases": None,
+        }
+        with pytest.raises(
+            ArtifactError, match="malformed 'flow-response'"
+        ):
+            from_payload(payload)
+
     def test_every_registered_kind_is_kebab_case(self):
         for kind in registered_kinds():
             assert kind == kind.lower()

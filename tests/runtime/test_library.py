@@ -17,12 +17,6 @@ class TestBuild:
             assert len(build.library) >= 1
             assert build.library.app_name == spec.app.effective_name
 
-    def test_max_tiles_caps_the_sweep(self):
-        spec = flow_specs("chain", 1, 5, ARCH_FSL)[0]
-        build = build_library(spec, max_tiles=2)
-        assert build.analyses == 2
-        assert all(p.n_tiles <= 2 for p in build.library.points)
-
     def test_key_is_stable_across_document_round_trip(self, fsl_builds):
         for spec, build in fsl_builds:
             clone = FlowSpec.from_dict(spec.to_document())

@@ -42,7 +42,7 @@ from repro.sdf.buffers import (
     minimal_capacity_bound,
 )
 from repro.sdf.deadlock import is_deadlock_free
-from repro.sdf.simulation_reference import reference_analyze_throughput
+from tests.sdf.simulation_reference import reference_analyze_throughput
 from repro.sdf.throughput import analyze_throughput
 from tests.sdf.tiers import simulated_throughput
 

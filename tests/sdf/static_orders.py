@@ -8,7 +8,7 @@ append the firings still in flight in actor order.
 """
 
 from repro.sdf.repetition import repetition_vector
-from repro.sdf.simulation_reference import ReferenceSelfTimedSimulator
+from tests.sdf.simulation_reference import ReferenceSelfTimedSimulator
 
 
 def derive_static_orders(graph, processor_of, actors=None):

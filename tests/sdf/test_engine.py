@@ -18,7 +18,7 @@ from repro.sdf.engine import (
     ThroughputEngine,
     analytic_throughput,
 )
-from repro.sdf.simulation_reference import reference_analyze_throughput
+from tests.sdf.simulation_reference import reference_analyze_throughput
 from repro.sdf.throughput import ThroughputResult, analyze_throughput
 from tests.sdf.tiers import simulated_throughput
 

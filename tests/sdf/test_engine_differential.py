@@ -25,7 +25,7 @@ from repro.sdf.buffers import (
 )
 from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.engine import ThroughputEngine, analytic_throughput
-from repro.sdf.simulation_reference import reference_analyze_throughput
+from tests.sdf.simulation_reference import reference_analyze_throughput
 
 CORPUS = sorted(
     (Path(__file__).resolve().parents[2] / "examples" / "corpus").glob(

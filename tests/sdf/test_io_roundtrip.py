@@ -146,5 +146,9 @@ class TestMalformedDocuments:
     def test_unparseable_file_raises(self, tmp_path):
         path = tmp_path / "broken.xml"
         path.write_text("<sdf3><unclosed>", encoding="utf-8")
-        with pytest.raises(ET.ParseError):
+        with pytest.raises(GraphError, match="broken.xml is not an SDF3"):
             load_graph(path)
+
+    def test_missing_file_raises_graph_error(self, tmp_path):
+        with pytest.raises(GraphError, match="cannot read SDF graph"):
+            load_graph(tmp_path / "absent.xml")

@@ -2,7 +2,7 @@
 
 The incremental dirty-set simulator (:mod:`repro.sdf.simulation`) must be
 *observably identical* to the retained full-rescan reference engine
-(:mod:`repro.sdf.simulation_reference`): same firing traces (including
+(:mod:`tests.sdf.simulation_reference`): same firing traces (including
 order among simultaneous events), same token peaks, same completion
 counts, same quiescence verdicts, and exactly the same ``Fraction``
 throughput / period / transient from the state-space analysis.  These
@@ -26,7 +26,7 @@ from repro.sdf.buffers import (
 from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.graph import SDFGraph
 from repro.sdf.simulation import SelfTimedSimulator
-from repro.sdf.simulation_reference import (
+from tests.sdf.simulation_reference import (
     ReferenceSelfTimedSimulator,
     reference_analyze_throughput,
 )

@@ -8,7 +8,7 @@ from repro.exceptions import DeadlockError, SimulationError
 from repro.sdf import SDFGraph, analyze_throughput
 from repro.sdf.buffers import BufferDistribution, add_buffer_edges
 from repro.sdf.engine import ThroughputEngine
-from repro.sdf.simulation_reference import reference_analyze_throughput
+from tests.sdf.simulation_reference import reference_analyze_throughput
 from repro.sdf.throughput import (
     UnboundedExecutionError,
     processing_throughput_bound,

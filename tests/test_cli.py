@@ -42,9 +42,24 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "deadlock-free: NO" in out
 
-    def test_missing_file_fails_cleanly(self, tmp_path):
-        with pytest.raises((FileNotFoundError, OSError)):
-            main(["analyze", str(tmp_path / "nope.xml")])
+    def test_missing_file_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "nope.xml"
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read SDF graph")
+        assert str(path) in err
+
+    def test_non_xml_file_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "graph.xml"
+        path.write_text("not <xml", encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{path} is not an SDF3 XML file" in err
+
+    def test_directory_fails_cleanly(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_json_output_includes_mapping_result(self, graph_file, capsys):
         from fractions import Fraction
