@@ -83,13 +83,6 @@ def _best_of(fn, rounds=TIMING_ROUNDS):
     return best, result
 
 
-def _engine_call(engine):
-    """One engine analysis without the untimed liveness pre-check, which
-    the direct simulator call does not make either (every timed graph is
-    live by construction)."""
-    return lambda: engine.analyze(check_deadlock=False)
-
-
 def _simulator_call(graph, reference_actor=None, **kwargs):
     """The state-space tier as the engine calls it: one simulator, reset
     and re-run per analysis."""
@@ -129,7 +122,7 @@ def _corpus_sweep():
         graph = load_flow_spec(spec_path).build_application().graph
         bounded = _bounded(graph)
         auto = ThroughputEngine(bounded)
-        fast_s, fast = _best_of(_engine_call(auto))
+        fast_s, fast = _best_of(auto.analyze)
         slow_s, slow = _best_of(_simulator_call(bounded))
         oracle = reference_analyze_throughput(bounded)
         assert slow == oracle, (
@@ -171,7 +164,7 @@ def _fig6_sweep(workloads):
             reference_actor=bound.app_actors[0],
         )
         auto = ThroughputEngine(bound.graph, **kwargs)
-        fast_s, fast = _best_of(_engine_call(auto))
+        fast_s, fast = _best_of(auto.analyze)
         slow_s, slow = _best_of(_simulator_call(bound.graph, **kwargs))
         oracle = reference_analyze_throughput(bound.graph, **kwargs)
         assert fast == slow == oracle, (
@@ -242,7 +235,7 @@ def _greedy_sizing_calls(graph, constraint, max_rounds=200, step=1):
         for name in list(distribution):
             current = distribution[name]
             set_capacity(name, current + step)
-            trial = engine.analyze(check_deadlock=False)
+            trial = engine.analyze()
             calls += 1
             set_capacity(name, current)
             if trial.throughput > best_result.throughput:
@@ -251,7 +244,7 @@ def _greedy_sizing_calls(graph, constraint, max_rounds=200, step=1):
         if best_name is None:
             for name in distribution:
                 set_capacity(name, distribution[name] + step)
-            result = engine.analyze(check_deadlock=False)
+            result = engine.analyze()
             calls += 1
         else:
             set_capacity(best_name, distribution[best_name] + step)

@@ -181,24 +181,3 @@ class ApplicationModel:
             any(i.function is not None for i in self.implementations_of(a.name))
             for a in self.graph
         )
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, object]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`).
-
-        Functional models are recorded by qualified name only; a decoded
-        model is timing-only (it maps and analyzes identically -- see
-        :mod:`repro.flow.fingerprint` -- but cannot be simulated).
-        """
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "ApplicationModel":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "application")
-        return from_payload(payload)

@@ -114,26 +114,6 @@ class ArchitectureModel:
         if self.interconnect is not None:
             self.interconnect.release_all()
 
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, object]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`).
-
-        Transient interconnect allocations are not part of the payload;
-        a decoded platform starts with a clean fabric.
-        """
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "ArchitectureModel":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "architecture")
-        return from_payload(payload)
-
     def describe(self) -> str:
         parts = [f"architecture {self.name!r}: {len(self.tiles)} tile(s)"]
         for tile in self.tiles:

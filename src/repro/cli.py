@@ -209,6 +209,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         energy = application_energy(app, mapping_result, arch, model)
 
     if args.json:
+        from repro.artifacts import to_payload
+
         payload = {
             "graph": {
                 "name": graph.name,
@@ -228,14 +230,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             payload["mapping"] = (
                 {"error": str(mapping_error)}
                 if mapped is None
-                else mapped[2].to_payload()
+                else to_payload(mapped[2])
             )
         # power section only when power flags were given, so default
         # invocations emit the exact document they always did
         if power is not None and energy is not None:
             section = {
-                "platform": power.to_payload(),
-                "application": energy.to_payload(),
+                "platform": to_payload(power),
+                "application": to_payload(energy),
             }
             if power_budget is not None:
                 section["within_power_budget"] = (
@@ -461,9 +463,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if args.csv:
         print(exploration_csv(result))
     elif args.json:
-        from repro.artifacts import canonical_json
+        from repro.artifacts import canonical_json, to_payload
 
-        print(canonical_json(result.to_payload()))
+        print(canonical_json(to_payload(result)))
     else:
         print(format_exploration_report(result))
     return 0

@@ -58,24 +58,6 @@ class FlowResult:
     def measured_throughput(self) -> Optional[Fraction]:
         return self.measured.throughput if self.measured else None
 
-    def to_payload(self) -> Dict[str, object]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`).
-
-        The live simulator is not serializable; decoded results carry
-        ``simulator=None`` (mapping result, generated project, measured
-        throughput and effort timings survive).
-        """
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "FlowResult":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "flow-result")
-        return from_payload(payload)
-
     def summary(self) -> str:
         lines = [
             f"guaranteed: {float(self.guaranteed_throughput * 1e6):.4f} "

@@ -299,19 +299,6 @@ class DesignPoint:
         suffix += self.strategy.label_suffix()
         return f"{self.tiles}t/{self.interconnect}{suffix}"
 
-    def to_payload(self) -> Dict[str, object]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`)."""
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "DesignPoint":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "design-point")
-        return from_payload(payload)
-
     def dominates(self, other: "DesignPoint") -> bool:
         """Pareto dominance over :data:`OBJECTIVES`: throughput is
         maximized, slice count and energy (when present) minimized."""
@@ -732,19 +719,6 @@ class ExplorationResult:
     jobs: int = 1
     early_exit: bool = False
     skipped: int = 0  # candidates never evaluated due to early exit
-
-    def to_payload(self) -> Dict[str, object]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`)."""
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "ExplorationResult":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "exploration-result")
-        return from_payload(payload)
 
     def pareto_frontier(self) -> List[DesignPoint]:
         if self.front is not None:

@@ -200,19 +200,6 @@ class FlowSession:
         self.progress = progress
 
     # ------------------------------------------------------------------
-    # durable DSE cache sharing the session's workspace
-    # ------------------------------------------------------------------
-    def evaluation_cache(self) -> PersistentEvaluationCache:
-        """A process-durable cache for exploration over this workspace.
-
-        Hand it to :class:`repro.flow.dse.Evaluator` /
-        :func:`repro.flow.dse.explore_design_space`; outcomes persist as
-        ``evaluation-outcome`` artifacts, so a cold process re-sweeping
-        the same design space performs zero mapping analyses.
-        """
-        return PersistentEvaluationCache(self.store)
-
-    # ------------------------------------------------------------------
     # the run
     # ------------------------------------------------------------------
     def run(self) -> SessionResult:

@@ -73,7 +73,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.arch.template import architecture_from_template
-from repro.exceptions import ReproError
+from repro.exceptions import ArchitectureError, ReproError
 from repro.mapping.pipeline import MappingEffort, StrategyTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
@@ -240,7 +240,7 @@ class FlowSpec:
             raise FlowSpecError(
                 f"unknown [mapping] key(s) in flow spec: {sorted(mapping)}"
             )
-        return cls(
+        spec = cls(
             name=name,
             apps=tuple(apps),
             architecture=architecture,
@@ -249,6 +249,13 @@ class FlowSpec:
             fixed=fixed,
             strategies=strategies,
         )
+        try:
+            spec.build_architecture()  # the template's own checks
+        except ArchitectureError as error:
+            raise FlowSpecError(
+                f"invalid [architecture]: {error}"
+            ) from None
+        return spec
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "FlowSpec":
@@ -473,7 +480,7 @@ def _parse_app(section: Dict[str, Any]) -> AppSpec:
             raise FlowSpecError(
                 f"invalid [app.scenario] table: {error}"
             ) from error
-    return AppSpec(
+    app = AppSpec(
         sequence=_take(section, "sequence", str, default="gradient"),
         quality=_take(section, "quality", int, default=None),
         frames=_take(section, "frames", int, default=2),
@@ -484,6 +491,28 @@ def _parse_app(section: Dict[str, Any]) -> AppSpec:
         fixed=fixed,
         scenario=scenario,
     )
+    if scenario is None:
+        _check_case_study(app)
+    return app
+
+
+def _check_case_study(app: AppSpec) -> None:
+    """Reject what the MJPEG encoder or the test set would refuse later."""
+    if app.quality is not None and not 1 <= app.quality <= 100:
+        raise FlowSpecError(
+            f"app quality must be in 1..100, got {app.quality}"
+        )
+    if app.frames < 1:
+        raise FlowSpecError(f"app frames must be >= 1, got {app.frames}")
+    if app.sequence != "synthetic":
+        # deferred import: the MJPEG package pulls in numpy
+        from repro.mjpeg import SEQUENCE_BUILDERS
+
+        if app.sequence not in SEQUENCE_BUILDERS:
+            raise FlowSpecError(
+                f"unknown sequence {app.sequence!r}; pick from "
+                f"{sorted(SEQUENCE_BUILDERS) + ['synthetic']}"
+            )
 
 
 def _parse_arch(section: Dict[str, Any]) -> ArchSpec:
@@ -588,7 +617,7 @@ def build_case_study_app(
 
     if sequence == "synthetic":
         encoded_frames = synthetic_sequence(n_frames=frames)
-        quality = quality or 98
+        quality = 98 if quality is None else quality
     else:
         sequences = test_set_sequences(n_frames=frames)
         if sequence not in sequences:
@@ -597,6 +626,6 @@ def build_case_study_app(
                 f"{sorted(sequences) + ['synthetic']}"
             )
         encoded_frames = sequences[sequence]
-        quality = quality or 75
+        quality = 75 if quality is None else quality
     encoded = encode_sequence(encoded_frames, quality=quality, h=4, v=2)
     return build_mjpeg_application(encoded)

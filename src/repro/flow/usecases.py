@@ -45,19 +45,6 @@ class UseCaseMapping:
     def guarantee_of(self, use_case: str) -> Fraction:
         return self.results[use_case].guaranteed_throughput
 
-    def to_payload(self) -> Dict[str, object]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`)."""
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "UseCaseMapping":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "use-case-mapping")
-        return from_payload(payload)
-
     def as_table(self) -> str:
         # column widths follow the content: long use-case names must
         # widen the name column instead of breaking the header rule

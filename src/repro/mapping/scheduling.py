@@ -9,12 +9,14 @@ order is guaranteed executable; fixing it afterwards can only delay firings
 relative to the greedy run, and the subsequent throughput analysis of the
 ordered graph provides the actual guarantee.
 
-The run is the shared :class:`~repro.sdf.simulation.SelfTimedSimulator`
-with an ``on_finish`` hook and no trace: each tile's order is the
-completion order of its application firings, capped at the repetition
-count of each actor.  A tile executes one firing at a time, so this is
-its start order; the two can differ only among zero-duration firings in
-flight together, where completion order follows start order.
+The run is the shared :class:`~repro.sdf.simulation.SelfTimedSimulator`'s
+countdown loop, :meth:`~repro.sdf.simulation.SelfTimedSimulator.run_until`,
+with a trace: it stops once every application actor has completed its
+repetition count, and each tile's order is the completion order of its
+application firings, capped at the repetition count of each actor.  A tile
+executes one firing at a time, so this is its start order; the two can
+differ only among zero-duration firings in flight together, where
+completion order follows start order.
 """
 
 from __future__ import annotations
@@ -37,29 +39,22 @@ def build_static_orders(bound: BoundGraph) -> Dict[str, List[str]]:
     and retry.
     """
     q = repetition_vector(bound.graph)
-    targets = {a: q[a] for a in bound.app_actors}
+    remaining = {a: q[a] for a in bound.app_actors}
     tile_of = bound.processor_of
-    orders: Dict[str, List[str]] = {tile: [] for tile in bound.tiles()}
-    outstanding = sum(targets.values())
-
-    def on_finish(actor: str, index: int) -> None:
-        nonlocal outstanding
-        if index < targets.get(actor, 0):
-            orders[tile_of[actor]].append(actor)
-            outstanding -= 1
-
     sim = SelfTimedSimulator(
-        bound.graph, processor_of=tile_of, on_finish=on_finish
+        bound.graph, processor_of=tile_of, record_trace=True
     )
-    budget = max(sum(q.values()) * 3, 100_000)  # generous safety bound
-    completions = 0
-    while outstanding:
-        finished = sim.step()
-        completions += len(finished)
-        if outstanding and (not finished or completions >= budget):
-            raise DeadlockError(
-                f"greedy execution of {bound.graph.name!r} could not "
-                "complete one iteration while deriving static orders; "
-                "buffer capacities are likely too small"
-            )
+    # Raises DeadlockError when the greedy execution blocks first.
+    sim.run_until(remaining, max(sum(q.values()) * 3, 100_000))
+    orders: Dict[str, List[str]] = {tile: [] for tile in bound.tiles()}
+    for firing in sim.trace.firings:
+        if remaining.get(firing.actor):
+            remaining[firing.actor] -= 1
+            orders[tile_of[firing.actor]].append(firing.actor)
+    if any(remaining.values()):
+        raise DeadlockError(
+            f"greedy execution of {bound.graph.name!r} could not "
+            "complete one iteration within its step budget while "
+            "deriving static orders"
+        )
     return orders

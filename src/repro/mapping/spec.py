@@ -87,19 +87,6 @@ class Mapping:
     def intra_tile_channels(self) -> Tuple[ChannelMapping, ...]:
         return tuple(c for c in self.channels.values() if c.intra_tile)
 
-    def to_payload(self) -> Dict[str, object]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`)."""
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "Mapping":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "mapping")
-        return from_payload(payload)
-
     def describe(self) -> str:
         lines = [
             f"mapping of {self.application!r} onto {self.architecture!r}:"
@@ -144,20 +131,3 @@ class MappingResult:
         if self.constraint is None:
             return True
         return self.guaranteed_throughput >= self.constraint
-
-    def to_payload(self) -> Dict[str, object]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`).
-
-        This is the shape ``analyze --json`` emits, ``FlowSession``
-        persists per mapping stage, and downstream tooling consumes.
-        """
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "MappingResult":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "mapping-result")
-        return from_payload(payload)

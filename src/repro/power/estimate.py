@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.counters import count
 from repro.exceptions import PowerError
@@ -57,18 +57,6 @@ class PowerEstimate:
             f"{self.tech_nm} nm)"
         )
 
-    def to_payload(self) -> Dict[str, object]:
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "PowerEstimate":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "power-estimate")
-        return from_payload(payload)
-
 
 @dataclass(frozen=True)
 class EnergyEstimate:
@@ -98,18 +86,6 @@ class EnergyEstimate:
             f"{float(self.static_pj):.0f} pJ static, "
             f"{self.tech_nm} nm)"
         )
-
-    def to_payload(self) -> Dict[str, object]:
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "EnergyEstimate":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "energy-estimate")
-        return from_payload(payload)
 
 
 def _platform_static_uw(

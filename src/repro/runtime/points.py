@@ -38,12 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.interconnect import FSLInterconnect
 from repro.arch.noc import SDMNoC
 from repro.arch.platform import ArchitectureModel
-from repro.artifacts.schema import from_payload, register, to_payload
+from repro.artifacts.schema import register
 from repro.comm.params import WORD_BITS
 from repro.mapping.binding import (
     RUNTIME_DATA_BYTES,
@@ -102,17 +102,6 @@ class OperatingPoint:
         """Cheapest-first selection order: tiles, area, then -throughput."""
         return (self.n_tiles, self.area_slices, -self.throughput)
 
-    def to_payload(self) -> Dict[str, Any]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`)."""
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "OperatingPoint":
-        from repro.artifacts.schema import check_envelope
-
-        check_envelope(payload, POINT_KIND)
-        return from_payload(payload)
-
 
 @dataclass
 class OperatingPointLibrary:
@@ -138,17 +127,6 @@ class OperatingPointLibrary:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def to_payload(self) -> Dict[str, Any]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`)."""
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "OperatingPointLibrary":
-        from repro.artifacts.schema import check_envelope
-
-        check_envelope(payload, LIBRARY_KIND)
-        return from_payload(payload)
 
 
 register(POINT_KIND, OperatingPoint)
@@ -240,4 +218,3 @@ def transfer_cycles(state_bytes: int, wires: int = 0) -> int:
     words = math.ceil(state_bytes / (WORD_BITS // 8))
     cycles_per_word = 1 if wires < 1 else math.ceil(WORD_BITS / wires)
     return words * cycles_per_word
-

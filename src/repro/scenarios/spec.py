@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from repro.artifacts.schema import check_envelope, register
+from repro.artifacts.schema import register
 from repro.exceptions import ReproError
 
 #: The graph families the generator knows how to build.
@@ -186,21 +186,6 @@ class ScenarioSpec:
                 f"unknown scenario key(s): {sorted(data)}"
             )
         return spec
-
-    # ------------------------------------------------------------------
-    # artifact persistence
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, Any]:
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ScenarioSpec":
-        from repro.artifacts.schema import from_payload
-
-        check_envelope(payload, "scenario")
-        return from_payload(payload)
 
 
 def _encode_scenario(spec: ScenarioSpec) -> Dict[str, Any]:

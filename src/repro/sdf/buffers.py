@@ -218,16 +218,16 @@ def minimal_buffer_distribution(
 
     # Phase 2: monotone capacity search.  Extra credit tokens can only
     # enable more firings, so every trial point (>= the phase-1
-    # distribution everywhere) stays live and the untimed liveness
-    # pre-check is skipped; for the same reason throughput is monotone
-    # non-decreasing along the uniform-growth axis, which is what the
-    # doubling probe and both binary searches rely on.
+    # distribution everywhere) stays live; for the same reason
+    # throughput is monotone non-decreasing along the uniform-growth
+    # axis, which is what the doubling probe and both binary searches
+    # rely on.
     base = dict(distribution.capacities)
 
     def try_uniform(extra: int) -> Fraction:
         for name, capacity in base.items():
             set_capacity(name, capacity + extra * step)
-        return engine.analyze(check_deadlock=False).throughput
+        return engine.analyze().throughput
 
     # 2a: doubling probe for a sufficient uniform growth k <= max_rounds.
     k = 1
@@ -263,7 +263,7 @@ def minimal_buffer_distribution(
         while trim_low < trim_high:
             mid = (trim_low + trim_high) // 2
             set_capacity(name, base[name] + mid * step)
-            trial = engine.analyze(check_deadlock=False).throughput
+            trial = engine.analyze().throughput
             if trial >= throughput_constraint:
                 trim_high = mid
             else:

@@ -45,10 +45,17 @@ directly -- :func:`analytic_throughput` for the analytic tier,
 :meth:`~repro.sdf.simulation.SelfTimedSimulator.run_throughput` for the
 state-space tier.
 
+Liveness is decided by the timed run alone: :meth:`ThroughputEngine.
+analyze` takes no arguments, runs no untimed deadlock pre-check (a
+blocked graph raises :class:`~repro.exceptions.DeadlockError` from the
+state-space run) and has one iteration budget, the constructor's.
+Callers that accept arbitrary graphs and want the untimed starvation
+report (:func:`~repro.sdf.throughput.analyze_throughput`) ask
+:func:`~repro.sdf.deadlock.deadlock_report` themselves.
+
 Consumers that need raw *stepping* (static-order derivation, the
 platform simulator, latency scans) construct the same
-:class:`~repro.sdf.simulation.SelfTimedSimulator` directly, with their
-hooks.
+:class:`~repro.sdf.simulation.SelfTimedSimulator` directly.
 
 Every analysis counts its tier in :mod:`repro.counters`
 (``engine.analytic`` / ``engine.vectorized``), which ``GET /v1/healthz``
@@ -61,8 +68,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.counters import count
-from repro.exceptions import DeadlockError, SimulationError
-from repro.sdf.deadlock import deadlock_report
+from repro.exceptions import SimulationError
 from repro.sdf.graph import SDFGraph, validate_graph
 from repro.sdf.hsdf import to_hsdf
 from repro.sdf.mcm import CycleRatioBudgetError, maximum_cycle_mean
@@ -285,19 +291,14 @@ class ThroughputEngine:
         return self._decline
 
     # -- analysis ------------------------------------------------------
-    def analyze(
-        self,
-        max_iterations: Optional[int] = None,
-        check_deadlock: bool = True,
-    ) -> ThroughputResult:
+    def analyze(self) -> ThroughputResult:
         """One throughput analysis from the graph's current tokens.
 
-        ``check_deadlock=False`` skips the untimed liveness pre-check (the
-        self-timed execution still detects a blocked graph and raises
-        :class:`~repro.exceptions.DeadlockError`, only with a less specific
-        message) -- the right trade for tight sizing loops whose token
-        growth provably preserves liveness.  The result carries the
-        ``tier`` that produced it and the ``tier_reason``.
+        There is no untimed liveness pre-check: the timed run itself
+        raises :class:`~repro.exceptions.DeadlockError` when the graph
+        blocks.  The budget is the constructor's ``max_iterations``.  The
+        result carries the ``tier`` that produced it and the
+        ``tier_reason``.
 
         Raises
         ------
@@ -307,21 +308,15 @@ class ThroughputEngine:
         UnboundedExecutionError
             If no periodic phase appears within the iteration budget.
         """
-        if max_iterations is None:
-            max_iterations = self.max_iterations
-        if check_deadlock:
-            report = deadlock_report(self.graph)
-            if report is not None:
-                raise DeadlockError(report)
         if self._decline is not None:
             count("engine.vectorized")
-            result = self._analyze_vectorized(max_iterations)
+            result = self._analyze_vectorized(self.max_iterations)
             return replace(result, tier_reason=self._decline)
         # Adaptive probe: a state space that recurs before the simulation
         # has spent about the analytic tier's estimated cost is cheaper
         # to simulate than to transform; one that does not is exactly
         # where simulation cost can explode.
-        probe = min(self._probe_iterations(), max_iterations)
+        probe = min(self._probe_iterations(), self.max_iterations)
         try:
             result = self._analyze_vectorized(probe)
         except UnboundedExecutionError:
@@ -336,7 +331,7 @@ class ThroughputEngine:
             result = analytic_throughput(self.graph, MCM_RELAXATION_FACTOR)
         except CycleRatioBudgetError:
             count("engine.vectorized")
-            result = self._analyze_vectorized(max_iterations)
+            result = self._analyze_vectorized(self.max_iterations)
             return replace(result, tier_reason=(
                 "cycle-ratio iteration exceeded its relaxation budget; "
                 "fell back to the vectorized simulation"

@@ -358,22 +358,6 @@ class SDFGraph:
         )
 
     # ------------------------------------------------------------------
-    # persistence (the canonical artifact schema; XML lives in io_sdf3)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, object]:
-        """Canonical versioned artifact payload (:mod:`repro.artifacts`)."""
-        from repro.artifacts.schema import to_payload
-
-        return to_payload(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "SDFGraph":
-        from repro.artifacts.schema import check_envelope, from_payload
-
-        check_envelope(payload, "sdf-graph")
-        return from_payload(payload)
-
-    # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "SDFGraph":

@@ -34,11 +34,12 @@ demand for callers.
 
 Two lean loops run on token arrays, the completion heap and the dirty sets
 only: :meth:`SelfTimedSimulator.run_throughput` (the engine) and
-:meth:`SelfTimedSimulator.run_until` (the platform simulator, counting
-target firings down as they finish).  :meth:`SelfTimedSimulator.step` adds
-token peaks, the trace and the ``on_finish`` hook (static-order derivation)
-on top of the same start and finish code.  Duration hooks are per actor,
-so only the platform simulator's application actors pay for one.
+:meth:`SelfTimedSimulator.run_until` (the platform simulator and
+static-order derivation, counting target firings down as they finish;
+with ``record_trace`` it also appends one :class:`Firing` per completion).
+:meth:`SelfTimedSimulator.step` adds token peaks and the trace on top of
+the same start and finish code.  Duration hooks are per actor, so only the
+platform simulator's application actors pay for one.
 
 The dirty-set engine starts firings in the same deterministic order as the
 naive full rescan (static-order processors in declaration order, then the
@@ -122,16 +123,12 @@ class SelfTimedSimulator:
         duration of that actor's *k*-th firing (k counts from 0); other
         actors keep their static ``execution_time``.  The platform
         simulator hooks its application actors to run their code.
-    on_finish:
-        Optional hook called with (actor, k) when the *k*-th firing of an
-        actor finishes, after its tokens are produced (static-order
-        derivation's completion order).
     record_trace:
-        Keep a full firing list (memory-heavy for long runs).
+        Keep a full firing list, in completion order (memory-heavy for
+        long runs).
 
-    Duration hooks apply in every loop; ``on_finish`` only in
-    :meth:`step`/:meth:`run`; ``record_trace`` in those and
-    :meth:`run_until`.
+    Duration hooks apply in every loop; ``record_trace`` in
+    :meth:`step`/:meth:`run` and :meth:`run_until`.
 
     :meth:`reset` re-reads every edge's ``initial_tokens`` from the graph,
     so callers may mutate initial token counts in place (the buffer-sizing
@@ -147,7 +144,6 @@ class SelfTimedSimulator:
         execution_time_of: Optional[
             Mapping[str, Callable[[int], int]]
         ] = None,
-        on_finish: Optional[Callable[[str, int], None]] = None,
         record_trace: bool = False,
     ) -> None:
         if auto_concurrency is not None and auto_concurrency < 1:
@@ -158,7 +154,6 @@ class SelfTimedSimulator:
         self.static_order = {
             proc: list(order) for proc, order in (static_order or {}).items()
         }
-        self._on_finish = on_finish
         self.record_trace = record_trace
 
         for proc, order in self.static_order.items():
@@ -556,11 +551,10 @@ class SelfTimedSimulator:
         names = self._actor_names
         tokens = self._tokens
         maxes = self._max_tokens
-        on_finish = self._on_finish
         while queue and queue[0][0] == end:
             _end, _seq, idx, start = heapq.heappop(queue)
             self._finish_firing(idx)
-            # What the lean path skips: token peaks, trace, hook.
+            # What the lean path skips: token peaks and the trace.
             for e, _p in self._out_rates[idx]:
                 value = tokens[e]
                 if value > maxes[e]:
@@ -572,8 +566,6 @@ class SelfTimedSimulator:
             actor = names[idx]
             if self.record_trace:
                 self._trace.firings.append(Firing(actor, start, end))
-            if on_finish is not None:
-                on_finish(actor, self._completed[idx] - 1)
             finished.append((actor, end))
         self._start_all_ready()
         return finished
@@ -590,9 +582,9 @@ class SelfTimedSimulator:
         throughput is exact: iterations in the period over its length.
 
         The loop is :meth:`step` fused with the detection, on the lean
-        path: it keeps no token peaks, no trace and calls no
-        ``on_finish`` hook.  A started firing never enables another
-        start, so one dirty-set pass per completion batch reaches the
+        path: it keeps no token peaks and no trace.  A started firing
+        never enables another start, so one dirty-set pass per
+        completion batch reaches the
         same fixpoint as step()'s two, and the result is the one the
         step()-driven analysis (the oracle ``reference_analyze_throughput``
         in ``tests/sdf/simulation_reference.py``) returns, field for
@@ -664,7 +656,7 @@ class SelfTimedSimulator:
 
         Like :meth:`step`, each instant finishes every firing ending then
         and starts what that enables.  Outstanding target firings are
-        counted down as they finish; no token peaks, no ``on_finish``.
+        counted down as they finish; no token peaks.
         Raises :class:`~repro.exceptions.DeadlockError` when the execution
         blocks first.
         """

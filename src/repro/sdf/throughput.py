@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
-from repro.exceptions import GraphError, SimulationError
+from repro.exceptions import DeadlockError, GraphError, SimulationError
+from repro.sdf.deadlock import deadlock_report
 from repro.sdf.graph import SDFGraph
 from repro.sdf.repetition import repetition_vector
 
@@ -125,14 +126,21 @@ def analyze_throughput(
     """
     from repro.sdf.engine import ThroughputEngine
 
-    return ThroughputEngine(
+    engine = ThroughputEngine(
         graph,
         auto_concurrency=auto_concurrency,
         processor_of=processor_of,
         static_order=static_order,
         reference_actor=reference_actor,
         max_iterations=max_iterations,
-    ).analyze()
+    )
+    # An arbitrary graph gets the untimed starvation report: off a
+    # strongly connected graph a dead cycle can show up as an unbounded
+    # run rather than a block.
+    report = deadlock_report(graph)
+    if report is not None:
+        raise DeadlockError(report)
+    return engine.analyze()
 
 
 def processing_throughput_bound(graph: SDFGraph) -> Fraction:

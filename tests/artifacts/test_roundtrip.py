@@ -19,6 +19,7 @@ from repro.artifacts import (
     SCHEMA_VERSION,
     artifact_digest,
     canonical_json,
+    check_envelope,
     from_payload,
     kind_of,
     registered_kinds,
@@ -86,10 +87,14 @@ class TestGraphAndApplication:
         assert clone.actor("B").group == "chan"
         assert payload["kind"] == "sdf-graph"
 
-    def test_graph_method_shortcuts(self):
+    def test_graph_envelope_pins_its_kind(self):
         g = SDFGraph("m")
         g.add_actor("A")
-        assert SDFGraph.from_payload(g.to_payload()) == g
+        payload = to_payload(g)
+        check_envelope(payload, "sdf-graph")
+        assert from_payload(payload) == g
+        with pytest.raises(ArtifactError):
+            check_envelope(payload, "application")
 
     def test_application_roundtrips(self):
         app = make_app()

@@ -257,7 +257,7 @@ class TestByteIdentity:
             assert canonical_json(to_payload(clone)) == canonical_json(
                 payload
             )
-        text = canonical_json(result.to_payload())
+        text = canonical_json(to_payload(result))
         assert '"power"' not in text and '"energy"' not in text
 
     def test_budgetless_table_and_csv_are_unchanged(self):

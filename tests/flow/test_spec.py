@@ -111,6 +111,34 @@ class TestParsing:
         with pytest.raises(FlowSpecError, match="tiles"):
             FlowSpec.from_dict({"architecture": {"tiles": "three"}})
 
+    @pytest.mark.parametrize("document, message", [
+        ({"architecture": {"tiles": 0}}, "at least one tile"),
+        ({"architecture": {"interconnect": "bus"}}, "interconnect 'bus'"),
+        ({"architecture": {"fsl_fifo_depth": 0}}, "FIFO depth"),
+        ({"architecture": {"data_kb": -4}}, "memory capacity"),
+        ({"architecture": {"tiles": 3, "interconnect": "noc",
+                           "noc_wires_per_link": 0}}, "wire counts"),
+        ({"architecture": {"tiles": 3, "interconnect": "noc",
+                           "noc_connection_wires": 0}}, "wire counts"),
+        ({"app": {"quality": 0}}, "quality must be in 1..100"),
+        ({"app": {"quality": -3}}, "quality must be in 1..100"),
+        ({"app": {"quality": 101}}, "quality must be in 1..100"),
+        ({"app": {"frames": 0}}, "frames must be >= 1"),
+        ({"app": {"sequence": "sunset"}}, "unknown sequence 'sunset'"),
+        ({"apps": [{"name": "a"}, {"name": "b", "frames": -1}]},
+         "frames must be >= 1"),
+    ])
+    def test_malformed_values_rejected_at_parse_time(
+        self, document, message
+    ):
+        with pytest.raises(FlowSpecError, match=message):
+            FlowSpec.from_dict(document)
+
+    @pytest.mark.parametrize("quality", (1, 100))
+    def test_boundary_values_accepted(self, quality):
+        app = {"sequence": "synthetic", "quality": quality, "frames": 1}
+        assert FlowSpec.from_dict({"app": app}).app.quality == quality
+
     def test_unsupported_format_rejected(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text("name: nope", encoding="utf-8")

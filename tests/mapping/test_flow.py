@@ -6,7 +6,11 @@ import pytest
 
 from repro.arch import architecture_from_template
 from repro.comm.serialization import CASerialization
-from repro.exceptions import RoutingError, ThroughputConstraintError
+from repro.exceptions import (
+    DeadlockError,
+    RoutingError,
+    ThroughputConstraintError,
+)
 from repro.mapping import (
     MappingPipeline,
     allocate_buffers,
@@ -16,9 +20,10 @@ from repro.mapping import (
     map_application,
     route_channels,
 )
-from repro.mapping.bound_graph import ca_resource_name
+from repro.mapping.bound_graph import BoundGraph, ca_resource_name
 from repro.mapping.buffer_alloc import buffer_bytes_on_tile
-from repro.sdf import analyze_throughput
+from repro.sdf import SDFGraph, analyze_throughput
+from repro.sdf.buffers import BufferDistribution, add_buffer_edges
 from repro.sdf.repetition import repetition_vector
 
 
@@ -191,6 +196,22 @@ class TestScheduling:
         bound = build_bound_graph(chain_app, arch, binding, impls, channels)
         orders = build_static_orders(bound)
         assert orders["tile0"] == ["P", "Q", "R"]
+
+    def test_too_small_credit_edge_raises_deadlock(self):
+        """Capacity 3 holds one burst of A (2) or B (3) but is below the
+        liveness bound 2 + 3 - 1: A fires once, then both starve."""
+        g = SDFGraph("starved")
+        g.add_actor("A", execution_time=1)
+        g.add_actor("B", execution_time=1)
+        g.add_edge("ab", "A", "B", production=2, consumption=3)
+        bound = BoundGraph(
+            graph=add_buffer_edges(g, BufferDistribution({"ab": 3})),
+            processor_of={"A": "tile0", "B": "tile1"},
+            app_actors=("A", "B"),
+            comm_names={},
+        )
+        with pytest.raises(DeadlockError, match="blocked at t=1"):
+            build_static_orders(bound)
 
 
 class TestMapApplication:

@@ -284,3 +284,39 @@ class TestStrategyTuple:
         assert pipeline.strategies.buffer_policy == "exponential"
         result = pipeline.run(small_app, arch)
         assert result.guaranteed_throughput > 0
+
+
+@pytest.mark.parametrize("interconnect", ("fsl", "noc"))
+def test_mapping_rounds_make_no_untimed_liveness_check(
+    interconnect, monkeypatch
+):
+    """Each buffer round decides liveness by its static-order derivation
+    and its timed analysis only: mapping MJPEG onto the 5-tile Fig. 6
+    platforms calls neither ``deadlock_report`` nor ``is_deadlock_free``,
+    wherever either name was imported."""
+    import sys
+
+    from repro.flow.spec import build_case_study_app
+    from repro.sdf import deadlock
+
+    calls = []
+    for name in ("deadlock_report", "is_deadlock_free"):
+        real = getattr(deadlock, name)
+
+        def spy(graph, _real=real, _name=name):
+            calls.append(_name)
+            return _real(graph)
+
+        for module in list(sys.modules.values()):
+            if (module is not None
+                    and module.__name__.startswith("repro")
+                    and getattr(module, name, None) is real):
+                monkeypatch.setattr(module, name, spy)
+
+    app = build_case_study_app("gradient", frames=1)
+    result = map_application(
+        app, architecture_from_template(5, interconnect),
+        fixed={"VLD": "tile0"},
+    )
+    assert result.mapping.static_orders
+    assert calls == []

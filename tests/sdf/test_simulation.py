@@ -204,6 +204,13 @@ def test_hook_for_unknown_actor_rejected(two_actor_pipeline):
         )
 
 
+def test_finish_hook_is_gone(two_actor_pipeline):
+    """Completion order is read from the trace; there is no per-finish
+    callback."""
+    with pytest.raises(TypeError):
+        SelfTimedSimulator(two_actor_pipeline, on_finish=lambda a, k: None)
+
+
 def test_negative_hooked_duration_rejected(two_actor_pipeline):
     sim = SelfTimedSimulator(
         two_actor_pipeline, execution_time_of={"Q": lambda k: -1}

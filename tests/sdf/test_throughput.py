@@ -95,7 +95,8 @@ def test_deadlocked_graph_raises():
     g.add_actor("B", execution_time=1)
     g.add_edge("ab", "A", "B")
     g.add_edge("ba", "B", "A")
-    with pytest.raises(DeadlockError):
+    # the one-shot facade keeps the untimed starvation report
+    with pytest.raises(DeadlockError, match="starving actors"):
         analyze_throughput(g)
 
 
@@ -235,7 +236,9 @@ class TestReusedEngine:
                 bounded(g, {"ab": capacity})
             ).throughput
 
-    def test_skip_deadlock_precheck_still_detects_blockage(self):
+    def test_timed_run_detects_blockage(self):
+        """The engine runs no untimed pre-check: the state-space run
+        itself raises on a dead cycle."""
         g = SDFGraph("dead")
         g.add_actor("A", execution_time=1)
         g.add_actor("B", execution_time=1)
@@ -243,20 +246,21 @@ class TestReusedEngine:
         g.add_edge("ba", "B", "A")  # no initial tokens: deadlock
         engine = ThroughputEngine(g)
         with pytest.raises(DeadlockError, match="blocked after"):
-            engine.analyze(check_deadlock=False)
+            engine.analyze()
 
-    def test_per_call_iteration_budget_override(self):
+    def test_constructor_budget_is_the_only_budget(self):
         g = SDFGraph("unbounded")
         g.add_actor("P", execution_time=1)
         g.add_actor("Q", execution_time=2)
         g.add_edge("pq", "P", "Q", token_size=4)
         g.add_edge("selfP", "P", "P", initial_tokens=1)
         g.add_edge("selfQ", "Q", "Q", initial_tokens=1)
-        engine = ThroughputEngine(g, max_iterations=5)
-        with pytest.raises(UnboundedExecutionError, match="within 5 "):
-            engine.analyze()
+        engine = ThroughputEngine(g, max_iterations=9)
         with pytest.raises(UnboundedExecutionError, match="within 9 "):
-            engine.analyze(max_iterations=9)
+            engine.analyze()
+        for knob in ({"max_iterations": 99}, {"check_deadlock": False}):
+            with pytest.raises(TypeError):
+                engine.analyze(**knob)
 
 
 def test_deadlock_reported_before_bad_reference_actor():

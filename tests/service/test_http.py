@@ -97,6 +97,16 @@ class TestFlowEndpoints:
         assert outcome.value.status == 400
         assert "constraint must be > 0" in str(outcome.value)
 
+    @pytest.mark.parametrize("section", [
+        {"architecture": {"tiles": 0}}, {"app": {"quality": 0}},
+    ])
+    def test_malformed_flow_values_answer_400(self, client, section):
+        """Rejected at parse time, not accepted and then failed (or, for
+        quality 0, silently run at the default quality)."""
+        with pytest.raises(ServiceClientError) as outcome:
+            client.submit(dict(SOLO, **section))
+        assert outcome.value.status == 400
+
     def test_unknown_job_answers_404(self, client):
         with pytest.raises(ServiceClientError) as outcome:
             client.job("job-999999")

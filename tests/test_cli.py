@@ -173,6 +173,12 @@ class TestRunSpec:
         err = capsys.readouterr().err
         assert "quantum" in err
 
+    def test_malformed_architecture_fails_cleanly(self, tmp_path, capsys):
+        spec = tmp_path / "scenario.toml"
+        spec.write_text("[architecture]\ntiles = 0\n", encoding="utf-8")
+        assert main(["run", "--spec", str(spec)]) == 1
+        assert "at least one tile" in capsys.readouterr().err
+
     def test_missing_spec_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--spec", str(tmp_path / "none.toml")]) == 1
         assert "cannot read" in capsys.readouterr().err
