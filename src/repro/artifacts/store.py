@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -85,7 +84,6 @@ class ArtifactStore:
             raise ArtifactError(
                 f"cannot create artifact workspace {self.root}: {error}"
             ) from None
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # addressing

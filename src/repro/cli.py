@@ -13,12 +13,11 @@ Commands mirror the tool invocations of the original flow:
 * ``demo [sequence] [--tiles N] [--interconnect fsl|noc]`` -- run the
   MJPEG case study end to end and print the Fig. 6-style numbers plus
   Table 1;
-* ``run --spec scenario.toml [--workspace DIR] [--backend B] [--json]``
-  -- execute a declarative FlowSpec scenario (see
-  :mod:`repro.flow.spec`) through the full flow; with ``--workspace``
-  it runs as a resumable :class:`~repro.flow.session.FlowSession`
-  (required for multi-application specs and for
-  ``--backend process``, which computes on a worker process);
+* ``run --spec scenario.toml [--workspace DIR] [--json]`` -- execute
+  a declarative FlowSpec scenario (see :mod:`repro.flow.spec`) through
+  the full flow; with ``--workspace`` it runs as a resumable
+  :class:`~repro.flow.session.FlowSession` (required for
+  multi-application specs);
 * ``batch <spec>... --workspace DIR [--jobs N] [--backend B]
   [--table]`` -- run many scenarios against one shared artifact
   workspace, resuming every stage whose input fingerprints are
@@ -314,18 +313,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.flow import (
-        DesignFlow,
-        execute_spec,
-        execute_spec_on,
-        load_flow_spec,
-    )
+    from repro.flow import DesignFlow, execute_spec, load_flow_spec
 
-    if args.backend == "process" and not args.workspace:
-        raise ReproError(
-            "--backend process runs the analysis-side session on a "
-            "worker process; pass --workspace DIR"
-        )
     spec = load_flow_spec(args.spec)
     if args.workspace or spec.multi:
         # the resumable session path (required for multi-app specs)
@@ -347,18 +336,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "analysis-side session path does not run; drop "
                 "--workspace to measure"
             )
-        if args.backend == "process":
-            from repro.flow import create_backend
-
-            engine = create_backend("process")
-            try:
-                result = execute_spec_on(
-                    spec, args.workspace, backend=engine
-                )
-            finally:
-                engine.close()
-        else:
-            result = execute_spec(spec, args.workspace)
+        result = execute_spec(spec, args.workspace)
         if args.json:
             from repro.artifacts import canonical_json, to_payload
 
@@ -589,28 +567,28 @@ def _cmd_platform(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import FlowServiceServer, FlowScheduler
+    from repro.service import serve
 
     if args.jobs < 1:
         raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     if args.max_queue < 1:
         raise ReproError(f"--max-queue must be >= 1, got {args.max_queue}")
-    scheduler = FlowScheduler(
-        args.workspace,
-        jobs=args.jobs,
-        max_queue=args.max_queue,
-        backend=args.backend,
-        replica=args.replica or None,
-    )
     try:
-        server = FlowServiceServer(
-            scheduler, host=args.host, port=args.port, quiet=args.quiet
+        server = serve(
+            args.workspace,
+            host=args.host,
+            port=args.port,
+            jobs=args.jobs,
+            max_queue=args.max_queue,
+            quiet=args.quiet,
+            backend=args.backend,
+            replica=args.replica or "",
         )
     except OSError as error:
-        scheduler.close()
         raise ReproError(
             f"cannot bind {args.host}:{args.port}: {error}"
         ) from None
+    scheduler = server.scheduler
     print(
         f"flow service on {server.url} "
         f"(workspace {scheduler.workspace}, replica "
@@ -783,12 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the canonical artifact payload instead of the "
              "human-readable summary (see docs/artifacts.md)",
-    )
-    run.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="execution backend; 'process' computes the session on a "
-             "worker process (needs --workspace) with byte-identical "
-             "artifacts",
     )
     run.set_defaults(handler=_cmd_run)
 

@@ -70,7 +70,6 @@ from repro.flow.session import (
     SessionResult,
     StageRecord,
     execute_spec,
-    execute_spec_on,
     run_batch,
 )
 
@@ -127,6 +126,5 @@ __all__ = [
     "SessionResult",
     "StageRecord",
     "execute_spec",
-    "execute_spec_on",
     "run_batch",
 ]

@@ -30,10 +30,13 @@ result (or on the exception it raised); the process backend merges
 them into the parent's counts and hands callers the task's own result
 or exception, so counts match across backends.
 
-Both backends also accept *local* callables via :meth:`submit`; on the
-process backend those run on a small auxiliary **thread** pool (bound
-methods and closures are not picklable), which is exactly what the
-scheduler's platform operations need.
+Only the thread backend runs *local* callables (closures, bound
+methods) -- :meth:`ThreadBackend.submit` and
+:meth:`~ExecutionBackend.map_ordered`.  Two callers fork on the backend
+to use them, each because its work carries state a payload cannot: the
+exploration engine's threads share the caller's evaluation cache, and
+the service scheduler's flow computations stream per-stage progress.
+Everything else ships the same registered task on both backends.
 
 The byte-identity guarantee of the flow survives the backend choice:
 a task computes canonical artifacts keyed by content, so a thread run
@@ -203,11 +206,9 @@ class ExecutionBackend:
 
     Two submission surfaces:
 
-    * **local callables** -- :meth:`submit` / :meth:`map_ordered` run
-      arbitrary callables.  On the thread backend these are the
-      workers themselves; on the process backend :meth:`submit` runs
-      on an auxiliary thread pool (for unpicklable work like bound
-      methods) and :meth:`map_ordered` is refused.
+    * **local callables** -- :meth:`map_ordered` (and
+      :meth:`ThreadBackend.submit`) run arbitrary callables on the
+      thread backend; the process backend refuses them.
     * **registered tasks** -- :meth:`submit_task` /
       :meth:`run_tasks_ordered` run :func:`backend_task` functions by
       name with JSON payloads; the only surface that crosses a
@@ -226,9 +227,6 @@ class ExecutionBackend:
         self.jobs = jobs
 
     # -- local callables ----------------------------------------------
-    def submit(self, worker: Callable[..., Any], *args: Any) -> Future:
-        raise NotImplementedError
-
     def map_ordered(
         self,
         worker: Callable[[Any], Any],
@@ -373,11 +371,9 @@ class ProcessBackend(ExecutionBackend):
     task payloads.
 
     Only :func:`backend_task` functions run in workers
-    (:meth:`submit_task` / :meth:`run_tasks_ordered`); :meth:`submit`
-    accepts arbitrary callables but runs them on an auxiliary *thread*
-    pool in this process -- the escape hatch for work that cannot ship
-    (bound methods, closures).  :meth:`map_ordered` is refused rather
-    than silently degraded to threads.
+    (:meth:`submit_task` / :meth:`run_tasks_ordered`);
+    :meth:`map_ordered` is refused rather than silently degraded to
+    threads.
 
     ``close(wait=False)`` **terminates** the worker processes (after
     cancelling queued work) instead of waiting them out: an
@@ -397,23 +393,7 @@ class ProcessBackend(ExecutionBackend):
             start_method if start_method else default_start_method()
         )
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._aux: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
-
-    # -- local callables ----------------------------------------------
-    def submit(self, worker: Callable[..., Any], *args: Any) -> Future:
-        """Run one *local* callable on the auxiliary thread pool.
-
-        For parent-side work that must not ship (the scheduler's
-        platform-manager operations are bound methods over live
-        state); heavy computation belongs in a registered task.
-        """
-        with self._lock:
-            if self._aux is None:
-                self._aux = ThreadPoolExecutor(
-                    max_workers=self.jobs, thread_name_prefix="flow-aux"
-                )
-            return self._aux.submit(worker, *args)
 
     def map_ordered(
         self,
@@ -507,7 +487,7 @@ class ProcessBackend(ExecutionBackend):
             )
 
     def close(self, wait: bool = True) -> None:
-        """Shut both executors down; idempotent.
+        """Shut the worker pool down; idempotent.
 
         ``wait=True`` joins idle workers cleanly.  ``wait=False`` is
         the prompt path: queued work is cancelled and live worker
@@ -516,9 +496,6 @@ class ProcessBackend(ExecutionBackend):
         """
         with self._lock:
             executor, self._executor = self._executor, None
-            aux, self._aux = self._aux, None
-        if aux is not None:
-            aux.shutdown(wait=wait, cancel_futures=not wait)
         if executor is None:
             return
         if wait:

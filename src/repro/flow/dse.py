@@ -983,6 +983,8 @@ class ParallelExplorer:
                 ),
             )
         else:
+            # thread-side on purpose: threads share the caller's
+            # EvaluationCache, which a task payload cannot carry
             consumed = self.backend.map_ordered(run, candidates, fold=fold)
         skipped = len(candidates) - consumed
         return ExplorationResult(

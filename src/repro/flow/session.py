@@ -53,11 +53,7 @@ from repro.artifacts.schema import (
     register,
     to_payload,
 )
-from repro.artifacts.store import (
-    ArtifactStore,
-    PersistentEvaluationCache,
-    atomic_write_text,
-)
+from repro.artifacts.store import ArtifactStore, atomic_write_text
 from repro.exceptions import ReproError
 from repro.flow.backend import (
     ExecutionBackend,
@@ -449,15 +445,13 @@ class BatchReport:
 
 
 def _batch_entry(
-    item: Union[FlowSpec, str, Path],
-    workspace: Path,
-    store: Optional[ArtifactStore] = None,
+    item: Union[FlowSpec, str, Path], workspace: Path
 ) -> BatchEntry:
     """Run one spec of a batch; failures land in the entry."""
     source = item.name if isinstance(item, FlowSpec) else str(item)
     begin = time.perf_counter()
     try:
-        outcome = execute_spec(item, workspace, store=store)
+        outcome = execute_spec(item, workspace)
     except Exception as error:  # noqa: BLE001 - a bad spec must be
         # reported in its entry, never abort the sibling sessions
         detail = str(error) if isinstance(error, ReproError) else \
@@ -486,7 +480,7 @@ def _batch_entry(
 
 @backend_task("flow.batch-entry")
 def _batch_entry_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-process side of one batch spec.
+    """One batch spec, on either backend.
 
     The spec crosses the process boundary as its
     :meth:`~repro.flow.spec.FlowSpec.to_document` document (or as the
@@ -503,48 +497,6 @@ def _batch_entry_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return to_payload(entry)
 
 
-@backend_task("flow.execute-spec")
-def _execute_spec_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-process side of one ``repro run --workspace`` session."""
-    spec = FlowSpec.from_dict(payload["document"])
-    result = execute_spec(spec, payload["workspace"])
-    return to_payload(result)
-
-
-def execute_spec_on(
-    spec: Union[FlowSpec, str, Path],
-    workspace: Union[str, Path],
-    backend: Union[None, str, ExecutionBackend] = None,
-) -> SessionResult:
-    """Run one spec as a session on an execution backend.
-
-    ``"thread"`` (or ``None``) is :func:`execute_spec` in this
-    process.  ``"process"`` ships the spec document to a worker
-    process and reassembles the :class:`SessionResult` from the
-    returned canonical payload; the artifacts land in the shared
-    workspace either way, byte-identical across backends.  A backend
-    given by name is owned (and closed) here; an
-    :class:`~repro.flow.backend.ExecutionBackend` instance stays the
-    caller's to close.
-    """
-    owned = not isinstance(backend, ExecutionBackend)
-    engine = as_backend(backend)
-    try:
-        if engine.name != "process":
-            return execute_spec(spec, workspace)
-        if not isinstance(spec, FlowSpec):
-            spec = load_flow_spec(spec)
-        payload = {
-            "document": spec.to_document(),
-            "workspace": str(Path(workspace)),
-        }
-        future = engine.submit_task("flow.execute-spec", payload)
-        return from_payload(future.result())
-    finally:
-        if owned:
-            engine.close()
-
-
 def run_batch(
     specs: Sequence[Union[FlowSpec, str, Path]],
     workspace: Union[str, Path],
@@ -555,10 +507,11 @@ def run_batch(
 
     Sessions fan out over an execution backend
     (:mod:`repro.flow.backend`; ``jobs == 1`` on the default thread
-    backend is strictly serial).  ``backend="process"`` runs each
-    session in a worker process -- pure-Python analyses then scale
-    with cores -- shipping specs as documents and entries as canonical
-    payloads.  All sessions share one workspace; concurrent writers of
+    backend is strictly serial) as ``flow.batch-entry`` tasks, which
+    take specs as documents (or paths) and return entries as canonical
+    payloads; ``backend="process"`` runs each session in a worker
+    process, so pure-Python analyses scale with cores.  All sessions
+    share one workspace; concurrent writers of
     the same content-keyed artifact are safe (atomic rename, identical
     canonical bytes), so the workspace is byte-identical however and
     wherever the batch is scheduled.  A failing spec is reported in
@@ -568,40 +521,26 @@ def run_batch(
     if not specs:
         raise ReproError("batch needs at least one flow spec")
     workspace = Path(workspace)
-    store = ArtifactStore(workspace / "artifacts")
+    # create the workspace up front: the report needs a directory even
+    # when every spec fails before its session writes anything
+    ArtifactStore(workspace / "artifacts")
     start = time.perf_counter()
+    payloads = [
+        {"document": item.to_document(), "workspace": str(workspace)}
+        if isinstance(item, FlowSpec)
+        else {"spec_path": str(item), "workspace": str(workspace)}
+        for item in specs
+    ]
 
     owned = not isinstance(backend, ExecutionBackend)
     engine = as_backend(backend, jobs)
     try:
-        if engine.name == "process":
-            payloads: List[Dict[str, Any]] = []
-            for item in specs:
-                if isinstance(item, FlowSpec):
-                    payloads.append(
-                        {
-                            "document": item.to_document(),
-                            "workspace": str(workspace),
-                        }
-                    )
-                else:
-                    payloads.append(
-                        {
-                            "spec_path": str(item),
-                            "workspace": str(workspace),
-                        }
-                    )
-            entries = [
-                from_payload(payload)
-                for payload in engine.run_tasks_ordered(
-                    "flow.batch-entry", payloads
-                )
-            ]
-        else:
-            entries = engine.map_ordered(
-                lambda item: _batch_entry(item, workspace, store=store),
-                list(specs),
+        entries = [
+            from_payload(payload)
+            for payload in engine.run_tasks_ordered(
+                "flow.batch-entry", payloads
             )
+        ]
     finally:
         if owned:
             engine.close()

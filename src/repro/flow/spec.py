@@ -136,6 +136,21 @@ class ArchSpec:
     noc_wires_per_link: int = 32
     noc_connection_wires: int = 8
 
+    def build(self):
+        """Instantiate the template architecture these parameters name."""
+        return architecture_from_template(
+            self.tiles,
+            self.interconnect,
+            with_ca=self.with_ca,
+            instruction_kb=self.instruction_kb,
+            data_kb=self.data_kb,
+            slave_instruction_kb=self.slave_instruction_kb,
+            slave_data_kb=self.slave_data_kb,
+            fsl_fifo_depth=self.fsl_fifo_depth,
+            noc_wires_per_link=self.noc_wires_per_link,
+            noc_connection_wires=self.noc_connection_wires,
+        )
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -314,19 +329,7 @@ class FlowSpec:
 
     def build_architecture(self):
         """Instantiate the template architecture this spec names."""
-        a = self.architecture
-        return architecture_from_template(
-            a.tiles,
-            a.interconnect,
-            with_ca=a.with_ca,
-            instruction_kb=a.instruction_kb,
-            data_kb=a.data_kb,
-            slave_instruction_kb=a.slave_instruction_kb,
-            slave_data_kb=a.slave_data_kb,
-            fsl_fifo_depth=a.fsl_fifo_depth,
-            noc_wires_per_link=a.noc_wires_per_link,
-            noc_connection_wires=a.noc_connection_wires,
-        )
+        return self.architecture.build()
 
     def to_document(self) -> Dict[str, Any]:
         """The JSON-able document form of this spec.

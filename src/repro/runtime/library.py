@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.arch.area import platform_area
-from repro.arch.template import architecture_from_template
 from repro.artifacts.schema import (
     artifact_digest,
     encode_fraction,
@@ -161,7 +160,7 @@ def build_library(
     analyses = resumed = 0
     infeasible: List[int] = []
     for tiles in sizes:
-        arch = _prefix_architecture(arch_spec, tiles)
+        arch = dataclasses.replace(arch_spec, tiles=tiles).build()
         result_key = evaluation_key(
             app_fp,
             architecture_fingerprint(arch),
@@ -216,7 +215,7 @@ def build_library(
     )
     for point in front.points():
         result = results_by_tiles[point.tiles]
-        arch = _prefix_architecture(arch_spec, point.tiles)
+        arch = dataclasses.replace(arch_spec, tiles=point.tiles).build()
         library.points.append(
             operating_point_from_result(
                 point.label, result, arch, point.area.slices
@@ -231,20 +230,4 @@ def build_library(
         analyses=analyses,
         resumed=resumed,
         infeasible=infeasible,
-    )
-
-
-def _prefix_architecture(arch_spec, tiles: int):
-    """The canonical ``tiles``-sized prefix of the spec's template."""
-    return architecture_from_template(
-        tiles,
-        interconnect=arch_spec.interconnect,
-        with_ca=arch_spec.with_ca,
-        instruction_kb=arch_spec.instruction_kb,
-        data_kb=arch_spec.data_kb,
-        slave_instruction_kb=arch_spec.slave_instruction_kb,
-        slave_data_kb=arch_spec.slave_data_kb,
-        fsl_fifo_depth=arch_spec.fsl_fifo_depth,
-        noc_wires_per_link=arch_spec.noc_wires_per_link,
-        noc_connection_wires=arch_spec.noc_connection_wires,
     )

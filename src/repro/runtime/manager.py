@@ -53,7 +53,7 @@ from repro.flow.fingerprint import application_fingerprint
 from repro.flow.spec import ArchSpec, FlowSpec
 from repro.mapping.pipeline import MappingEffort, map_application
 from repro.runtime.journal import PlatformJournal
-from repro.runtime.library import _prefix_architecture, library_key
+from repro.runtime.library import library_key
 from repro.runtime.points import (
     LIBRARY_KIND,
     OperatingPoint,
@@ -116,8 +116,8 @@ class PlatformManager:
     """Long-lived stateful manager of one architecture.
 
     Thread-safe (one re-entrant lock around every transition); intended
-    to be owned by the service scheduler, which serializes heavy work
-    through its worker pool anyway.  With a ``store``, every transition
+    to be owned by the service scheduler, whose request threads call it
+    directly.  With a ``store``, every transition
     is journaled and :meth:`open` replays a restarted manager to the
     identical state.
     """
@@ -132,7 +132,7 @@ class PlatformManager:
         self.arch_spec = arch_spec
         self.store = store
         self.policy = policy if policy is not None else MigrationPolicy()
-        self.arch = _prefix_architecture(arch_spec, arch_spec.tiles)
+        self.arch = arch_spec.build()
         self.residual = ResidualPlatform(self.arch)
         self._apps: Dict[str, PlacedApp] = {}
         self._libraries: Dict[str, OperatingPointLibrary] = {}

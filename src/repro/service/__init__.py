@@ -8,7 +8,7 @@ once, the service *serves* them cheaply ever after.
 Three layers, each usable on its own:
 
 * :class:`FlowScheduler` (:mod:`repro.service.scheduler`) -- the
-  asyncio core: accepts FlowSpec submissions from any thread,
+  one-lock core: accepts FlowSpec submissions from any thread,
   deduplicates and coalesces identical in-flight requests by
   :func:`~repro.flow.fingerprint.flow_request_key`, runs sessions on a
   bounded :class:`~repro.flow.backend.ExecutionBackend` (threads, or

@@ -117,7 +117,9 @@ def serve(
     ``server.url``.  ``backend="process"`` computes flows on worker
     processes; ``replica`` names this instance in health and job views
     (replicas sharing a workspace need no other coordination -- see
-    docs/service.md).
+    docs/service.md).  When the address cannot be bound, the scheduler
+    (and any warmed worker processes) is closed before the ``OSError``
+    propagates.
     """
     scheduler = FlowScheduler(
         workspace,
@@ -126,7 +128,13 @@ def serve(
         backend=backend,
         replica=replica or None,
     )
-    return FlowServiceServer(scheduler, host=host, port=port, quiet=quiet)
+    try:
+        return FlowServiceServer(
+            scheduler, host=host, port=port, quiet=quiet
+        )
+    except BaseException:
+        scheduler.close()
+        raise
 
 
 class FlowRequestHandler(BaseHTTPRequestHandler):

@@ -1,4 +1,4 @@
-"""Async flow-serving scheduler: dedup, coalescing, artifact fast path.
+"""Flow-serving scheduler: dedup, coalescing, artifact fast path.
 
 The design-time/run-time split of Weichslgartner et al. (PAPERS.md),
 operationalized: mapping artifacts are *computed* once -- by a
@@ -6,9 +6,11 @@ operationalized: mapping artifacts are *computed* once -- by a
 pool -- and *served* cheaply ever after, straight from the workspace's
 :class:`~repro.artifacts.store.ArtifactStore`.
 
-:class:`FlowScheduler` accepts FlowSpec submissions from any thread and
-funnels them through a private asyncio event loop (one dedicated
-thread), which serializes all bookkeeping without locks:
+:class:`FlowScheduler` accepts FlowSpec submissions from any thread.
+Its bookkeeping -- the in-flight and tracked-job maps and the queue
+count -- lives under one :class:`threading.Lock`, which is held only
+for those constant-time decisions, never across a computation, a
+platform call or a future's done-callback:
 
 * **dedup / coalescing** -- requests are keyed by
   :func:`repro.flow.fingerprint.flow_request_key`, the content hash of
@@ -23,6 +25,7 @@ thread), which serializes all bookkeeping without locks:
   plumbing :func:`repro.flow.session.run_batch` fans out on) with at
   most ``max_queue`` jobs queued or running; excess submissions are
   rejected with :class:`QueueFullError` (HTTP 429 at the API layer).
+  A job's future settles it through a done-callback.
   ``backend="process"`` runs each session in a worker *process* --
   specs ship as :meth:`~repro.flow.spec.FlowSpec.to_document` JSON,
   responses come back as canonical payloads, and the pure-Python
@@ -32,10 +35,16 @@ thread), which serializes all bookkeeping without locks:
   writes make concurrent computation of the same key safe, and each
   replica carries an identity (``replica`` in health and job views)
   so per-replica counters stay attributable under load.
-* **per-stage progress** -- each job subscribes to the session's
-  :data:`~repro.flow.session.ProgressCallback`, so a status poll of a
-  running job reports which stage is executing and which stages
-  computed vs resumed.
+* **per-stage progress** -- on the thread backend each job subscribes
+  to the session's :data:`~repro.flow.session.ProgressCallback`, so a
+  status poll of a running job reports which stage is executing and
+  which stages computed vs resumed; a worker process returns its stage
+  records with the response.
+* **the run-time platform** -- admissions, departures and status reads
+  hold a queue slot (admissions count against ``max_queue``) and run on
+  the calling thread; the
+  :class:`~repro.runtime.manager.PlatformManager`'s own lock serializes
+  its transitions.
 
 The served document, :class:`FlowResponse`, is the *deterministic*
 projection of a session result: the canonical mapping payloads per
@@ -49,15 +58,17 @@ for the same spec.
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
+import functools
 import itertools
 import json
 import os
 import threading
-from concurrent.futures import TimeoutError as FutureTimeout
+import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.artifacts.schema import (
     canonical_json,
@@ -191,9 +202,10 @@ register(RESPONSE_KIND, FlowResponse, _encode_response, _decode_response)
 class Job:
     """One scheduled flow request and its (possibly shared) outcome.
 
-    Mutated from two threads -- the scheduler loop (status transitions)
-    and the worker running the session (stage progress) -- so all state
-    lives behind one lock and escapes only as :meth:`view` snapshots.
+    Mutated from several threads -- the submitter and the future's
+    done-callback (status transitions) and the worker running the
+    session (stage progress) -- so all state lives behind the job's own
+    lock and escapes only as :meth:`view` snapshots.
     """
 
     def __init__(
@@ -298,8 +310,18 @@ SERVICE_COUNTS = ("submitted", "coalesced", "artifact_hits", "computed",
 
 
 # ----------------------------------------------------------------------
-# the process-shippable computation
+# the response, computed on either backend
 # ----------------------------------------------------------------------
+def _respond(
+    request_key: str, result: SessionResult, store: ArtifactStore
+) -> str:
+    """Persist the response of one computed session; returns the exact
+    stored document (canonical text + trailing newline)."""
+    payload = to_payload(FlowResponse.from_session(request_key, result))
+    store.put(RESPONSE_KIND, request_key, payload)
+    return canonical_json(payload) + "\n"
+
+
 @backend_task("service.compute-response")
 def _compute_response_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-process side of one flow computation.
@@ -316,11 +338,8 @@ def _compute_response_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     workspace = Path(payload["workspace"])
     store = ArtifactStore(workspace / "artifacts")
     result = execute_spec(spec, workspace, store=store)
-    response = FlowResponse.from_session(payload["request_key"], result)
-    document = to_payload(response)
-    store.put(RESPONSE_KIND, payload["request_key"], document)
     return {
-        "text": canonical_json(document) + "\n",
+        "text": _respond(payload["request_key"], result, store),
         "stages": [
             {
                 "stage": record.stage,
@@ -338,11 +357,10 @@ def _compute_response_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 class FlowScheduler:
     """Accepts FlowSpec submissions; dedups, coalesces, runs, serves.
 
-    Thread-safe facade over a private asyncio loop: every public method
-    may be called from any thread (the HTTP layer calls from its
-    per-connection handler threads).  See the module docstring for the
-    submission semantics; :meth:`close` drains in-flight jobs and shuts
-    the loop and worker pool down.
+    Every public method may be called from any thread (the HTTP layer
+    calls from its per-connection handler threads).  See the module
+    docstring for the submission semantics; :meth:`close` drains
+    in-flight jobs and shuts the worker pool down.
     """
 
     def __init__(
@@ -375,7 +393,7 @@ class FlowScheduler:
         self.history_limit = history_limit
         #: The execution backend ("pool" is its historic name here):
         #: "thread" computes in this process, "process" on worker
-        #: processes (platform operations stay thread-side either way).
+        #: processes.
         self.pool = as_backend(backend, jobs)
         #: Replica identity, surfaced in health and every job view so
         #: load tests can attribute per-replica computed/coalesced
@@ -388,19 +406,14 @@ class FlowScheduler:
         # lock another thread holds mid-operation
         self.pool.warm()
         self.counters = Counters(SERVICE_COUNTS)
+        # guards _jobs, _inflight, _platform, _pending and _closed
+        self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, Job] = {}
         self._platform: Optional[PlatformManager] = None
         self._ids = itertools.count(1)
-        self._pending = 0  # queued + running; loop-thread only
+        self._pending = 0  # queued + running jobs and platform calls
         self._closed = False
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name="flow-scheduler",
-            daemon=True,
-        )
-        self._thread.start()
 
     # ------------------------------------------------------------------
     # public API (any thread)
@@ -417,7 +430,33 @@ class FlowScheduler:
         enqueued; a full queue raises :class:`QueueFullError`.
         """
         spec = self._coerce(request)
-        return self._call(self._submit(spec))
+        key = flow_request_key(spec)
+        with self._lock:
+            self._check_open()
+            self.counters.add("submitted")
+            inflight = self._inflight.get(key)
+            if inflight is not None:
+                # coalesce: one computation fans out to every waiter
+                self.counters.add("coalesced")
+                return inflight.view(coalesced=True)
+            text = self.store.get_text(RESPONSE_KIND, key)
+            if text is not None:
+                # the run-time fast path: served straight from artifacts
+                self.counters.add("artifact_hits")
+                job = self._new_job(key, spec)
+                job.mark_done(SOURCE_ARTIFACTS, text)
+            else:
+                self._take_slot(bounded=True)
+                job = self._inflight[key] = self._new_job(key, spec)
+            view = job.view()
+        if text is None:
+            self._start(job)
+        else:
+            # the document rides along in the submit response -- it is
+            # already in hand, and making the client fetch it by id
+            # would race bounded-history eviction under load
+            view["result"] = json.loads(text)
+        return view
 
     def get(self, job_id: str) -> Dict[str, Any]:
         """Current view of one job; raises :class:`UnknownJobError`."""
@@ -477,25 +516,32 @@ class FlowScheduler:
         must target the same architecture.  Raises
         :class:`~repro.exceptions.AdmissionError` (HTTP 409) when the
         application does not fit the residual platform.  Admission
-        flows through the same bounded queue as flow computations.
+        counts against the same queue bound as flow computations.
         """
         spec = self._coerce(request)
-        return self._call(self._platform_admit(spec), timeout=600.0)
+        with self._platform_slot(spec.architecture, bounded=True) as manager:
+            return manager.admit(spec)
 
     def platform_depart(
         self, app_id: str, migrate: bool = False
     ) -> Dict[str, Any]:
         """Depart ``app_id``; optionally migrate the survivors."""
-        return self._call(
-            self._platform_depart(app_id, migrate), timeout=600.0
-        )
+        with self._platform_slot() as manager:
+            if manager is None:
+                raise UnknownAppError(
+                    f"no platform configured; cannot depart {app_id!r}"
+                )
+            return manager.depart(app_id, migrate)
 
     def platform_status(self) -> Dict[str, Any]:
         """Full platform state (``GET /v1/platform``)."""
-        return self._call(self._platform_status())
+        with self._platform_slot() as manager:
+            if manager is None:
+                return {"configured": False}
+            return manager.status()
 
     def close(self, timeout: float = 60.0) -> None:
-        """Drain in-flight jobs, stop the loop, shut the pool down.
+        """Drain in-flight jobs, shut the pool down.
 
         Bounded by ``timeout``: if the drain times out (a wedged job),
         the pool is released without joining its workers, so the caller
@@ -504,19 +550,16 @@ class FlowScheduler:
         processes (and cancels queued work), so an interrupted
         ``repro serve`` leaves no orphaned children behind a hung job.
         """
-        if self._closed:
-            return
-        self._closed = True
-        drained = True
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self._drain(), self._loop
-            ).result(timeout)
-        except Exception:  # noqa: BLE001 - best-effort drain; shutdown
-            drained = False  # proceed; don't wait on the hung job twice
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        self._loop.close()
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            inflight = list(self._inflight.values())
+        deadline = time.monotonic() + timeout
+        drained = all(
+            job.done.wait(max(0.0, deadline - time.monotonic()))
+            for job in inflight
+        )
         self.pool.close(wait=drained)
 
     def __enter__(self) -> "FlowScheduler":
@@ -526,64 +569,45 @@ class FlowScheduler:
         self.close()
 
     # ------------------------------------------------------------------
-    # loop-side internals
+    # internals
     # ------------------------------------------------------------------
-    async def _submit(self, spec: FlowSpec) -> Dict[str, Any]:
-        self.counters.add("submitted")
-        key = flow_request_key(spec)
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            # coalesce: one computation fans out to every waiter
-            self.counters.add("coalesced")
-            return inflight.view(coalesced=True)
-        text = self.store.get_text(RESPONSE_KIND, key)
-        if text is not None:
-            # the run-time fast path: served straight from artifacts.
-            # The document rides along in the submit response -- it is
-            # already in hand, and making the client fetch it by id
-            # would race bounded-history eviction under load.
-            self.counters.add("artifact_hits")
-            job = self._new_job(key, spec)
-            job.mark_done(SOURCE_ARTIFACTS, text)
-            view = job.view()
-            view["result"] = json.loads(text)
-            return view
-        if self._pending >= self.max_queue:
-            raise QueueFullError(
-                f"queue full: {self._pending} job(s) pending "
-                f"(max {self.max_queue}); retry later"
-            )
-        job = self._new_job(key, spec)
-        self._inflight[key] = job
-        self._pending += 1
-        asyncio.ensure_future(self._run(job), loop=self._loop)
-        return job.view()
-
-    async def _run(self, job: Job) -> None:
+    def _start(self, job: Job) -> None:
+        """Dispatch an enqueued job; its future's done-callback settles
+        it.  Called without the lock: a future that has already
+        finished runs the callback inline."""
         try:
             if self.pool.name == "process":
                 # the job leaves this process: mark it running at
                 # dispatch (no cross-process progress stream) and
                 # backfill its stage records with the result
                 job.mark_running()
-                outcome = await asyncio.wrap_future(
-                    self.pool.submit_task(
-                        "service.compute-response",
-                        {
-                            "document": job.spec.to_document(),
-                            "workspace": str(self.workspace),
-                            "request_key": job.request_key,
-                        },
-                    )
+                future = self.pool.submit_task(
+                    "service.compute-response",
+                    {
+                        "document": job.spec.to_document(),
+                        "workspace": str(self.workspace),
+                        "request_key": job.request_key,
+                    },
                 )
-                job.replace_stages(outcome["stages"])
-                text = outcome["text"]
             else:
-                text = await asyncio.wrap_future(
-                    self.pool.submit(self._compute, job)
-                )
+                # thread-side on purpose: _compute streams per-stage
+                # progress into the job, which a worker process cannot
+                future = self.pool.submit(self._compute, job)
+        except Exception as error:  # noqa: BLE001 - a closed or broken
+            # pool fails the job like any other error
+            future = Future()
+            future.set_exception(error)
+        future.add_done_callback(functools.partial(self._settle, job))
+
+    def _settle(self, job: Job, future: Future) -> None:
+        """Done-callback: record a job's outcome and free its slot."""
+        try:
+            outcome = future.result()
+            if self.pool.name == "process":
+                job.replace_stages(outcome["stages"])
+                outcome = outcome["text"]
         except Exception as error:  # noqa: BLE001 - job outcomes are
-            # reported through the job, never crash the scheduler loop
+            # reported through the job, never raised into the pool
             detail = (
                 str(error)
                 if isinstance(error, ReproError)
@@ -592,72 +616,40 @@ class FlowScheduler:
             job.mark_failed(detail)
             self.counters.add("failed")
         else:
-            job.mark_done(SOURCE_COMPUTED, text)
+            job.mark_done(SOURCE_COMPUTED, outcome)
             self.counters.add("computed")
-        finally:
+        with self._lock:
             self._pending -= 1
-            self._inflight.pop(job.request_key, None)
+            del self._inflight[job.request_key]
 
-    def _ensure_platform(self, arch_spec=None) -> Optional[PlatformManager]:
-        """Loop-thread only: resume or configure the platform manager.
+    @contextlib.contextmanager
+    def _platform_slot(
+        self, arch_spec=None, bounded: bool = False
+    ) -> Iterator[Optional[PlatformManager]]:
+        """Yield the platform manager, holding a queue slot meanwhile.
 
-        With a journaled platform in the workspace, the manager replays
-        it (zero analyses); otherwise ``arch_spec`` (when given)
-        configures a fresh one.
+        The first call resumes the workspace's journaled platform, or
+        configures a fresh one from ``arch_spec`` (when given); with
+        neither, the manager is ``None`` and no slot is taken.  Opening
+        happens once, under the lock, so two first calls cannot both
+        journal a configuration; the caller then runs on the manager
+        without the lock.
         """
-        if self._platform is None:
-            self._platform = PlatformManager.open(
-                store=self.store, arch_spec=arch_spec
-            )
-        return self._platform
-
-    async def _platform_admit(self, spec: FlowSpec) -> Dict[str, Any]:
-        manager = self._ensure_platform(spec.architecture)
-        if self._pending >= self.max_queue:
-            raise QueueFullError(
-                f"queue full: {self._pending} job(s) pending "
-                f"(max {self.max_queue}); retry later"
-            )
-        self._pending += 1
+        with self._lock:
+            self._check_open()
+            if self._platform is None:
+                self._platform = PlatformManager.open(
+                    store=self.store, arch_spec=arch_spec
+                )
+            manager = self._platform
+            if manager is not None:
+                self._take_slot(bounded)
         try:
-            # admission may run a spiral fallback analysis: worker pool,
-            # like any other heavy job (library hits return in ~ms)
-            return await asyncio.wrap_future(
-                self.pool.submit(manager.admit, spec)
-            )
+            yield manager
         finally:
-            self._pending -= 1
-
-    async def _platform_depart(
-        self, app_id: str, migrate: bool
-    ) -> Dict[str, Any]:
-        manager = self._ensure_platform()
-        if manager is None:
-            raise UnknownAppError(
-                f"no platform configured; cannot depart {app_id!r}"
-            )
-        self._pending += 1
-        try:
-            return await asyncio.wrap_future(
-                self.pool.submit(manager.depart, app_id, migrate)
-            )
-        finally:
-            self._pending -= 1
-
-    async def _platform_status(self) -> Dict[str, Any]:
-        manager = self._ensure_platform()
-        if manager is None:
-            return {"configured": False}
-        return manager.status()
-
-    async def _drain(self) -> None:
-        tasks = [
-            task
-            for task in asyncio.all_tasks(self._loop)
-            if task is not asyncio.current_task()
-        ]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+            if manager is not None:
+                with self._lock:
+                    self._pending -= 1
 
     # ------------------------------------------------------------------
     # worker-side
@@ -676,14 +668,10 @@ class FlowScheduler:
             store=self.store,
             progress=job.record_progress,
         )
-        response = FlowResponse.from_session(job.request_key, result)
-        payload = to_payload(response)
-        self.store.put(RESPONSE_KIND, job.request_key, payload)
-        # exactly the stored document: canonical text + trailing newline
-        return canonical_json(payload) + "\n"
+        return _respond(job.request_key, result, self.store)
 
     # ------------------------------------------------------------------
-    # helpers
+    # helpers (lock held where noted)
     # ------------------------------------------------------------------
     def _coerce(
         self, request: Union[FlowSpec, Dict[str, Any], str, Path]
@@ -694,27 +682,20 @@ class FlowScheduler:
             return FlowSpec.from_dict(request)
         return load_flow_spec(request)
 
-    def _call(self, coro, timeout: float = 30.0) -> Any:
-        """Run one coroutine on the loop from any thread, bounded.
-
-        The scheduler coroutines only do bookkeeping (never a session),
-        so a healthy loop answers in microseconds; the timeout exists
-        for the shutdown race, where a submission lands after
-        :meth:`close` stopped the loop and its callback would otherwise
-        never run -- the caller gets an error instead of a hung thread.
-        """
+    def _check_open(self) -> None:
+        """Lock held: refuse work once :meth:`close` has begun."""
         if self._closed:
-            coro.close()
             raise FlowServiceError("scheduler is closed")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return future.result(timeout)
-        except FutureTimeout:
-            future.cancel()
-            raise FlowServiceError(
-                f"scheduler did not respond within {timeout:g}s "
-                "(shutting down?)"
-            ) from None
+
+    def _take_slot(self, bounded: bool) -> None:
+        """Lock held: count one more queued or running job or platform
+        call; a ``bounded`` caller is refused at ``max_queue``."""
+        if bounded and self._pending >= self.max_queue:
+            raise QueueFullError(
+                f"queue full: {self._pending} job(s) pending "
+                f"(max {self.max_queue}); retry later"
+            )
+        self._pending += 1
 
     def _job(self, job_id: str) -> Job:
         job = self._jobs.get(job_id)
@@ -723,7 +704,8 @@ class FlowScheduler:
         return job
 
     def _new_job(self, key: str, spec: FlowSpec) -> Job:
-        """Track a new job, evicting the oldest *finished* ones.
+        """Lock held: track a new job, evicting the oldest *finished*
+        ones.
 
         Job views (and their response texts) are transient serving
         state -- the durable record is the workspace artifact -- so the
@@ -731,7 +713,6 @@ class FlowScheduler:
         server's memory stays flat under sustained traffic.  Queued and
         running jobs are never evicted; a status poll for an evicted id
         gets 404, and resubmitting the request is an artifact hit.
-        Loop-thread only, like all ``_jobs`` mutations.
         """
         job = Job(
             f"job-{next(self._ids):06d}", key, spec, replica=self.replica

@@ -197,17 +197,6 @@ class TestProcessBackend:
             with pytest.raises(BackendError, match="registered tasks"):
                 pool.map_ordered(lambda x: x, [1])
 
-    def test_submit_runs_locally_for_unpicklable_work(self):
-        state = {"hit": False}
-
-        def bump():
-            state["hit"] = True
-            return os.getpid()
-
-        with ProcessBackend(1) as pool:
-            assert pool.submit(bump).result() == os.getpid()
-        assert state["hit"]
-
     def test_close_without_wait_terminates_workers(self):
         pool = ProcessBackend(1)
         # park the single worker on a long sleep, then abandon it

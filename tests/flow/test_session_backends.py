@@ -11,8 +11,7 @@ from typing import Dict
 
 import pytest
 
-from repro.artifacts import to_payload
-from repro.flow import execute_spec, execute_spec_on, run_batch
+from repro.flow import run_batch
 from repro.scenarios import generate_scenarios, scenario_flow_spec
 
 
@@ -22,21 +21,6 @@ def specs():
         scenario_flow_spec(spec)
         for spec in generate_scenarios("chain", 2, seed=93, actors=5)
     ]
-
-
-def without_timing(payload):
-    """The payload minus wall-clock and workspace-path fields -- the
-    only parts of a session result that legitimately differ between
-    two runs of the same spec."""
-    if isinstance(payload, dict):
-        return {
-            key: without_timing(value)
-            for key, value in payload.items()
-            if key not in ("seconds", "elapsed_seconds", "workspace")
-        }
-    if isinstance(payload, list):
-        return [without_timing(value) for value in payload]
-    return payload
 
 
 def artifact_tree(workspace: Path) -> Dict[str, bytes]:
@@ -91,28 +75,3 @@ class TestRunBatchBackends:
         assert report.ok
         assert report.entries[0].spec == str(path)
 
-
-class TestExecuteSpecOn:
-    def test_thread_path_is_execute_spec(self, tmp_path, specs):
-        direct = execute_spec(specs[0], tmp_path / "direct")
-        routed = execute_spec_on(specs[0], tmp_path / "routed")
-        assert without_timing(to_payload(routed)) == without_timing(
-            to_payload(direct)
-        )
-        assert artifact_tree(tmp_path / "routed") == artifact_tree(
-            tmp_path / "direct"
-        )
-
-    def test_process_result_decodes_to_the_same_payload(
-        self, tmp_path, specs
-    ):
-        thread = execute_spec_on(specs[0], tmp_path / "t")
-        process = execute_spec_on(
-            specs[0], tmp_path / "p", backend="process"
-        )
-        assert without_timing(to_payload(process)) == without_timing(
-            to_payload(thread)
-        )
-        assert artifact_tree(tmp_path / "p") == artifact_tree(
-            tmp_path / "t"
-        )

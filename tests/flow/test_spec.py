@@ -173,6 +173,38 @@ class TestRealization:
         assert len(arch.tiles) == 3
         assert arch.tile("tile1").data_memory.capacity_bytes == 64 * 1024
 
+    def test_arch_spec_build_is_the_template_prefix(self):
+        import dataclasses
+
+        from repro.arch.template import architecture_from_template
+        from repro.flow import architecture_fingerprint
+
+        spec = FlowSpec.from_dict(
+            {
+                "architecture": {
+                    "tiles": 4,
+                    "interconnect": "noc",
+                    "with_ca": False,
+                    "data_kb": 16,
+                    "noc_wires_per_link": 16,
+                }
+            }
+        )
+        assert architecture_fingerprint(
+            spec.build_architecture()
+        ) == architecture_fingerprint(spec.architecture.build())
+        prefix = dataclasses.replace(spec.architecture, tiles=2).build()
+        assert len(prefix.tiles) == 2
+        assert architecture_fingerprint(prefix) == architecture_fingerprint(
+            architecture_from_template(
+                2,
+                "noc",
+                with_ca=False,
+                data_kb=16,
+                noc_wires_per_link=16,
+            )
+        )
+
     def test_from_spec_runs_the_flow(self, tmp_path):
         path = tmp_path / "scenario.toml"
         path.write_text(

@@ -11,7 +11,6 @@ from repro.runtime import (
     ResidualPlatform,
     find_placement,
 )
-from repro.runtime.library import _prefix_architecture
 
 from tests.runtime.conftest import ARCH_FSL, ARCH_NOC
 
@@ -35,12 +34,12 @@ def point(tiles, channels=(), interconnect="fsl", memory=None):
 
 @pytest.fixture
 def fsl_platform():
-    return ResidualPlatform(_prefix_architecture(ARCH_FSL, 4))
+    return ResidualPlatform(ARCH_FSL.build())
 
 
 @pytest.fixture
 def noc_platform():
-    return ResidualPlatform(_prefix_architecture(ARCH_NOC, 4))
+    return ResidualPlatform(ARCH_NOC.build())
 
 
 class TestClaims:

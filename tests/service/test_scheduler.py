@@ -216,6 +216,115 @@ class TestCoalescing:
             done = s.wait(first["id"], timeout=120)
             assert done["status"] == "done"
 
+    def test_queue_bound_rejects_platform_admissions(
+        self, tmp_path, monkeypatch
+    ):
+        release = threading.Event()
+
+        with FlowScheduler(tmp_path / "ws", jobs=1, max_queue=1) as s:
+            original = FlowScheduler._compute
+
+            def blocked(self, job):
+                assert release.wait(timeout=60)
+                return original(self, job)
+
+            monkeypatch.setattr(FlowScheduler, "_compute", blocked)
+            first = s.submit(SOLO)
+            assert first["status"] in ("queued", "running")
+            with pytest.raises(QueueFullError, match="queue full"):
+                s.platform_admit(SOLO)
+            release.set()
+            assert s.wait(first["id"], timeout=120)["status"] == "done"
+
+    def test_bookkeeping_holds_under_contention(self, tmp_path,
+                                                monkeypatch):
+        """More submitters than cores and a short switch interval: each
+        key computes once, every submission is accounted for, and every
+        queue slot comes back."""
+        import sys
+        import time
+
+        def stub(self, job):
+            time.sleep(0.005)
+            payload = {"schema_version": 1, "kind": RESPONSE_KIND}
+            self.store.put(RESPONSE_KIND, job.request_key, payload)
+            return canonical_json(payload) + "\n"
+
+        monkeypatch.setattr(FlowScheduler, "_compute", stub)
+        documents = [dict(SOLO, name=f"s{n}") for n in range(64)]
+        threads_n, rounds = 8, len(documents)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with FlowScheduler(tmp_path / "ws", jobs=4,
+                               max_queue=64) as s:
+                def client(offset):
+                    try:
+                        for i in range(rounds):
+                            view = s.submit(
+                                documents[(offset + i) % len(documents)]
+                            )
+                            s.wait(view["id"], timeout=60)
+                    except Exception as error:  # pragma: no cover
+                        errors.append(error)
+
+                threads = [
+                    threading.Thread(target=client, args=(n,))
+                    for n in range(threads_n)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                counts = s.counters.snapshot()
+                health = s.health()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert counts["computed"] == len(documents)
+        assert counts["failed"] == 0
+        assert counts["submitted"] == threads_n * rounds
+        assert counts["submitted"] == (
+            counts["coalesced"] + counts["artifact_hits"]
+            + counts["computed"]
+        )
+        assert health["queue_depth"] == 0
+
+
+class TestPlatformCalls:
+    def test_platform_calls_run_on_the_calling_thread(
+        self, tmp_path, monkeypatch
+    ):
+        """No loop or auxiliary pool: admit, status and depart run on
+        the thread that called them, and each gives its queue slot
+        back."""
+        from repro.runtime.manager import PlatformManager
+
+        seen = []
+
+        def recorder(name):
+            def call(self, *args):
+                seen.append((name, threading.get_ident()))
+                return {"call": name}
+            return call
+
+        for name in ("admit", "status", "depart"):
+            monkeypatch.setattr(PlatformManager, name, recorder(name))
+        before = set(threading.enumerate())
+        with FlowScheduler(tmp_path / "ws", jobs=1, max_queue=1) as s:
+            assert s.platform_status() == {"configured": False}
+            assert s.platform_admit(SOLO) == {"call": "admit"}
+            assert s.platform_status() == {"call": "status"}
+            assert s.platform_depart("solo") == {"call": "depart"}
+            assert s.health()["queue_depth"] == 0
+            assert set(threading.enumerate()) == before
+        me = threading.get_ident()
+        assert seen == [
+            ("admit", me), ("status", me), ("depart", me)
+        ]
+
 
 class TestShutdown:
     def test_close_is_bounded_by_a_wedged_job(self, tmp_path,

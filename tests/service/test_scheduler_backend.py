@@ -259,6 +259,25 @@ class TestPromptShutdown:
                 time.sleep(0.1)
             assert not _alive(pid), f"orphaned worker {pid}"
 
+    def test_serve_closes_its_scheduler_when_the_port_is_taken(
+        self, tmp_path
+    ):
+        import multiprocessing
+        import socket
+
+        from repro.service import serve
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(OSError):
+                serve(tmp_path / "ws", port=port, backend="process")
+        assert multiprocessing.active_children() == []
+        assert not any(
+            t.name == "flow-scheduler" for t in threading.enumerate()
+        )
+
 
 def _alive(pid: int) -> bool:
     try:

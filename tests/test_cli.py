@@ -697,33 +697,6 @@ class TestBackendFlags:
         ) == 1
         assert "constraint must be > 0" in capsys.readouterr().out
 
-    def test_run_process_backend_needs_workspace(self, tmp_path, capsys):
-        spec = self.write_spec(tmp_path)
-        assert main(
-            ["run", "--spec", str(spec), "--backend", "process"]
-        ) == 1
-        assert "--workspace" in capsys.readouterr().err
-
-    def test_run_process_backend_matches_thread_run(self, tmp_path,
-                                                    capsys):
-        spec = self.write_spec(tmp_path)
-        assert main(
-            ["run", "--spec", str(spec), "--json",
-             "--workspace", str(tmp_path / "t")]
-        ) == 0
-        thread = json.loads(capsys.readouterr().out)
-        assert main(
-            ["run", "--spec", str(spec), "--json",
-             "--workspace", str(tmp_path / "p"),
-             "--backend", "process"]
-        ) == 0
-        process = json.loads(capsys.readouterr().out)
-        assert process["kind"] == thread["kind"] == "session-result"
-        assert process["spec_name"] == thread["spec_name"]
-        assert [s["stage"] for s in process["stages"]] == [
-            s["stage"] for s in thread["stages"]
-        ]
-
     def test_batch_process_backend(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)
         assert main(
