@@ -8,9 +8,12 @@ a one-shot sweep:
   interconnect kind, communication-assist usage, heterogeneous tile
   memory mixes and mapping effort level;
 * :class:`Evaluator` runs one candidate through the conservative mapping
-  analysis (:func:`repro.mapping.pipeline.map_application`) behind a
+  analysis (:meth:`repro.mapping.pipeline.MappingPipeline.run`) behind a
   content-addressed :class:`EvaluationCache`, so repeated sweeps and
-  overlapping multi-application studies never re-analyze the same point;
+  overlapping multi-application studies never re-analyze the same point,
+  and candidates that build the same bound graph (extra tiles left
+  empty) share its static orders and throughput analysis through the
+  cache's round memo;
 * :class:`ParallelExplorer` fans evaluations out over
   ``concurrent.futures`` workers with deterministic result ordering,
   optional early exit at the first constraint-satisfying point, and an
@@ -63,8 +66,8 @@ from repro.flow.fingerprint import (
 from repro.mapping.pipeline import (
     DEFAULT_STRATEGIES,
     MappingEffort,
+    RoundMemo,
     StrategyTuple,
-    map_application,
 )
 from repro.power import (
     EnergyEstimate,
@@ -73,6 +76,7 @@ from repro.power import (
     application_energy,
     platform_power,
 )
+from repro.sdf.throughput import UnboundedExecutionError
 
 
 # ----------------------------------------------------------------------
@@ -434,12 +438,22 @@ class EvaluationCache:
     so any two evaluations of the *same analysis problem* share an entry,
     regardless of which sweep, explorer or application object asked.
     Thread-safe: parallel workers share one instance.
+
+    :attr:`rounds` is the mapping-round memo the evaluators hand to
+    :meth:`~repro.mapping.pipeline.MappingPipeline.run`: bound-graph
+    content key -> static orders and throughput result.  It lives in
+    memory only, is never persisted, and :meth:`clear` empties it, so
+    it lasts exactly as long as the cache.  Its lookups are not cache
+    lookups and do not touch :attr:`stats`.  Threads share it without
+    the lock: an entry is a pure function of its key, so a race at
+    worst computes one round twice.
     """
 
     def __init__(self) -> None:
         self._store: Dict[str, EvaluationOutcome] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
+        self.rounds: RoundMemo = {}
 
     def get(self, key: str) -> Optional[EvaluationOutcome]:
         with self._lock:
@@ -457,6 +471,7 @@ class EvaluationCache:
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
+            self.rounds.clear()
             self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -533,17 +548,26 @@ class Evaluator:
         with self._count_lock:
             self.evaluations += 1
         try:
-            result = map_application(
+            result = candidate.strategy.build_pipeline().run(
                 self.app,
                 arch,
                 constraint=self.constraint,
                 fixed=self.fixed,
                 effort=effort,
-                pipeline=candidate.strategy.build_pipeline(),
+                memo=self.cache.rounds,
             )
         except (MappingError, RoutingError) as error:
             outcome = EvaluationOutcome(
                 label=candidate.label, reason=str(error)
+            )
+        except UnboundedExecutionError:
+            outcome = EvaluationOutcome(
+                label=candidate.label,
+                reason=(
+                    "throughput analysis found no periodic phase within "
+                    f"the {effort.max_iterations}-iteration budget; raise "
+                    "it with --max-iterations or a higher --effort"
+                ),
             )
         else:
             outcome = self._score(candidate, arch, result)
@@ -1079,7 +1103,8 @@ def explore_design_space(
 ) -> ExplorationResult:
     """Evaluate every template configuration in the sweep.
 
-    Points whose mapping fails (memory infeasible, unroutable) are
+    Points whose mapping fails (memory infeasible, unroutable, or a
+    state space that outruns the effort's iteration budget) are
     recorded as failures rather than raising -- an exploration should
     report the whole space.  Pass a shared :class:`EvaluationCache` to
     reuse results across sweeps and applications, ``jobs`` to evaluate

@@ -22,7 +22,7 @@ from repro.appmodel.implementation import ActorImplementation
 from repro.appmodel.model import ApplicationModel
 from repro.arch.platform import ArchitectureModel
 from repro.exceptions import MappingError
-from repro.mapping.costs import CostWeights, binding_cost
+from repro.mapping.costs import CostWeights, _binding_cost
 from repro.sdf.repetition import repetition_vector
 
 #: Instruction-memory footprint of the generated scheduler + communication
@@ -104,8 +104,8 @@ def bind_actors(
             if not _memory_fits(app, arch, tile.name, trial_actors,
                                 trial_impls):
                 continue
-            cost = binding_cost(
-                app, arch, actor, tile.name, tile.pe_type,
+            cost = _binding_cost(
+                app, arch, q, actor, tile.name, tile.pe_type,
                 binding, load, memory_used, weights,
             )
             candidates.append((cost, tile.name, impl))

@@ -14,6 +14,7 @@ platform simulator) can only be as fast or faster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.appmodel.implementation import ActorImplementation
@@ -33,6 +34,7 @@ from repro.exceptions import MappingError
 from repro.mapping.spec import ChannelMapping
 from repro.sdf.buffers import BUFFER_EDGE_PREFIX
 from repro.sdf.graph import SDFGraph
+from repro.sdf.repetition import repetition_vector
 
 
 def ca_resource_name(tile: str) -> str:
@@ -62,6 +64,16 @@ class BoundGraph:
     processor_of: Dict[str, str]
     app_actors: Tuple[str, ...]
     comm_names: Dict[str, CommActorNames] = field(default_factory=dict)
+
+    @cached_property
+    def repetitions(self) -> Dict[str, int]:
+        """The graph's repetition vector, computed on first use.
+
+        Buffer growth (:func:`apply_buffer_capacities`) only retunes
+        initial tokens, never rates or structure, so one vector serves
+        every round of a mapping run.
+        """
+        return repetition_vector(self.graph)
 
     def app_actors_on(self, tile: str) -> Tuple[str, ...]:
         return tuple(

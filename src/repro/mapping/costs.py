@@ -134,8 +134,27 @@ def binding_cost(
     ``binding`` maps already-placed actors to tiles; ``load`` and
     ``memory_used`` track per-tile cycles-per-iteration and bytes.
     """
+    return _binding_cost(
+        app, arch, repetition_vector(app.graph), actor, tile_name,
+        pe_type, binding, load, memory_used, weights,
+    )
+
+
+def _binding_cost(
+    app: ApplicationModel,
+    arch: ArchitectureModel,
+    q: Dict[str, int],
+    actor: str,
+    tile_name: str,
+    pe_type: str,
+    binding: Dict[str, str],
+    load: Dict[str, int],
+    memory_used: Dict[str, int],
+    weights: Optional[CostWeights],
+) -> float:
+    """:func:`binding_cost` under the application's repetition vector
+    ``q``, which a binder computes once for all its trials."""
     w = weights or CostWeights()
-    q = repetition_vector(app.graph)
     return (
         w.processing
         * _processing_term(app, q, actor, tile_name, pe_type, load)

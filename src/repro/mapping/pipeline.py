@@ -25,11 +25,19 @@ over it, and :class:`MappingEffort` is the only way to size a run.
 configuration -- the design-space exploration engine embeds it in cache
 keys so two evaluations of the same platform under different strategies
 never collide.
+
+A caller that maps many platforms (the design-space exploration engine)
+can hand :meth:`MappingPipeline.run` a :data:`RoundMemo`: each round of
+the constraint loop is then keyed by :func:`round_key`, a digest of the
+bound graph's content, and a round whose bound graph was already
+analyzed reuses its static orders and throughput result instead of
+deriving and analyzing them again.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -63,6 +71,7 @@ from repro.mapping.scheduling import build_static_orders
 from repro.mapping.spec import ChannelMapping, Mapping, MappingResult
 from repro.sdf.engine import ThroughputEngine
 from repro.sdf.repetition import repetition_vector
+from repro.sdf.throughput import ThroughputResult
 
 
 # ----------------------------------------------------------------------
@@ -842,6 +851,47 @@ DEFAULT_STRATEGIES = StrategyTuple()
 
 
 # ----------------------------------------------------------------------
+# round reuse
+# ----------------------------------------------------------------------
+#: :func:`round_key` -> what that round computed: the static orders and
+#: the throughput result, or ``None`` when the bound graph deadlocked.
+RoundMemo = Dict[
+    str, Optional[Tuple[Dict[str, List[str]], ThroughputResult]]
+]
+
+_UNSEEN = object()
+
+
+def round_key(
+    bound: BoundGraph, max_iterations: int, strategies: StrategyTuple
+) -> str:
+    """Content key of one constraint-loop round.
+
+    A sha256 over everything the round's static orders and throughput
+    analysis read: actors in graph order (execution time, concurrency),
+    edges in graph order (endpoints, rates, *current* initial tokens),
+    the resource binding in insertion order (it fixes the simulator's
+    interleaving priority), the application actors, the analysis
+    iteration budget and the strategy tuple.  Two platforms whose extra
+    tiles stay empty build equal bound graphs, hence equal keys.
+    """
+    graph = bound.graph
+    content = (
+        [(a.name, a.execution_time, a.concurrency) for a in graph.actors],
+        [
+            (e.name, e.src, e.dst, e.production, e.consumption,
+             e.initial_tokens)
+            for e in graph.edges
+        ],
+        list(bound.processor_of.items()),
+        bound.app_actors,
+        max_iterations,
+        strategies.cache_token(),
+    )
+    return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
+
+
+# ----------------------------------------------------------------------
 # the pipeline
 # ----------------------------------------------------------------------
 class MappingPipeline:
@@ -907,9 +957,18 @@ class MappingPipeline:
         ] = None,
         strict: bool = False,
         effort: Union[str, MappingEffort] = "normal",
+        memo: Optional[RoundMemo] = None,
     ) -> MappingResult:
         """Map ``app`` onto ``arch``; see :func:`map_application` for the
-        parameters."""
+        parameters.
+
+        ``memo`` shares round outcomes across runs: a round whose
+        :func:`round_key` is already in it skips static-order derivation
+        and throughput analysis, and a new key's outcome is stored.  The
+        caller owns its lifetime; without one every round is computed.
+        Keys name the stages by registry name, so pipelines built from
+        unregistered stage instances must not share a memo.
+        """
         budget = MappingEffort.of(effort)
         if constraint is None:
             constraint = app.throughput_constraint
@@ -931,6 +990,7 @@ class MappingPipeline:
         bound = None
         analyzer = None
         analyzer_orders = None
+        strategies = self.strategies
         for round_index in range(budget.max_buffer_rounds + 1):
             if bound is None:
                 bound = build_bound_graph(
@@ -939,22 +999,35 @@ class MappingPipeline:
                 )
             else:
                 apply_buffer_capacities(bound, app, channels)
-            try:
-                orders = self.scheduling.build(bound)
-                if analyzer is None or orders != analyzer_orders:
-                    analyzer = ThroughputEngine(
-                        bound.graph,
-                        processor_of=bound.processor_of,
-                        static_order=orders,
-                        reference_actor=bound.app_actors[0],
-                        max_iterations=budget.max_iterations,
-                    )
-                    analyzer_orders = orders
-                result = analyzer.analyze()
-            except DeadlockError:
+            key = None
+            entry = _UNSEEN
+            if memo is not None:
+                key = round_key(bound, budget.max_iterations, strategies)
+                entry = memo.get(key, _UNSEEN)
+            if entry is _UNSEEN:
+                try:
+                    orders = self.scheduling.build(bound)
+                    if analyzer is None or orders != analyzer_orders:
+                        analyzer = ThroughputEngine(
+                            bound.graph,
+                            processor_of=bound.processor_of,
+                            static_order=orders,
+                            reference_actor=bound.app_actors[0],
+                            max_iterations=budget.max_iterations,
+                        )
+                        analyzer_orders = orders
+                    entry = (orders, analyzer.analyze())
+                except DeadlockError:
+                    entry = None
+                if key is not None:
+                    memo[key] = entry
+            if entry is None:
                 self.buffer_policy.grow(channels, round_index)
                 rounds_used = round_index + 1
                 continue
+            shared_orders, result = entry
+            # a copy per round: no two results share the memo's lists
+            orders = {t: list(order) for t, order in shared_orders.items()}
 
             if best is None or result.throughput > best[0].throughput:
                 best = (

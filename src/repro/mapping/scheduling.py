@@ -25,7 +25,6 @@ from typing import Dict, List
 
 from repro.exceptions import DeadlockError
 from repro.mapping.bound_graph import BoundGraph
-from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
 
 
@@ -38,7 +37,7 @@ def build_static_orders(bound: BoundGraph) -> Dict[str, List[str]]:
     iteration (usually: buffers too small), so the flow can grow buffers
     and retry.
     """
-    q = repetition_vector(bound.graph)
+    q = bound.repetitions
     remaining = {a: q[a] for a in bound.app_actors}
     tile_of = bound.processor_of
     sim = SelfTimedSimulator(
