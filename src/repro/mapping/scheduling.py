@@ -10,13 +10,14 @@ relative to the greedy run, and the subsequent throughput analysis of the
 ordered graph provides the actual guarantee.
 
 The run is the shared :class:`~repro.sdf.simulation.SelfTimedSimulator`'s
-countdown loop, :meth:`~repro.sdf.simulation.SelfTimedSimulator.run_until`,
-with a trace: it stops once every application actor has completed its
-repetition count, and each tile's order is the completion order of its
-application firings, capped at the repetition count of each actor.  A tile
-executes one firing at a time, so this is its start order; the two can
-differ only among zero-duration firings in flight together, where
-completion order follows start order.
+countdown loop, :meth:`~repro.sdf.simulation.SelfTimedSimulator.run_until`:
+it stops once every application actor has completed its repetition count,
+and each tile's order is the completion order of its application firings
+as the loop counts them down, capped at the repetition count of each
+actor.  A tile executes one firing at a time, so this is its start order;
+the two can differ only among zero-duration firings in flight together,
+where completion order follows start order.  No trace is kept, so the
+unbound communication actors fire by arithmetic.
 """
 
 from __future__ import annotations
@@ -40,20 +41,19 @@ def build_static_orders(bound: BoundGraph) -> Dict[str, List[str]]:
     q = bound.repetitions
     remaining = {a: q[a] for a in bound.app_actors}
     tile_of = bound.processor_of
-    sim = SelfTimedSimulator(
-        bound.graph, processor_of=tile_of, record_trace=True
-    )
+    sim = SelfTimedSimulator(bound.graph, processor_of=tile_of)
+    completions: List[str] = []
     # Raises DeadlockError when the greedy execution blocks first.
-    sim.run_until(remaining, max(sum(q.values()) * 3, 100_000))
-    orders: Dict[str, List[str]] = {tile: [] for tile in bound.tiles()}
-    for firing in sim.trace.firings:
-        if remaining.get(firing.actor):
-            remaining[firing.actor] -= 1
-            orders[tile_of[firing.actor]].append(firing.actor)
-    if any(remaining.values()):
+    sim.run_until(
+        remaining, max(sum(q.values()) * 3, 100_000), completions
+    )
+    if len(completions) < sum(remaining.values()):
         raise DeadlockError(
             f"greedy execution of {bound.graph.name!r} could not "
             "complete one iteration within its step budget while "
             "deriving static orders"
         )
+    orders: Dict[str, List[str]] = {tile: [] for tile in bound.tiles()}
+    for actor in completions:
+        orders[tile_of[actor]].append(actor)
     return orders

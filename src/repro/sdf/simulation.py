@@ -41,6 +41,27 @@ with ``record_trace`` it also appends one :class:`Firing` per completion).
 the same start and finish code.  Duration hooks are per actor, so only the
 platform simulator's application actors pay for one.
 
+Instants and passes.  Every heap entry is keyed by a *stamp*, ``time <<
+_PASS_BITS | pass``: a firing of positive duration ends in pass 1 of its
+end time, a zero-time firing started in pass ``p`` ends in pass ``p + 1``
+of the same instant (pass 0 is time 0 before its first instant).  One
+loop iteration handles one stamp: it finishes what ends then and starts
+what that enables.
+
+Arithmetic firings.  In the two lean loops, an actor with no processor and
+no duration hook that the loop does not observe (not the reference actor,
+not a ``run_until`` target, no trace) never arbitrates for anything, so
+each of its firings starts at the stamp where its input tokens and a
+concurrency slot are available and ends its static time later.
+:class:`_UnboundRun` computes those stamps directly from per-edge queues
+of token stamps -- the Fig. 4 model's ``s2``/``s3``/``c1``/``c2``/``d3``
+actors never enter the heap.  Only the tokens they deliver to other actors
+become heap entries; one aimed at an actor whose processor stays busy past
+it waits for that processor to free instead.  At every iteration boundary
+and on return the arithmetic state is read back at the current stamp, so
+:meth:`SelfTimedSimulator.state_key` and every public counter equal the
+event-by-event execution's.
+
 The dirty-set engine starts firings in the same deterministic order as the
 naive full rescan (static-order processors in declaration order, then the
 remaining actors in graph insertion order), so recorded traces, hook-call
@@ -53,13 +74,19 @@ suite checks on randomized graphs.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import DeadlockError, GraphError, SimulationError
 from repro.sdf.graph import SDFGraph
 from repro.sdf.throughput import ThroughputResult, UnboundedExecutionError
+
+# Bits of a stamp that count passes within one instant (see the module
+# docstring); 2**40 passes at one time is far beyond any finite run.
+_PASS_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -297,6 +324,8 @@ class SelfTimedSimulator:
         mutations of ``initial_tokens`` take effect on the next reset.
         """
         self.now = 0
+        # Stamp of the current instant (pass 0 only before the first).
+        self._stamp = 0
         self._tokens: List[int] = [
             e.initial_tokens for e in self._edge_objs
         ]
@@ -304,7 +333,7 @@ class SelfTimedSimulator:
         self._ongoing: List[int] = [0] * n
         self._completed: List[int] = [0] * n
         self._started: List[int] = [0] * n
-        # (end, seq, actor index, start)
+        # (end stamp, seq, actor index, start time)
         self._queue: List[Tuple[int, int, int, int]] = []
         self._seq = 0
         self._proc_busy: List[int] = [0] * len(self._proc_names)
@@ -360,7 +389,15 @@ class SelfTimedSimulator:
 
     def completed_of(self, actor: str) -> int:
         """Completed firing count of one actor (O(1); the hot-loop form)."""
-        return self._completed[self._actor_index[actor]]
+        return self._completed[self._index_of(actor)]
+
+    def _index_of(self, actor: str) -> int:
+        idx = self._actor_index.get(actor)
+        if idx is None:
+            raise GraphError(
+                f"graph {self.graph.name!r} has no actor {actor!r}"
+            )
+        return idx
 
     def ongoing_firings(self) -> List[Tuple[str, int]]:
         """(actor, remaining cycles) for every firing in flight, sorted.
@@ -370,8 +407,9 @@ class SelfTimedSimulator:
         what recurrent-state detection needs.
         """
         names = self._actor_names
+        now = self.now
         return sorted(
-            (names[idx], end - self.now)
+            (names[idx], (end >> _PASS_BITS) - now)
             for end, _seq, idx, _start in self._queue
         )
 
@@ -388,15 +426,18 @@ class SelfTimedSimulator:
         """
         now = self.now
         firing_part = tuple(sorted(
-            (idx, end - now) for end, _seq, idx, _start in self._queue
+            (idx, (end >> _PASS_BITS) - now)
+            for end, _seq, idx, _start in self._queue
         ))
+        return (tuple(self._tokens), firing_part, self._order_part())
+
+    def _order_part(self) -> Tuple[int, ...]:
         order_pos = self._order_pos
         order_idx = self._order_idx
-        order_part = tuple(
+        return tuple(
             order_pos[pid] % len(order_idx[pid])
             for pid in self._static_proc_ids
         )
-        return (tuple(self._tokens), firing_part, order_part)
 
     # ------------------------------------------------------------------
     # execution
@@ -451,14 +492,18 @@ class SelfTimedSimulator:
                     f"negative execution time for firing "
                     f"{self._started[idx]} of {self._actor_names[idx]!r}"
                 )
-        end = self.now + duration
+        now = self.now
+        end = (
+            (now + duration) << _PASS_BITS | 1 if duration
+            else self._stamp + 1
+        )
         self._started[idx] += 1
         self._ongoing[idx] += 1
-        heapq.heappush(self._queue, (end, self._seq, idx, self.now))
+        heapq.heappush(self._queue, (end, self._seq, idx, now))
         self._seq += 1
         pid = self._proc_of[idx]
         if pid >= 0:
-            self._proc_busy[pid] = end
+            self._proc_busy[pid] = now + duration
 
     def _finish_firing(self, idx: int) -> None:
         """Produce the firing's tokens and mark what it may enable."""
@@ -522,11 +567,12 @@ class SelfTimedSimulator:
                 dirty.sort()
             is_ready = self._is_ready_idx
             proc_busy = self._proc_busy
+            now = self.now
             for idx in dirty:
                 self._actor_dirty[idx] = False
                 pid = self._proc_of[idx]
                 if pid >= 0:
-                    while is_ready(idx) and proc_busy[pid] <= self.now:
+                    while proc_busy[pid] <= now and is_ready(idx):
                         self._start_firing(idx)
                 else:
                     while is_ready(idx):
@@ -545,13 +591,14 @@ class SelfTimedSimulator:
         queue = self._queue
         if not queue:
             return []
-        end = queue[0][0]
-        self.now = end
+        stamp = queue[0][0]
+        self._stamp = stamp
+        end = self.now = stamp >> _PASS_BITS
         finished: List[Tuple[str, int]] = []
         names = self._actor_names
         tokens = self._tokens
         maxes = self._max_tokens
-        while queue and queue[0][0] == end:
+        while queue and queue[0][0] == stamp:
             _end, _seq, idx, start = heapq.heappop(queue)
             self._finish_firing(idx)
             # What the lean path skips: token peaks and the trace.
@@ -582,64 +629,58 @@ class SelfTimedSimulator:
         throughput is exact: iterations in the period over its length.
 
         The loop is :meth:`step` fused with the detection, on the lean
-        path: it keeps no token peaks and no trace.  A started firing
-        never enables another start, so one dirty-set pass per
-        completion batch reaches the
-        same fixpoint as step()'s two, and the result is the one the
-        step()-driven analysis (the oracle ``reference_analyze_throughput``
-        in ``tests/sdf/simulation_reference.py``) returns, field for
-        field.
+        path: it keeps no token peaks and no trace, and fires every
+        unobserved unbound actor by arithmetic (see the module
+        docstring).  The result is the one the step()-driven analysis
+        (the oracle ``reference_analyze_throughput`` in
+        ``tests/sdf/simulation_reference.py``) returns, field for field.
 
         Raises :class:`~repro.exceptions.DeadlockError` when the execution
         blocks and :class:`~repro.sdf.throughput.UnboundedExecutionError`
         when no state recurs within ``max_iterations`` iterations.
         """
         name = self.graph.name
-        ref_idx = self._actor_index[reference_actor]
+        ref_idx = self._index_of(reference_actor)
         completed = self._completed
-        queue = self._queue
-        heappop = heapq.heappop
-        finish = self._finish_firing
         seen: Dict[tuple, Tuple[int, int]] = {}
         iterations_done = 0
 
-        self._start_all_ready()
-        while iterations_done < max_iterations:
-            if not queue:
-                raise DeadlockError(
-                    f"mapped graph {name!r} blocked after "
-                    f"{iterations_done} iteration(s) at t={self.now}; the "
-                    "static-order schedule or buffer sizes admit no "
-                    "execution"
-                )
-            end = queue[0][0]
-            self.now = end
-            while queue and queue[0][0] == end:
-                finish(heappop(queue)[2])
-            self._start_all_ready()
-            completed_iterations = completed[ref_idx] // repetitions
-            if completed_iterations > iterations_done:
-                iterations_done = completed_iterations
-                key = self.state_key()
-                previous = seen.get(key)
-                if previous is not None:
-                    prev_iterations, prev_time = previous
-                    period = end - prev_time
-                    iter_count = iterations_done - prev_iterations
-                    if period <= 0:
-                        raise SimulationError(
-                            f"graph {name!r} completes {iter_count} "
-                            "iteration(s) in zero time; all cycle times "
-                            "are zero -- throughput is unbounded"
-                        )
-                    return ThroughputResult(
-                        throughput=Fraction(iter_count, period),
-                        period=period,
-                        iterations_per_period=iter_count,
-                        transient_iterations=prev_iterations,
-                        tier="vectorized",
+        run = _UnboundRun(self, frozenset((ref_idx,)))
+        try:
+            while iterations_done < max_iterations:
+                if not run.advance():
+                    raise DeadlockError(
+                        f"mapped graph {name!r} blocked after "
+                        f"{iterations_done} iteration(s) at t={self.now}; "
+                        "the static-order schedule or buffer sizes admit "
+                        "no execution"
                     )
-                seen[key] = (iterations_done, end)
+                completed_iterations = completed[ref_idx] // repetitions
+                if completed_iterations > iterations_done:
+                    iterations_done = completed_iterations
+                    end = self.now
+                    key = run.state_key()
+                    previous = seen.get(key)
+                    if previous is not None:
+                        prev_iterations, prev_time = previous
+                        period = end - prev_time
+                        iter_count = iterations_done - prev_iterations
+                        if period <= 0:
+                            raise SimulationError(
+                                f"graph {name!r} completes {iter_count} "
+                                "iteration(s) in zero time; all cycle "
+                                "times are zero -- throughput is unbounded"
+                            )
+                        return ThroughputResult(
+                            throughput=Fraction(iter_count, period),
+                            period=period,
+                            iterations_per_period=iter_count,
+                            transient_iterations=prev_iterations,
+                            tier="vectorized",
+                        )
+                    seen[key] = (iterations_done, end)
+        finally:
+            run.close()
 
         raise UnboundedExecutionError(
             f"no periodic phase within {max_iterations} iterations of "
@@ -648,50 +689,69 @@ class SelfTimedSimulator:
             "analyzing"
         )
 
-    def run_until(self, targets: Mapping[str, int], max_steps: int) -> int:
+    def run_until(
+        self,
+        targets: Mapping[str, int],
+        max_steps: int,
+        completion_order: Optional[List[str]] = None,
+    ) -> int:
         """Run until each actor in ``targets`` has completed at least its
-        target number of firings, or for ``max_steps`` completion instants;
-        returns :attr:`now` (callers read the completed counts to tell the
-        two apart).
+        target number of firings, or for ``max_steps`` instants; returns
+        :attr:`now` (callers read the completed counts to tell the two
+        apart).
 
         Like :meth:`step`, each instant finishes every firing ending then
         and starts what that enables.  Outstanding target firings are
-        counted down as they finish; no token peaks.
+        counted down as they finish; no token peaks.  With
+        ``completion_order``, the name of every counted-down completion
+        is appended to it, in completion order.
+
+        ``max_steps`` bounds the instants the loop handles.  Without
+        ``record_trace`` the unobserved unbound actors fire by
+        arithmetic, so an instant is one in which an observed actor
+        completes or receives tokens, or one in which parked arithmetic
+        firings of an all-unbound cycle start.  With ``record_trace``
+        every actor is observed and an instant is a completion instant,
+        as in :meth:`step`.
         Raises :class:`~repro.exceptions.DeadlockError` when the execution
         blocks first.
         """
+        index_of = self._index_of
+        wanted = [(index_of(actor), n) for actor, n in targets.items()]
         remaining = [0] * len(self._actor_names)
-        for actor, target in targets.items():
-            idx = self._actor_index[actor]
+        for idx, target in wanted:
             remaining[idx] = max(0, target - self._completed[idx])
         outstanding = sum(remaining)
-        queue = self._queue
-        heappop = heapq.heappop
-        finish = self._finish_firing
         names = self._actor_names
         firings = self._trace.firings if self.record_trace else None
+        observed = (
+            frozenset(range(len(names))) if firings is not None
+            else frozenset(idx for idx, _target in wanted)
+        )
 
-        self._start_all_ready()
-        for _ in range(max_steps):
-            if not outstanding:
-                break
-            if not queue:
-                raise DeadlockError(
-                    f"execution of {self.graph.name!r} blocked at "
-                    f"t={self.now} with {outstanding} target firing(s) "
-                    "outstanding"
-                )
-            end = queue[0][0]
-            self.now = end
-            while queue and queue[0][0] == end:
-                _end, _seq, idx, start = heappop(queue)
-                finish(idx)
-                if remaining[idx]:
-                    remaining[idx] -= 1
-                    outstanding -= 1
-                if firings is not None:
-                    firings.append(Firing(names[idx], start, end))
-            self._start_all_ready()
+        run = _UnboundRun(self, observed)
+        try:
+            for _ in range(max_steps):
+                if not outstanding:
+                    break
+                if not run.advance():
+                    raise DeadlockError(
+                        f"execution of {self.graph.name!r} blocked at "
+                        f"t={self.now} with {outstanding} target firing(s) "
+                        "outstanding"
+                    )
+                for end, _seq, idx, start in run.finished:
+                    if remaining[idx]:
+                        remaining[idx] -= 1
+                        outstanding -= 1
+                        if completion_order is not None:
+                            completion_order.append(names[idx])
+                    if firings is not None:
+                        firings.append(
+                            Firing(names[idx], start, end >> _PASS_BITS)
+                        )
+        finally:
+            run.close()
         return self.now
 
     def _finalize_trace(self) -> SimulationTrace:
@@ -764,3 +824,426 @@ class SelfTimedSimulator:
             ):
                 return False
         return True
+
+
+class _UnboundPlan:
+    """Which actors one lean-loop call fires by arithmetic, and where the
+    tokens of every actor go.
+
+    An actor is *unbound* here when it has no processor, no duration hook
+    and is not observed.  Such an actor never arbitrates, so its firings
+    are fixed by its input stamps alone.
+    """
+
+    def __init__(self, sim: SelfTimedSimulator, observed: frozenset) -> None:
+        n = len(sim._actor_names)
+        consumer = sim._consumer_of
+        is_u = [
+            sim._proc_of[i] < 0
+            and sim._exec_time[i] is not None
+            and i not in observed
+            for i in range(n)
+        ]
+        self.actors: List[int] = [i for i in range(n) if is_u[i]]
+        self.unbound_inputs: List[int] = [
+            e for e, v in enumerate(consumer) if is_u[v]
+        ]
+        rate_in = [e.consumption for e in sim._edge_objs]
+        # Per actor: outputs to bound consumers as (edge, rate, consumer),
+        # to unbound ones as (edge, rate, consumer, consumption).
+        self.to_bound: List[List[Tuple[int, int, int]]] = [
+            [(e, p, consumer[e]) for e, p in outs if not is_u[consumer[e]]]
+            for outs in sim._out_rates
+        ]
+        self.to_unbound: List[List[Tuple[int, int, int, int]]] = [
+            [(e, p, consumer[e], rate_in[e])
+             for e, p in outs if is_u[consumer[e]]]
+            for outs in sim._out_rates
+        ]
+        # An unbound actor is *autonomous* when it could fire forever on
+        # tokens of unbound actors alone (no inputs, or an all-unbound
+        # cycle feeding it); every other one is held back by the tokens
+        # observed actors have produced so far.
+        producer = [sim._actor_index[e.src] for e in sim._edge_objs]
+        autonomous = set(self.actors)
+        changed = True
+        while changed:
+            held = {
+                u for u in autonomous
+                if any(producer[e] not in autonomous
+                       for e, _c in sim._in_rates[u])
+            }
+            autonomous -= held
+            changed = bool(held)
+        # Per unbound actor, for :meth:`_UnboundRun._resolve`: its
+        # concurrency cap (0 for none); what a positive duration adds to
+        # a start stamp to give the end stamp (pass 1 of the end time), or
+        # 0 for zero time; ``None`` without bound consumers, else their
+        # one processor or -1 (see :attr:`_UnboundRun.pending`); whether
+        # it is autonomous.
+        self.shape: List[Optional[tuple]] = [None] * n
+        for u in self.actors:
+            procs = {sim._proc_of[v] for _e, _p, v in self.to_bound[u]}
+            duration = sim._exec_time[u]
+            self.shape[u] = (
+                sim._cap[u] or 0,
+                (duration << _PASS_BITS) + 1 if duration else 0,
+                None if not procs
+                else procs.pop() if len(procs) == 1 else -1,
+                u in autonomous,
+            )
+        # Edges with an unbound endpoint, as (edge, production, producer,
+        # consumption, consumer): their token counts are read back from
+        # firing counts.
+        index = sim._actor_index
+        self.edges: List[Tuple[int, int, int, int, int]] = [
+            (e, edge.production, index[edge.src], edge.consumption,
+             index[edge.dst])
+            for e, edge in enumerate(sim._edge_objs)
+            if is_u[index[edge.src]] or is_u[index[edge.dst]]
+        ]
+
+
+class _UnboundRun:
+    """One lean-loop call's arithmetic firings (see the module docstring).
+
+    Unbound firings are *resolved* -- their start and end stamps fixed and
+    their tokens sent on -- as soon as every input token they consume has
+    a stamp.  That is exact whenever it happens, and it is finite unless
+    the actor is *autonomous* (see :class:`_UnboundPlan`): only tokens of
+    observed actors, which arrive one heap stamp at a time, can feed the
+    others.  An autonomous actor's firing is resolved only once the loop
+    has reached its start stamp; until then it is *parked*, and the loop
+    visits the earliest parked start as an instant of its own when no
+    heap stamp comes first.  So an all-unbound cycle never runs ahead of
+    the loop.  Tokens between unbound actors live as stamp queues;
+    tokens for bound actors become *deliveries*, heap entries whose actor
+    field is ``~producer``, or wait in :attr:`pending` for a busy
+    consumer processor to free.
+
+    While the run lasts, ``_started`` of an unbound actor counts every
+    resolved firing, its ``_completed`` and the token counts of edges
+    with an unbound end are stale; :meth:`state_key` and :meth:`close`
+    read the state back as of the current stamp, leaving out firings
+    resolved for a later start.  :meth:`close` writes it into the
+    generic arrays and the heap, which stay the canonical state between
+    calls.
+    """
+
+    # ``state`` of an unbound actor: queued for resolution, parked at a
+    # known start, or else the stamp queue of the input edge it is
+    # blocked on -- only tokens on that edge can unblock it.
+    _QUEUED, _PARKED = 1, 2
+
+    def __init__(self, sim: SelfTimedSimulator, observed: frozenset) -> None:
+        # Built per call, like everything below: it is linear in the
+        # graph, and a simulator kept between calls then holds none of it.
+        plan = _UnboundPlan(sim, observed)
+        self.sim = sim
+        self.plan = plan
+        self.pos = pos = sim._stamp
+        self.finished: List[Tuple[int, int, int, int]] = []
+        self.deferred: List[Tuple[int, int]] = []
+        self.pending: List[List[int]] = [[] for _ in sim._proc_names]
+        self.state: List[object] = [None] * len(sim._actor_names)
+        tokens = sim._tokens
+        completed = sim._completed
+        # Token count of each unbound-touching edge with no firing done.
+        self.base: List[int] = [
+            tokens[e] - p * completed[src] + c * sim._started[dst]
+            for e, p, src, c, dst in plan.edges
+        ]
+        # Stamps of the tokens on each edge into an unbound actor, oldest
+        # first, and each unbound actor's resolved firings not yet known
+        # to be over, as (start, end).
+        stamps: List[Optional[deque]] = [None] * len(tokens)
+        for e in plan.unbound_inputs:
+            stamps[e] = deque(repeat(pos, tokens[e]))
+        self.fired: List[Optional[deque]] = [None] * len(sim._actor_names)
+        # Outputs to unbound actors as (stamp queue, rate, consumer,
+        # consumption), per actor.
+        self.to_unbound = [
+            [(stamps[e], p, v, c) for e, p, v, c in outs]
+            for outs in plan.to_unbound
+        ]
+        # Per unbound actor, for :meth:`_resolve`: inputs as (stamp queue,
+        # rate, rate - 1), the plan's shape, outputs and firing records.
+        self.spec: List[Optional[tuple]] = [None] * len(sim._actor_names)
+        for u in plan.actors:
+            fl = self.fired[u] = deque()
+            cap, advance, fold, autonomous = plan.shape[u]
+            self.spec[u] = (
+                tuple((stamps[e], c, c - 1) for e, c in sim._in_rates[u]),
+                cap, advance, self.to_unbound[u], fold, fl, autonomous,
+            )
+        self.work: List[int] = list(plan.actors)
+        if plan.actors:
+            dirty = sim._actor_dirty
+            spec = self.spec
+            for u in plan.actors:
+                self.state[u] = self._QUEUED
+                dirty[u] = False
+            # Unbound actors leave the dirty set and the heap: their
+            # firings in flight are resolved already.
+            sim._dirty_actors = [
+                i for i in sim._dirty_actors if spec[i] is None
+            ]
+            queue = sim._queue
+            pulled = [entry for entry in queue if spec[entry[2]]]
+            if pulled:
+                queue[:] = [entry for entry in queue if not spec[entry[2]]]
+                heapq.heapify(queue)
+                for end, _seq, u, start in sorted(pulled):
+                    self.fired[u].append((start << _PASS_BITS, end))
+                    self._emit(u, end)
+        sim._start_all_ready()
+        self._resolve()
+
+    # -- the hot path ---------------------------------------------------
+    def advance(self) -> bool:
+        """Handle the next instant: the next heap stamp or, if earlier,
+        the next parked start; False (after letting every resolved
+        firing end) when there is neither, as the execution blocks."""
+        queue = self.sim._queue
+        deferred = self.deferred
+        if deferred and (not queue or deferred[0][0] < queue[0][0]):
+            self.finished.clear()
+            self._move_to(deferred[0][0])
+            self._resolve()
+            return True
+        if queue:
+            self._step()
+            return True
+        fired = self.fired
+        last = max(
+            (fired[u][-1][1] for u in self.plan.actors if fired[u]),
+            default=self.pos,
+        )
+        if last > self.pos:
+            self._move_to(last)
+        return False
+
+    def _move_to(self, stamp: int) -> None:
+        self.pos = self.sim._stamp = stamp
+        self.sim.now = stamp >> _PASS_BITS
+
+    def _step(self) -> None:
+        """Handle the next heap stamp: its completions (collected in
+        :attr:`finished`) and deliveries, the starts they enable, then
+        the unbound firings that follow."""
+        sim = self.sim
+        plan = self.plan
+        queue = sim._queue
+        stamp = queue[0][0]
+        self._move_to(stamp)
+        finished = self.finished
+        finished.clear()
+        heappop = heapq.heappop
+        tokens = sim._tokens
+        mark = sim._mark_actor
+        to_bound = plan.to_bound
+        while queue and queue[0][0] == stamp:
+            entry = heappop(queue)
+            idx = entry[2]
+            if idx < 0:
+                for e, p, v in to_bound[~idx]:
+                    tokens[e] += p
+                    mark(v)
+                continue
+            # A bound actor's firing ends: _finish_firing, except that
+            # tokens for unbound actors go to their stamp queues.
+            finished.append(entry)
+            for e, p, v in to_bound[idx]:
+                tokens[e] += p
+                mark(v)
+            outs = self.to_unbound[idx]
+            if outs:
+                state = self.state
+                for stamp_queue, p, v, c in outs:
+                    if p == 1:
+                        stamp_queue.append(stamp)
+                    else:
+                        stamp_queue.extend(repeat(stamp, p))
+                    if state[v] is stamp_queue and len(stamp_queue) >= c:
+                        state[v] = self._QUEUED
+                        self.work.append(v)
+            sim._ongoing[idx] -= 1
+            sim._completed[idx] += 1
+            mark(idx)
+            pid = sim._proc_of[idx]
+            if pid >= 0:
+                waiting = self.pending[pid]
+                if waiting:
+                    for u in waiting:
+                        for e, p, v in to_bound[u]:
+                            tokens[e] += p
+                            mark(v)
+                    waiting.clear()
+                sim._mark_proc_free(pid)
+        sim._start_all_ready()
+        self._resolve()
+
+    def _emit(self, u: int, end: int) -> None:
+        """Send the tokens of unbound ``u``'s firing ending at ``end``
+        (the out-of-loop form of :meth:`_resolve`'s emission)."""
+        _ins, _cap, _advance, outs, fold, _fl, _auto = self.spec[u]
+        state = self.state
+        for stamp_queue, p, v, c in outs:
+            stamp_queue.extend(repeat(end, p))
+            if state[v] is stamp_queue and len(stamp_queue) >= c:
+                state[v] = self._QUEUED
+                self.work.append(v)
+        if fold is not None:
+            sim = self.sim
+            if fold >= 0 and sim._proc_busy[fold] > end >> _PASS_BITS:
+                self.pending[fold].append(u)
+            else:
+                heapq.heappush(sim._queue, (end, sim._seq, ~u, 0))
+                sim._seq += 1
+
+    def _resolve(self) -> None:
+        """Resolve every unbound firing whose tokens have stamps, those of
+        autonomous actors only if they start by the current stamp."""
+        horizon = self.pos + 1
+        deferred = self.deferred
+        work = self.work
+        state = self.state
+        heappop = heapq.heappop
+        queued = self._QUEUED
+        while deferred and deferred[0][0] < horizon:
+            u = heappop(deferred)[1]
+            state[u] = queued
+            work.append(u)
+        if not work:
+            return
+        pass_bits = _PASS_BITS
+        time_part = -1 << _PASS_BITS
+        parked = self._PARKED
+        heappush = heapq.heappush
+        pos = self.pos
+        spec = self.spec
+        sim = self.sim
+        started = sim._started
+        busy = sim._proc_busy
+        pending = self.pending
+        heap = sim._queue
+        while work:
+            u = work.pop()
+            ins, cap, advance, outs, fold, fl, autonomous = spec[u]
+            while True:
+                start = pos
+                for stamp_queue, c, last in ins:
+                    if len(stamp_queue) < c:
+                        state[u] = stamp_queue
+                        break
+                    t = stamp_queue[last]
+                    if t > start:
+                        start = t
+                else:
+                    if cap and len(fl) >= cap:
+                        t = fl[-cap][1]
+                        if t > start:
+                            start = t
+                    if autonomous and start >= horizon:
+                        state[u] = parked
+                        heappush(deferred, (start, u))
+                        break
+                    for stamp_queue, c, last in ins:
+                        if last:
+                            for _ in range(c):
+                                stamp_queue.popleft()
+                        else:
+                            stamp_queue.popleft()
+                    end = (
+                        (start & time_part) + advance if advance
+                        else start + 1
+                    )
+                    if len(fl) > 16:
+                        # Keep the records of firings not yet over.
+                        while fl and fl[0][1] <= pos:
+                            fl.popleft()
+                    fl.append((start, end))
+                    started[u] += 1
+                    for stamp_queue, p, v, c in outs:
+                        if p == 1:
+                            stamp_queue.append(end)
+                        else:
+                            stamp_queue.extend(repeat(end, p))
+                        if state[v] is stamp_queue and len(stamp_queue) >= c:
+                            state[v] = queued
+                            work.append(v)
+                    if fold is not None:
+                        if fold >= 0 and busy[fold] > end >> pass_bits:
+                            # The consumer's processor is busy past the
+                            # delivery; its firing ending frees it and
+                            # applies the tokens (see :meth:`_step`).
+                            pending[fold].append(u)
+                        else:
+                            heappush(heap, (end, sim._seq, ~u, 0))
+                            sim._seq += 1
+                    continue
+                break
+
+    # -- reading the state back -------------------------------------------
+    def _state_at_pos(self):
+        """(started, completed, tokens, in-flight unbound firings as
+        (actor, start, end)) as of the current stamp."""
+        sim = self.sim
+        plan = self.plan
+        pos = self.pos
+        started = list(sim._started)
+        completed = list(sim._completed)
+        live: List[Tuple[int, int, int]] = []
+        for u in plan.actors:
+            # Every firing of u ever started is over unless recorded with
+            # a later end; one recorded with a later start is not begun.
+            ahead = not_over = 0
+            for start, end in self.fired[u]:
+                if start > pos:
+                    ahead += 1
+                elif end > pos:
+                    not_over += 1
+                    live.append((u, start, end))
+            started[u] -= ahead
+            completed[u] = started[u] - not_over
+        tokens = list(sim._tokens)
+        for (e, p, src, c, dst), base in zip(plan.edges, self.base):
+            tokens[e] = base + p * completed[src] - c * started[dst]
+        return started, completed, tokens, live
+
+    def state_key(self) -> Tuple:
+        """:meth:`SelfTimedSimulator.state_key` of the event-by-event
+        execution at the current stamp."""
+        sim = self.sim
+        now = sim.now
+        _started, _completed, tokens, live = self._state_at_pos()
+        firings = [
+            (u, (end >> _PASS_BITS) - now) for u, _start, end in live
+        ]
+        firings.extend(
+            (idx, (end >> _PASS_BITS) - now)
+            for end, _seq, idx, _start in sim._queue if idx >= 0
+        )
+        firings.sort()
+        return (tuple(tokens), tuple(firings), sim._order_part())
+
+    def close(self) -> None:
+        """Write the state at the current stamp into the simulator: counts,
+        tokens, and the unbound firings in flight as heap entries."""
+        sim = self.sim
+        if not self.plan.actors:
+            return
+        started, completed, tokens, live = self._state_at_pos()
+        sim._started[:] = started
+        sim._completed[:] = completed
+        sim._tokens[:] = tokens
+        ongoing = sim._ongoing
+        for u in self.plan.actors:
+            ongoing[u] = 0
+        queue = [entry for entry in sim._queue if entry[2] >= 0]
+        for u, start, end in sorted(live, key=lambda f: (f[1], f[0])):
+            ongoing[u] += 1
+            queue.append((end, sim._seq, u, start >> _PASS_BITS))
+            sim._seq += 1
+        heapq.heapify(queue)
+        sim._queue[:] = queue

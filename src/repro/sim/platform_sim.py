@@ -26,6 +26,7 @@ paper's definition (Section 5).
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,12 +150,16 @@ class PlatformSimulator:
                     )
                 self._fifos[edge.name].extend(provided)
 
+        # The hooks reach this object through a weak proxy: a simulator
+        # holding it strongly would make a reference cycle, and a dropped
+        # platform would then wait for a full garbage collection.
+        this = weakref.proxy(self)
         self._sim = SelfTimedSimulator(
             self.bound.graph,
             processor_of=self.bound.processor_of,
             static_order=self.mapping.static_orders,
             execution_time_of={
-                actor: partial(self._fire, actor)
+                actor: partial(PlatformSimulator._fire, this, actor)
                 for actor in self.bound.app_actors
             },
             record_trace=self.record_trace,

@@ -361,3 +361,21 @@ def test_earlier_trace_survives_later_finalization(two_actor_pipeline):
     _ = sim.trace                 # property access re-finalizes
     _ = sim.run(max_firings=20)   # and so does a second run()
     assert first.completed_count == snapshot
+
+
+@pytest.mark.parametrize("call", [
+    lambda sim: sim.run_until({"P": 1, "nope": 1}, max_steps=10),
+    lambda sim: sim.run_throughput("nope", 1, 10),
+    lambda sim: sim.completed_of("nope"),
+], ids=["run_until", "run_throughput", "completed_of"])
+def test_unknown_actor_is_a_graph_error(two_actor_pipeline, call):
+    """Like an unknown hook or static-order actor: a GraphError naming the
+    actor, raised before the simulator changes state."""
+    sim = SelfTimedSimulator(two_actor_pipeline)
+    sim.step()
+    before = (sim.now, sim.completed, sim.started, sim.tokens,
+              sim.ongoing_firings())
+    with pytest.raises(GraphError, match="'nope'"):
+        call(sim)
+    assert (sim.now, sim.completed, sim.started, sim.tokens,
+            sim.ongoing_firings()) == before

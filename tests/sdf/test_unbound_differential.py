@@ -1,0 +1,423 @@
+"""Differential tests of the arithmetic firings against the reference.
+
+The lean loops of :class:`~repro.sdf.simulation.SelfTimedSimulator`
+(``run_throughput`` and ``run_until`` without a trace) fire every unbound,
+unhooked, unobserved actor by arithmetic instead of through the
+completion heap.  These tests drive them over graphs built for that path
+and compare with the full-rescan oracle
+(:mod:`tests.sdf.simulation_reference`) after every return: ``now``, the
+completed and started counts, tokens, firings in flight and quiescence.
+The state-space analysis is also checked key by key: every
+:meth:`state_key` the lean loop takes at an iteration boundary must equal
+the one the event-by-event :meth:`step` loop shows there.
+
+Graph families:
+
+* Fig. 4 expansions (:func:`repro.comm.model.expand_channel`) of random
+  multi-rate applications on one to three tiles, with PE and CA
+  (de)serialization, ``words_in_flight`` 1-3, tokens of 1-40 words and
+  static orders in which the PE's serialization work interleaves;
+* the random bounded graphs of ``test_simulation_differential.py``,
+  partly bound: zero-time unbound chains, multi-rate unbound actors,
+  unlimited auto-concurrency and cycles of unbound actors only.
+
+The seed count per family follows ``FUZZ_SCENARIOS`` (tier-1: 25).
+"""
+
+import os
+import random
+from functools import partial
+
+import pytest
+
+from repro.comm.model import expand_channel
+from repro.comm.params import ChannelParameters
+from repro.comm.serialization import CASerialization, PESerialization
+from repro.exceptions import DeadlockError, ReproError
+from repro.sdf import simulation
+from repro.sdf.graph import SDFGraph
+from repro.sdf.repetition import repetition_vector
+from repro.sdf.simulation import SelfTimedSimulator
+from tests.sdf.simulation_reference import (
+    ReferenceSelfTimedSimulator,
+    reference_analyze_throughput,
+)
+from tests.sdf.static_orders import derive_static_orders
+from tests.sdf.test_simulation_differential import (
+    random_binding,
+    random_bounded_graph,
+)
+
+SEEDS = range(max(5, int(os.environ.get("FUZZ_SCENARIOS", "25"))))
+MAX_ITERATIONS = 2_000
+
+
+def random_comm_graph(rng: random.Random):
+    """A random application mapped onto 1-3 tiles, every inter-tile edge
+    expanded into the Fig. 4 model.  Returns (graph, processor_of,
+    application actors)."""
+    n = rng.randint(2, 4)
+    q = [rng.randint(1, 3) for _ in range(n)]
+    g = SDFGraph(f"comm{rng.randrange(1 << 16)}")
+    apps = [f"a{i}" for i in range(n)]
+    for name in apps:
+        g.add_actor(name, execution_time=rng.randint(1, 30))
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    if n > 2 and rng.random() < 0.5:
+        pairs.append((0, n - 1))
+    for k, (src, dst) in enumerate(pairs):
+        m = rng.randint(1, 2)
+        g.add_edge(
+            f"e{k}", apps[src], apps[dst],
+            production=m * q[dst], consumption=m * q[src],
+            initial_tokens=rng.choice((0, 0, m * q[src])),
+            token_size=4 * rng.randint(1, 40),
+        )
+    tiles = [f"t{i}" for i in range(rng.randint(1, 3))]
+    tile_of = {name: rng.choice(tiles) for name in apps}
+    uses_ca = {tile: rng.random() < 0.4 for tile in tiles}
+
+    def model(tile):
+        if uses_ca[tile]:
+            return CASerialization(rng.randint(0, 8), rng.randint(0, 2))
+        return PESerialization(rng.randint(0, 12), rng.randint(0, 3))
+
+    def resource(tile):
+        return f"ca_{tile}" if uses_ca[tile] else tile
+
+    processor_of = dict(tile_of)
+    for edge in list(g.explicit_edges()):
+        p, c, d0 = edge.production, edge.consumption, edge.initial_tokens
+        src_tile, dst_tile = tile_of[edge.src], tile_of[edge.dst]
+        if src_tile == dst_tile:
+            capacity = p + c + d0 + rng.randint(0, 2)
+            g.add_edge(
+                f"buf__{edge.name}", edge.dst, edge.src,
+                production=c, consumption=p,
+                initial_tokens=capacity - d0, implicit=True,
+            )
+            continue
+        names = expand_channel(
+            g, edge.name,
+            ChannelParameters(
+                words_in_flight=rng.randint(1, 3),
+                network_buffer_words=rng.randint(0, 2),
+                injection_cycles_per_word=rng.randint(0, 3),
+                channel_latency=rng.randint(0, 6),
+            ),
+            model(src_tile),
+            alpha_src=p + rng.randint(0, 2),
+            alpha_dst=max(c, d0) + c + rng.randint(0, 2),
+            deserialization=model(dst_tile),
+        )
+        processor_of[names.s1] = resource(src_tile)
+        processor_of[names.d1] = resource(dst_tile)
+        processor_of[names.d2] = resource(dst_tile)
+    return g, processor_of, apps
+
+
+def comm_case(seed, with_orders):
+    rng = random.Random(7000 + seed)
+    graph, processor_of, apps = random_comm_graph(rng)
+    kwargs = {"processor_of": processor_of}
+    if with_orders:
+        # Orders list application actors only: the PE's serialization
+        # work runs interleaved.
+        kwargs["static_order"] = derive_static_orders(
+            graph, processor_of, apps
+        )
+    return graph, kwargs, apps
+
+
+def bounded_case(seed):
+    rng = random.Random(8000 + seed)
+    graph = random_bounded_graph(rng)
+    kwargs = {"auto_concurrency": rng.choice((1, 2, None))}
+    if rng.random() < 0.5:
+        kwargs["processor_of"] = random_binding(rng, graph)
+    return graph, kwargs, rng
+
+
+def autonomous_case(seed):
+    """An all-unbound cycle nothing observed feeds -- it could fire
+    forever on its own tokens -- driving an observed consumer ``C`` that
+    keeps up with it (so the graph stays bounded), and an unbound tail."""
+    rng = random.Random(10_000 + seed)
+    k = rng.randint(1, 3)
+    g = SDFGraph(f"auto{seed}")
+    times = [rng.randint(0, 5) for _ in range(k)]
+    times[rng.randrange(k)] += 1  # no zero-time cycle
+    tokens = rng.randint(1, k)
+    for i, t in enumerate(times):
+        g.add_actor(f"x{i}", execution_time=t)
+    for i in range(k):
+        g.add_edge(f"x{i}x{(i + 1) % k}", f"x{i}", f"x{(i + 1) % k}",
+                   initial_tokens=tokens if i == k - 1 else 0)
+    g.add_actor("C", execution_time=rng.randint(0, sum(times) // tokens))
+    g.add_actor("T", execution_time=rng.randint(0, 3))
+    g.add_edge("xC", f"x{k - 1}", "C")
+    g.add_edge("CT", "C", "T")
+    g.add_edge("TC", "T", "C", initial_tokens=rng.randint(1, 2))
+    # The reference actor first: graph.actors[0] is the analysis's.
+    order = ["C"] + [a.name for a in g if a.name != "C"]
+    ordered = SDFGraph(g.name)
+    for name in order:
+        actor = g.actor(name)
+        ordered.add_actor(name, execution_time=actor.execution_time)
+    for edge in g.edges:
+        ordered.add_edge(edge.name, edge.src, edge.dst,
+                         initial_tokens=edge.initial_tokens)
+    kwargs = {"auto_concurrency": rng.choice((1, 2))}
+    if rng.random() < 0.5:
+        kwargs["processor_of"] = {"C": "p"}
+    return ordered, kwargs
+
+
+def assert_same_state(fast, slow):
+    assert fast.now == slow.now
+    assert fast.completed == slow.completed
+    assert fast.started == slow.started
+    assert fast.tokens == slow.tokens
+    assert fast.ongoing_firings() == slow.ongoing_firings()
+    assert fast.is_quiescent() == slow.is_quiescent()
+
+
+# -- the state-space analysis ----------------------------------------------
+def check_throughput(graph, kwargs, monkeypatch):
+    """Result, every boundary key and the final state against the
+    step()-driven execution; the result also against the oracle."""
+    ref = graph.actors[0].name
+    reps = repetition_vector(graph)[ref]
+    keys = []
+    lean_key = simulation._UnboundRun.state_key
+
+    def recorded(run):
+        key = lean_key(run)
+        keys.append(key)
+        return key
+
+    monkeypatch.setattr(simulation._UnboundRun, "state_key", recorded)
+    fast = SelfTimedSimulator(graph, **kwargs)
+    try:
+        result = fast.run_throughput(ref, reps, MAX_ITERATIONS)
+    except ReproError as error:
+        result = type(error)
+    try:
+        expected = reference_analyze_throughput(
+            graph, max_iterations=MAX_ITERATIONS, **kwargs
+        )
+    except ReproError as error:
+        expected = type(error)
+    if result is DeadlockError and expected is DeadlockError:
+        # The oracle runs an untimed deadlock check first; the lean loop
+        # must block all the same, at the instant step() blocks.
+        pass
+    else:
+        assert result == expected
+
+    stepped = SelfTimedSimulator(graph, **kwargs)
+    boundaries = 0
+    stepped_keys = []
+    while len(stepped_keys) < len(keys):
+        assert stepped.step(), "step() blocked before the lean loop did"
+        done = stepped.completed_of(ref) // reps
+        if done > boundaries:
+            boundaries = done
+            stepped_keys.append(stepped.state_key())
+    assert keys == stepped_keys
+    if result is DeadlockError:
+        while stepped.step():
+            pass
+    assert_same_state(fast, stepped)
+
+
+@pytest.mark.parametrize("with_orders", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_comm_throughput_matches(seed, with_orders, monkeypatch):
+    graph, kwargs, _apps = comm_case(seed, with_orders)
+    check_throughput(graph, kwargs, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bounded_throughput_matches(seed, monkeypatch):
+    graph, kwargs, _rng = bounded_case(seed)
+    check_throughput(graph, kwargs, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_autonomous_throughput_matches(seed, monkeypatch):
+    graph, kwargs = autonomous_case(seed)
+    check_throughput(graph, kwargs, monkeypatch)
+
+
+# -- the countdown loop ------------------------------------------------------
+def oracle_until(slow, targets, max_steps=1_000_000):
+    """Step the oracle until every target is met; False if it blocks."""
+    for _ in range(max_steps):
+        completed = slow.completed
+        if all(completed[a] >= n for a, n in targets.items()):
+            return True
+        if not slow.step():
+            return False
+    raise AssertionError("oracle did not reach the targets")
+
+
+def series_hooks(rng, graph, actors):
+    """Data-dependent durations for ``actors``, in the production form
+    ``{actor: fn(k)}`` and the oracle form ``fn(actor, k)``."""
+    series = {a: [rng.randint(0, 9) for _ in range(4)] for a in actors}
+
+    def duration(actor, k):
+        values = series.get(actor)
+        if values is None:
+            return graph.actor(actor).execution_time
+        return values[k % len(values)]
+
+    return {a: partial(duration, a) for a in actors}, duration
+
+
+def check_run_until(graph, kwargs, hooks, target_sets):
+    """Consecutive run_until calls on one simulator (the platform's
+    warm-up, then measure) against the oracle stepped to the same
+    targets, with the counted-down completion order."""
+    production_hooks, oracle_hooks = hooks
+    fast = SelfTimedSimulator(
+        graph, execution_time_of=production_hooks, **kwargs
+    )
+    slow = ReferenceSelfTimedSimulator(
+        graph, execution_time_of=oracle_hooks, record_trace=True, **kwargs
+    )
+    for targets in target_sets:
+        order = []
+        counted = {a: n - slow.completed[a] for a, n in targets.items()}
+        seen = len(slow.trace.firings)
+        reached = oracle_until(slow, targets)
+        if reached:
+            fast.run_until(targets, 1_000_000, order)
+        else:
+            with pytest.raises(DeadlockError):
+                fast.run_until(targets, 1_000_000, order)
+        assert_same_state(fast, slow)
+        expected = []
+        for firing in slow.trace.firings[seen:]:
+            if counted.get(firing.actor, 0) > 0:
+                counted[firing.actor] -= 1
+                expected.append(firing.actor)
+        assert order == expected
+        if not reached:
+            return
+    # The state a lean call leaves is the one step() continues from.
+    for _ in range(20):
+        assert sorted(fast.step()) == sorted(slow.step())
+    assert_same_state(fast, slow)
+
+
+@pytest.mark.parametrize("with_orders", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_comm_run_until_matches(seed, with_orders):
+    graph, kwargs, apps = comm_case(seed, with_orders)
+    rng = random.Random(9000 + seed)
+    hooked = [a for a in apps if rng.random() < 0.5]
+    q = repetition_vector(graph)
+    warmup = rng.randint(1, 3)
+    target_sets = [
+        {a: q[a] * warmup for a in apps},
+        {a: q[a] * (warmup + rng.randint(1, 4)) for a in apps},
+    ]
+    check_run_until(
+        graph, kwargs, series_hooks(rng, graph, hooked), target_sets
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bounded_run_until_matches(seed):
+    graph, kwargs, rng = bounded_case(seed)
+    observed = rng.sample([a.name for a in graph], rng.randint(1, 2))
+    target_sets = [
+        {a: rng.randint(1, 6) for a in observed},
+        {a: rng.randint(4, 12) for a in observed},
+    ]
+    check_run_until(graph, kwargs, series_hooks(rng, graph, ()), target_sets)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_autonomous_run_until_matches(seed):
+    graph, kwargs = autonomous_case(seed)
+    rng = random.Random(11_000 + seed)
+    target_sets = [{"C": rng.randint(1, 5)}, {"C": rng.randint(6, 12)}]
+    check_run_until(graph, kwargs, series_hooks(rng, graph, ()), target_sets)
+
+
+def test_zero_time_unbound_cycle_stays_bounded_by_max_steps():
+    """A zero-time all-unbound cycle fires forever at t=0; the lean loop
+    must spend its instants on it one pass at a time, as step() does,
+    not resolve it without end."""
+    g = SDFGraph("spin")
+    g.add_actor("C", execution_time=3)
+    g.add_actor("x0", execution_time=0)
+    g.add_actor("x1", execution_time=0)
+    g.add_edge("x0x1", "x0", "x1")
+    g.add_edge("x1x0", "x1", "x0", initial_tokens=1)
+    g.add_edge("x1C", "x1", "C")
+    sim = SelfTimedSimulator(g)
+    assert sim.run_until({"C": 1}, max_steps=50) == 0
+    assert sim.completed["C"] == 0
+    assert 0 < sim.completed["x0"] <= 50
+
+
+# -- passes ------------------------------------------------------------------
+def credit_race(interleaved_hops: int) -> SDFGraph:
+    """``S`` ends at t=5 and feeds two chains of zero-time actors: two
+    unbound hops to ``X``, the head of tile ``t``'s static order, and
+    ``interleaved_hops`` hops on processor ``r`` (fired event by event) to
+    ``I``, interleaved serialization work on ``t``.  ``X``'s token
+    arrives in pass 2 of t=5 and ``I``'s in pass ``interleaved_hops``.
+    Interleaved work wins a tie, so with two hops ``I`` runs first and
+    with three ``X`` does: a delivery one pass early or late flips one of
+    the two."""
+    g = SDFGraph(f"race{interleaved_hops}")
+    g.add_actor("S", execution_time=5)
+    g.add_actor("X", execution_time=4)
+    g.add_actor("I", execution_time=3)
+    for chain, target, hops in (("u", "X", 2), ("w", "I", interleaved_hops)):
+        previous = "S"
+        for k in range(hops):
+            g.add_actor(f"{chain}{k}", execution_time=0)
+            g.add_edge(f"{previous}_{chain}{k}", previous, f"{chain}{k}")
+            previous = f"{chain}{k}"
+        g.add_edge(f"{previous}_{target}", previous, target)
+        g.add_edge(f"{target}_back", target, "S", initial_tokens=1)
+    return g
+
+
+def race_binding(hops):
+    processor_of = {"S": "q", "X": "t", "I": "t"}
+    processor_of.update({f"w{k}": "r" for k in range(hops)})
+    return {
+        "processor_of": processor_of,
+        "static_order": {"q": ["S"], "t": ["X"]},
+    }
+
+
+@pytest.mark.parametrize("hops, first", [(2, "I"), (3, "X")])
+def test_zero_time_chain_reaches_its_consumer_in_the_right_pass(
+    hops, first
+):
+    graph = credit_race(hops)
+    race = race_binding(hops)
+    # Stop at X's first completion: t=9 if X won the tile, t=12 if not.
+    targets = {"X": 1}
+    fast = SelfTimedSimulator(graph, **race)
+    fast.run_until(targets, 1_000)
+    slow = ReferenceSelfTimedSimulator(graph, record_trace=True, **race)
+    assert oracle_until(slow, targets)
+    assert_same_state(fast, slow)
+    winner = min(
+        (f for f in slow.trace.firings if f.actor in "XI"),
+        key=lambda f: f.start,
+    )
+    assert (winner.actor, winner.start) == (first, 5)
+    result = SelfTimedSimulator(graph, **race).run_throughput("S", 1, 100)
+    assert result == reference_analyze_throughput(
+        graph, reference_actor="S", max_iterations=100, **race
+    )
