@@ -1,46 +1,29 @@
-"""Tiered throughput engine: per-tier analysis cost and sizing call counts.
+"""Throughput engine: Fig. 6 analysis cost and buffer-sizing call counts.
 
-Three measurements of :class:`repro.sdf.engine.ThroughputEngine`:
+Two measurements of :class:`repro.sdf.engine.ThroughputEngine`:
 
-* **corpus sweep** -- per-analysis wall clock of the engine's adaptive
-  policy vs. the state-space tier called directly
-  (:meth:`~repro.sdf.simulation.SelfTimedSimulator.run_throughput`, the
-  engine's own call), over every committed
-  ``examples/corpus/`` scenario.  Both must equal the test oracle
-  (:func:`tests.sdf.simulation_reference.reference_analyze_throughput`)
-  in the exact ``Fraction``; a mismatch is a hard failure.
-  Short-state-space scenarios stay on the vectorized probe (parity with
-  the direct call is the *win*: the engine did not pay for the HSDF
-  transform); the stress band (``diamond-s7-*``: long state spaces, the
-  regime the analytic tier exists for) escalates, and the median
-  speedup over those escalated analyses is gated (relax on noisy shared
-  runners via ``BENCH_TIERS_MIN_SPEEDUP``);
 * **Fig. 6 workloads** -- the MJPEG decoder mapped onto the 5-tile FSL
-  (fig6a) and NoC (fig6b) templates.  Mapped graphs carry static orders,
-  so the engine falls back to the vectorized tier; this times it
-  against the direct simulator call on the flow's real hot analyses and
-  checks both field for field against the oracle;
+  (fig6a) and NoC (fig6b) templates: the flow's real hot analyses,
+  timed and checked field for field against the test oracle
+  (:func:`tests.sdf.simulation_reference.reference_analyze_throughput`);
+  a mismatch is a hard failure;
 * **buffer-sizing calls** -- engine analyses consumed by the monotone
   capacity search of :func:`repro.sdf.buffers.
   minimal_buffer_distribution` vs. an inline replica of the historic
-  greedy steepest-ascent search (one analysis per edge per round).
+  greedy steepest-ascent search (one analysis per edge per round).  The
+  monotone search must need fewer.
 
 Emits ``benchmarks/results/BENCH_throughput.json`` (wired into CI's
-bench-smoke job) so later PRs have a tier-cost trajectory to regress
-against.
+bench-smoke job).
 """
 
 import json
-import os
-import statistics
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from benchmarks.conftest import RESULTS_DIR, write_results
 from repro import counters
 from repro.arch import architecture_from_template
-from repro.flow.spec import load_flow_spec
 from repro.mapping import map_application
 from repro.mapping.bound_graph import build_bound_graph
 from repro.mjpeg import build_mjpeg_application
@@ -55,21 +38,10 @@ from repro.sdf.buffers import (
 )
 from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.engine import ThroughputEngine
-from repro.sdf.repetition import repetition_vector
-from repro.sdf.simulation import SelfTimedSimulator
 from tests.sdf.simulation_reference import reference_analyze_throughput
 
-CORPUS = sorted(
-    (Path(__file__).resolve().parents[1] / "examples" / "corpus").glob(
-        "*.toml"
-    )
-)
 PLATFORMS = (("fig6a", "fsl"), ("fig6b", "noc"))
 TIMING_ROUNDS = 3
-#: Median speedup gate over the corpus analyses where the adaptive
-#: policy escalated to the analytic tier (locally it lands far beyond
-#: this).  CI's shared runners relax it via the env knob.
-SPEEDUP_TARGET = float(os.environ.get("BENCH_TIERS_MIN_SPEEDUP", "5.0"))
 
 
 def _best_of(fn, rounds=TIMING_ROUNDS):
@@ -81,67 +53,6 @@ def _best_of(fn, rounds=TIMING_ROUNDS):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def _simulator_call(graph, reference_actor=None, **kwargs):
-    """The state-space tier as the engine calls it: one simulator, reset
-    and re-run per analysis."""
-    sim = SelfTimedSimulator(graph, **kwargs)
-    ref = reference_actor or graph.actors[0].name
-    q_ref = repetition_vector(graph)[ref]
-
-    def analyze():
-        sim.reset()
-        return sim.run_throughput(ref, q_ref, 10_000)
-
-    return analyze
-
-
-def _bounded(graph):
-    """Analysis form: liveness-bound capacities plus headroom (mirrors
-    buffer-sizing phase 1 and the fuzz suite)."""
-    capacities = {
-        edge.name: minimal_capacity_bound(edge)
-        + max(edge.production, edge.consumption)
-        for edge in bufferable_edges(graph)
-    }
-    bounded = add_buffer_edges(graph, BufferDistribution(capacities))
-    for _ in range(4):
-        if is_deadlock_free(bounded):
-            break
-        for name in capacities:
-            edge = graph.edge(name)
-            capacities[name] += max(edge.production, edge.consumption)
-        bounded = add_buffer_edges(graph, BufferDistribution(capacities))
-    return bounded
-
-
-def _corpus_sweep():
-    records = {}
-    for spec_path in CORPUS:
-        graph = load_flow_spec(spec_path).build_application().graph
-        bounded = _bounded(graph)
-        auto = ThroughputEngine(bounded)
-        fast_s, fast = _best_of(auto.analyze)
-        slow_s, slow = _best_of(_simulator_call(bounded))
-        oracle = reference_analyze_throughput(bounded)
-        assert slow == oracle, (
-            f"{spec_path.stem}: vectorized tier diverged from the "
-            f"oracle ({slow} vs {oracle})"
-        )
-        assert fast.throughput == oracle.throughput, (
-            f"{spec_path.stem}: {fast.tier} tier diverged from the "
-            f"oracle ({fast.throughput} vs {oracle.throughput})"
-        )
-        records[spec_path.stem] = {
-            "actors": len(bounded),
-            "tier": fast.tier,
-            "tier_reason": fast.tier_reason,
-            "tier_s": fast_s,
-            "vectorized_s": slow_s,
-            "speedup": slow_s / fast_s if fast_s else float("inf"),
-        }
-    return records
 
 
 def _fig6_sweep(workloads):
@@ -163,24 +74,23 @@ def _fig6_sweep(workloads):
             static_order=mapping.static_orders,
             reference_actor=bound.app_actors[0],
         )
-        auto = ThroughputEngine(bound.graph, **kwargs)
-        fast_s, fast = _best_of(auto.analyze)
-        slow_s, slow = _best_of(_simulator_call(bound.graph, **kwargs))
+        engine = ThroughputEngine(bound.graph, **kwargs)
+        seconds, result = _best_of(engine.analyze)
         oracle = reference_analyze_throughput(bound.graph, **kwargs)
-        assert fast == slow == oracle, (
+        # ThroughputResult equality is field for field (period,
+        # transient, ...), not just the throughput value
+        assert result == oracle, (
             f"{figure}: the engine diverged from the oracle "
-            f"(auto {fast}, vectorized {slow}, oracle {oracle})"
+            f"({result} vs {oracle})"
         )
         records[figure] = {
             "interconnect": interconnect,
             "actors": len(bound.graph),
             "edges": len(bound.graph.edges),
-            "tier": fast.tier,
-            "fallback_reason": auto.analytic_decline_reason,
-            "throughput": str(fast.throughput),
-            "tier_s": fast_s,
-            "vectorized_s": slow_s,
-            "speedup": slow_s / fast_s if fast_s else float("inf"),
+            "throughput": str(result.throughput),
+            "period": result.period,
+            "transient_iterations": result.transient_iterations,
+            "engine_s": seconds,
         }
     return records
 
@@ -259,8 +169,7 @@ def _sizing_calls():
         distribution, result = minimal_buffer_distribution(
             graph, throughput_constraint=constraint
         )
-    tiers = scope.snapshot("engine")
-    monotone_calls = sum(tiers.values())
+    monotone_calls = scope.snapshot("engine")["analyses"]
     assert result.throughput >= constraint
     # Same quality: the monotone search must not gold-plate capacities.
     assert (
@@ -274,77 +183,49 @@ def _sizing_calls():
         "greedy_calls": greedy_calls,
         "monotone_calls": monotone_calls,
         "total_tokens": sum(distribution.capacities.values()),
-        "tiers": tiers,
     }
 
 
-def test_throughput_tiers(benchmark, workloads):
+def test_throughput(benchmark, workloads):
     payload = {}
 
     def run_all():
-        payload["corpus"] = _corpus_sweep()
         payload["fig6"] = _fig6_sweep(workloads)
         payload["buffer_sizing"] = _sizing_calls()
         return payload
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    corpus = payload["corpus"]
-    analytic_speedups = [
-        rec["speedup"] for rec in corpus.values()
-        if rec["tier"] == "analytic"
-    ]
-    assert analytic_speedups, (
-        "no corpus scenario escalated to the analytic tier; the stress "
-        "band (diamond-s7-*) no longer exercises the fast path"
-    )
-    median_speedup = statistics.median(analytic_speedups)
     sizing = payload["buffer_sizing"]
     payload["summary"] = {
-        "analytic_median_speedup": median_speedup,
-        "analytic_engaged": len(analytic_speedups),
-        "corpus_tiers": {
-            tier: sum(1 for r in corpus.values() if r["tier"] == tier)
-            for tier in ("analytic", "vectorized")
-        },
         "sizing_call_ratio": (
             sizing["greedy_calls"] / sizing["monotone_calls"]
         ),
     }
 
-    header = (
-        f"{'scenario':<18} {'tier':<10} {'tier [ms]':>10} "
-        f"{'vec [ms]':>10} {'speedup':>8}"
-    )
+    header = f"{'workload':<10} {'actors':>7} {'engine [ms]':>12}"
     rows = [header, "-" * len(header)]
-    for name, rec in sorted(corpus.items()):
-        rows.append(
-            f"{name:<18} {rec['tier']:<10} {rec['tier_s'] * 1e3:>10.3f} "
-            f"{rec['vectorized_s'] * 1e3:>10.3f} {rec['speedup']:>7.1f}x"
-        )
     for figure, rec in payload["fig6"].items():
         rows.append(
-            f"{figure:<18} {rec['tier']:<10} {rec['tier_s'] * 1e3:>10.3f} "
-            f"{rec['vectorized_s'] * 1e3:>10.3f} {rec['speedup']:>7.1f}x"
+            f"{figure:<10} {rec['actors']:>7} "
+            f"{rec['engine_s'] * 1e3:>12.3f}"
         )
     rows.append("")
     rows.append(
-        f"median speedup over {len(analytic_speedups)} "
-        f"analytic-escalated analyses: {median_speedup:.1f}x  |  buffer "
-        f"sizing: {sizing['monotone_calls']} engine calls vs "
+        f"buffer sizing: {sizing['monotone_calls']} engine calls vs "
         f"{sizing['greedy_calls']} greedy "
         f"({payload['summary']['sizing_call_ratio']:.1f}x fewer)"
     )
     table = "\n".join(rows)
-    path = write_results("throughput_tiers.txt", table)
+    path = write_results("throughput.txt", table)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     json_path = RESULTS_DIR / "BENCH_throughput.json"
     json_path.write_text(
         json.dumps(
             {
-                "bench": "tiered throughput engine: corpus + Fig. 6 "
-                         "analyses, buffer-sizing call counts",
+                "bench": "throughput engine: Fig. 6 analyses, "
+                         "buffer-sizing call counts",
                 "unit": f"seconds per analysis (best of {TIMING_ROUNDS})",
                 **payload,
             },
@@ -355,10 +236,6 @@ def test_throughput_tiers(benchmark, workloads):
     )
     print(f"\n{table}\n-> {path}\n-> {json_path}")
 
-    assert median_speedup >= SPEEDUP_TARGET, (
-        f"median speedup over analytic-escalated corpus analyses "
-        f"{median_speedup:.1f}x below the {SPEEDUP_TARGET}x floor"
-    )
     assert sizing["monotone_calls"] < sizing["greedy_calls"], (
         "monotone buffer sizing should need fewer analyses than the "
         "greedy search"

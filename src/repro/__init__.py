@@ -4,7 +4,7 @@ Throughput Constrained Applications to a MPSoC" (PPES 2011).
 The package mirrors the paper's flow (Fig. 1):
 
 * :mod:`repro.sdf` -- SDF graph analysis (the SDF3 substrate): consistency,
-  deadlock, state-space throughput, MCM, buffer sizing.
+  deadlock, state-space throughput, buffer sizing.
 * :mod:`repro.appmodel` -- application model: actor implementations with
   WCET / memory / token-size metrics, multiple implementations per actor.
 * :mod:`repro.arch` -- MAMPS architecture template: tiles, FSL links,

@@ -66,7 +66,7 @@ from repro.flow.dse import (
     ParetoFront,
     TileMix,
 )
-from repro.flow.effort import EffortReport, StepTiming
+from repro.flow.effort import EffortReport
 from repro.flow.usecases import UseCaseMapping
 from repro.mamps.project import PlatformProject
 from repro.mapping.pipeline import StrategyTuple
@@ -108,6 +108,7 @@ register("exploration-result", ExplorationResult)
 register("measured-throughput", MeasuredThroughput)
 register("platform-project", PlatformProject)
 register("use-case-mapping", UseCaseMapping)
+register("effort-report", EffortReport)
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +357,7 @@ register("interconnect-noc", SDMNoC, _encode_noc, _decode_noc)
 # ----------------------------------------------------------------------
 
 
-# Legacy default: payloads older than the tiered engine have no tier.
+# Legacy default: payloads older than the engine have no tier.
 def _encode_throughput(result: ThroughputResult) -> Dict[str, Any]:
     return {
         "throughput": encode_fraction(result.throughput),
@@ -364,20 +365,17 @@ def _encode_throughput(result: ThroughputResult) -> Dict[str, Any]:
         "iterations_per_period": result.iterations_per_period,
         "transient_iterations": result.transient_iterations,
         "tier": result.tier,
-        "tier_reason": result.tier_reason,
     }
 
 
 def _decode_throughput(payload: Dict[str, Any]) -> ThroughputResult:
-    # tier/tier_reason default for payloads written before the tiered
-    # engine existed (every historic analysis ran the reference tier).
+    # Every analysis before the engine ran the reference simulator.
     return ThroughputResult(
         throughput=decode_fraction(payload["throughput"]),
         period=payload["period"],
         iterations_per_period=payload["iterations_per_period"],
         transient_iterations=payload["transient_iterations"],
         tier=payload.get("tier", "reference"),
-        tier_reason=payload.get("tier_reason"),
     )
 
 
@@ -458,27 +456,6 @@ register("pareto-front", ParetoFront, _encode_front, _decode_front)
 # ----------------------------------------------------------------------
 # flow results
 # ----------------------------------------------------------------------
-# Legacy default: payloads older than per-tier counts have none.
-def _encode_effort(report: EffortReport) -> Dict[str, Any]:
-    return {
-        "timings": [
-            {"name": t.name, "seconds": t.seconds} for t in report.timings
-        ],
-        "engine_tiers": dict(report.engine_tiers),
-    }
-
-
-def _decode_effort(payload: Dict[str, Any]) -> EffortReport:
-    return EffortReport(
-        timings=[
-            StepTiming(name=t["name"], seconds=t["seconds"])
-            for t in payload["timings"]
-        ],
-        engine_tiers=dict(payload.get("engine_tiers", {})),
-    )
-
-
-register("effort-report", EffortReport, _encode_effort, _decode_effort)
 
 
 # Dropped live object: the simulator is a running process, not data

@@ -224,7 +224,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 "iterations_per_cycle": str(result.throughput),
                 "per_mega_cycle": result.per_mega_cycle(),
                 "period_cycles": result.period,
-                "engine_tier": result.tier,
             }
             payload["mapping"] = (
                 {"error": str(mapping_error)}

@@ -2,14 +2,13 @@
 
 :data:`PROCESS` holds this process's analysis counts, which every layer
 records through :func:`count` and ``GET /v1/healthz`` reads:
-``engine.analytic`` / ``engine.vectorized`` (throughput analyses per
-:class:`~repro.sdf.engine.ThroughputEngine` tier) and
-``power.platform`` / ``power.application`` (power and energy
-estimates).  :func:`collect` opens a nesting scope that also records
-every count made in its context; worker threads started inside it keep
-their own context.  The execution backend (:mod:`repro.flow.backend`)
-runs every registered task inside a scope and merges a worker
-process's counts into the parent's.
+``engine.analyses`` (:class:`~repro.sdf.engine.ThroughputEngine`
+throughput analyses) and ``power.platform`` / ``power.application``
+(power and energy estimates).  :func:`collect` opens a nesting scope
+that also records every count made in its context; worker threads
+started inside it keep their own context.  The execution backend
+(:mod:`repro.flow.backend`) runs every registered task inside a scope
+and merges a worker process's counts into the parent's.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, Tuple
 
 #: The names the process-wide counts are declared with.
-PROCESS_COUNTS = ("engine.analytic", "engine.vectorized",
-                  "power.platform", "power.application")
+PROCESS_COUNTS = ("engine.analyses", "power.platform", "power.application")
 
 
 class Counters:

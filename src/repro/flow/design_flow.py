@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.flow.dse
     from repro.flow.dse import CandidatePoint, DesignPoint
     from repro.flow.spec import FlowSpec
 
-from repro import counters
 from repro.appmodel.model import ApplicationModel
 from repro.arch.platform import ArchitectureModel
 from repro.comm.serialization import SerializationModel
@@ -172,49 +171,39 @@ class DesignFlow:
         (e.g. for timing-only studies on non-functional models)."""
         effort = EffortReport()
 
-        with counters.collect() as scope:
-            with effort.step("Generating architecture model"):
-                self.arch.validate()
+        with effort.step("Generating architecture model"):
+            self.arch.validate()
 
-            with effort.step("Mapping the design (SDF3)"):
-                mapping_result = map_application(
+        with effort.step("Mapping the design (SDF3)"):
+            mapping_result = map_application(
+                self.app,
+                self.arch,
+                constraint=self.constraint,
+                fixed=self.fixed,
+                serialization_overrides=self.serialization_overrides,
+                effort=self.effort,
+                pipeline=self.pipeline,
+            )
+
+        with effort.step("Generating Xilinx project (MAMPS)"):
+            project = generate_platform(self.app, self.arch, mapping_result)
+
+        simulator = None
+        measured = None
+        can_run = self.app.is_functional()
+        with effort.step("Synthesis of the system"):
+            if can_run:
+                simulator = synthesize(
                     self.app,
                     self.arch,
-                    constraint=self.constraint,
-                    fixed=self.fixed,
+                    mapping_result,
                     serialization_overrides=self.serialization_overrides,
-                    effort=self.effort,
-                    pipeline=self.pipeline,
                 )
-
-            with effort.step("Generating Xilinx project (MAMPS)"):
-                project = generate_platform(
-                    self.app, self.arch, mapping_result
-                )
-
-            simulator = None
-            measured = None
-            can_run = self.app.is_functional()
-            with effort.step("Synthesis of the system"):
-                if can_run:
-                    simulator = synthesize(
-                        self.app,
-                        self.arch,
-                        mapping_result,
-                        serialization_overrides=(
-                            self.serialization_overrides
-                        ),
-                    )
-            if measure and simulator is not None:
-                measured = simulator.measure_throughput(
-                    iterations=iterations,
-                    warmup_iterations=warmup_iterations,
-                )
-        effort.engine_tiers = {
-            tier: count
-            for tier, count in scope.snapshot("engine").items()
-            if count
-        }
+        if measure and simulator is not None:
+            measured = simulator.measure_throughput(
+                iterations=iterations,
+                warmup_iterations=warmup_iterations,
+            )
         return FlowResult(
             mapping_result=mapping_result,
             project=project,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 #: The manual steps of Table 1 with the paper's reported effort.
 TABLE1_MANUAL_STEPS: Tuple[Tuple[str, str], ...] = (
@@ -48,16 +48,9 @@ class StepTiming:
 
 @dataclass
 class EffortReport:
-    """Timings of the automated flow steps (Table 1, bottom half).
-
-    ``engine_tiers`` counts the throughput-engine tiers exercised while
-    the flow ran (``{"analytic": n, "vectorized": m}``, zero entries
-    elided) -- it shows how often the analytic fast path
-    actually engaged during mapping and buffer sizing.
-    """
+    """Timings of the automated flow steps (Table 1, bottom half)."""
 
     timings: List[StepTiming] = field(default_factory=list)
-    engine_tiers: Dict[str, int] = field(default_factory=dict)
 
     @contextmanager
     def step(self, name: str) -> Iterator[None]:
@@ -94,11 +87,4 @@ class EffortReport:
             lines.append(
                 f"{timing.name:<{width}}  {timing.human()} (automated)"
             )
-        if self.engine_tiers:
-            counts = ", ".join(
-                f"{tier}={count}"
-                for tier, count in sorted(self.engine_tiers.items())
-                if count
-            )
-            lines.append(f"throughput engine calls: {counts}")
         return "\n".join(lines)

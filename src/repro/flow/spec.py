@@ -568,7 +568,9 @@ def load_flow_spec(path: Union[str, Path]) -> FlowSpec:
     if suffix == ".json":
         try:
             data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # decode and syntax errors are ValueErrors; RecursionError
+            # is nesting deeper than the parser's stack
             raise FlowSpecError(
                 f"invalid JSON flow spec {path}: {error}"
             ) from None
@@ -585,7 +587,7 @@ def load_flow_spec(path: Union[str, Path]) -> FlowSpec:
                 ) from None
         try:
             data = tomllib.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, tomllib.TOMLDecodeError) as error:
+        except (ValueError, RecursionError) as error:
             raise FlowSpecError(
                 f"invalid TOML flow spec {path}: {error}"
             ) from None

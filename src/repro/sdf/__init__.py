@@ -3,8 +3,7 @@
 This subpackage implements the analysis core that the paper obtains from the
 SDF3 tool set [14]: the SDF graph data structure, consistency analysis
 (repetition vectors), deadlock detection, self-timed execution, state-space
-throughput analysis, maximum-cycle-mean analysis on homogeneous graphs and
-buffer-size modelling.
+throughput analysis and buffer-size modelling.
 
 The central type is :class:`~repro.sdf.graph.SDFGraph`.  A quick tour::
 
@@ -24,14 +23,9 @@ The central type is :class:`~repro.sdf.graph.SDFGraph`.  A quick tour::
 from repro.sdf.graph import Actor, Edge, SDFGraph
 from repro.sdf.repetition import is_consistent, repetition_vector
 from repro.sdf.deadlock import is_deadlock_free
-from repro.sdf.engine import (
-    ThroughputEngine,
-    analytic_throughput,
-)
+from repro.sdf.engine import ThroughputEngine
 from repro.sdf.throughput import ThroughputResult, analyze_throughput
 from repro.sdf.simulation import SelfTimedSimulator, SimulationTrace
-from repro.sdf.hsdf import to_hsdf
-from repro.sdf.mcm import maximum_cycle_mean
 from repro.sdf.buffers import (
     BufferDistribution,
     add_buffer_edges,
@@ -59,12 +53,9 @@ __all__ = [
     "is_deadlock_free",
     "analyze_throughput",
     "ThroughputEngine",
-    "analytic_throughput",
     "ThroughputResult",
     "SelfTimedSimulator",
     "SimulationTrace",
-    "to_hsdf",
-    "maximum_cycle_mean",
     "BufferDistribution",
     "add_buffer_edges",
     "minimal_buffer_distribution",

@@ -186,7 +186,7 @@ def minimal_buffer_distribution(
 
     # Warm path: build the bounded graph ONCE; every candidate after that
     # only retunes credit-edge initial tokens in place.  The engine below
-    # is likewise built once -- its tiers re-read the mutated tokens per
+    # is likewise built once -- it re-reads the mutated tokens per
     # analysis instead of rebuilding the analysis stack.
     bounded = add_buffer_edges(graph, distribution)
 

@@ -50,8 +50,7 @@ class Actor:
     group:
         Optional label tying derived actors back to their origin.  The
         communication-model expansion tags the 8 channel actors with the
-        original edge name; the HSDF expansion tags copies with the original
-        actor name.
+        original edge name.
     concurrency:
         Per-actor override of the maximum number of overlapping firings.
         ``None`` (the default) inherits the simulator-wide setting; the

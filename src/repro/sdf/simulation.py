@@ -5,7 +5,7 @@ resource constraints are given, as soon as its processor is free and the
 static-order schedule designates it).  For consistent, deadlock-free SDF
 graphs self-timed execution reaches a periodic regime whose rate equals the
 maximal achievable throughput [Ghamarian et al. 2006].  This class is the
-one production simulator: the state-space tier of the throughput engine
+one production simulator: the state-space analysis of the throughput engine
 (:meth:`SelfTimedSimulator.run_throughput`, driven by
 :mod:`repro.sdf.engine`), static-order schedule construction
 (:mod:`repro.mapping.scheduling`), the latency scans and the platform

@@ -64,17 +64,12 @@ class ThroughputResult:
     transient_iterations:
         Iterations executed before the periodic phase was entered.
     tier:
-        Which engine tier produced the result (``analytic`` or
-        ``vectorized``; see :mod:`repro.sdf.engine`).  The default,
-        ``reference``, marks results of the test oracle
-        (``reference_analyze_throughput`` in
-        ``tests/sdf/simulation_reference.py``) and of payloads stored
-        before the tiered engine existed.
-        Metadata only -- excluded from equality, which compares the
-        analysis outcome.
-    tier_reason:
-        Why the engine's adaptive policy picked that tier; None when a
-        tier (or the oracle) was called directly.  Metadata only.
+        Which implementation produced the result: ``vectorized`` for
+        :mod:`repro.sdf.engine`; the default, ``reference``, marks
+        results of the test oracles (``tests/sdf/``) and of payloads
+        stored before the engine existed.  Older payloads may carry
+        other values.  Metadata only -- excluded from equality, which
+        compares the analysis outcome.
     """
 
     throughput: Fraction
@@ -82,7 +77,6 @@ class ThroughputResult:
     iterations_per_period: int
     transient_iterations: int
     tier: str = field(default="reference", compare=False)
-    tier_reason: Optional[str] = field(default=None, compare=False)
 
     def iterations_in(self, cycles: int) -> Fraction:
         """Long-term average iterations completed in ``cycles`` cycles."""
@@ -113,7 +107,7 @@ def analyze_throughput(
     selects the actor whose completed firings count iterations (any actor
     gives the same long-term result; default is the first actor).
 
-    One-shot convenience wrapper over the tiered
+    One-shot convenience wrapper over
     :class:`~repro.sdf.engine.ThroughputEngine`; construct the engine
     directly when analyzing the same graph structure repeatedly.
 

@@ -25,7 +25,7 @@ scheduler and speaks the canonical artifact payloads of
                                           workspace artifact
 ``GET /v1/healthz``                       queue depth, worker slots,
                                           service counters, throughput-
-                                          engine tier counters and
+                                          engine analysis count and
                                           platform occupancy
 ``POST /v1/platform/apps``                admit a FlowSpec's application
                                           onto the run-time platform
@@ -349,7 +349,9 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             document = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # decode and syntax errors are ValueErrors; RecursionError
+            # is nesting deeper than the parser's stack
             raise ValueError(f"invalid JSON request body: {error}") from None
         if not isinstance(document, dict):
             raise ValueError(

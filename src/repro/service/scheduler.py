@@ -478,8 +478,8 @@ class FlowScheduler:
     def health(self) -> Dict[str, Any]:
         """Queue depth plus the monotonic counters (``/v1/healthz``).
 
-        ``counters`` are this scheduler's own; ``engine`` (analyses
-        per throughput-engine tier) and ``power`` (estimates; zero
+        ``counters`` are this scheduler's own; ``engine`` (throughput
+        analyses) and ``power`` (estimates; zero
         unless a client opted into budgets, see docs/power.md) are the
         process-wide :mod:`repro.counters`, which include the counts
         of process-backend workers.

@@ -143,7 +143,7 @@ def throughput():
     return ThroughputResult(
         throughput=Fraction(2, 1201), period=1201,
         iterations_per_period=2, transient_iterations=3,
-        tier="analytic", tier_reason="single strongly connected cycle",
+        tier="analytic",
     )
 
 
@@ -235,7 +235,6 @@ def effort_report():
             StepTiming("Mapping the design (SDF3)", 0.125),
             StepTiming("Synthesis of the system", 2.5),
         ],
-        engine_tiers={"analytic": 3, "vectorized": 1},
     )
 
 
@@ -404,7 +403,7 @@ DIGESTS = {
     "design-point":
         "04c1ce0103766f5fde0e754ced57b7472b975d4d1997c8cfc070e4c83f931e21",
     "effort-report":
-        "6a18784d56ba597732f5d7df666e1a8bfef564a7ea34deecd258486b6fbabfb5",
+        "3013a5f46b6bd023c2be26c13d8e70ff98f1708ae615ef6c7d64b59d0b1a3a02",
     "energy-estimate":
         "b49637a9945e3f6a34824952b4a4750d6fdfe02bf524a96f10b6f2a117be8d50",
     "evaluation-outcome":
@@ -412,9 +411,9 @@ DIGESTS = {
     "exploration-result":
         "fda8e7677e33116c6c9a9c9f0c1c162113eb986f64f69791597845da9f9dca71",
     "flow-response":
-        "271af28a28c7fc7c56d80bccec14f89a6d9f3044bf0f8591088fee94272361e5",
+        "ff0e5a96332f592fc6ee5fb2efa9dcca29e94e9820fbc41ba26bf7a5dacdf77d",
     "flow-result":
-        "fd1772ab920c68790cf912b9de3eb17c9fc2a4ed1023fe480cfa5209f8b10577",
+        "dce4193cee4ee37c3bc60e34d5045a629a2f83706efdca68594355df4a18bdca",
     "interconnect-fsl":
         "6ad07e1e797cc5dfe695c3e80dcdbb90216ba53d69973b79793818b29e9c89a6",
     "interconnect-noc":
@@ -422,13 +421,13 @@ DIGESTS = {
     "mapping":
         "115ef170e27a48e390beb16160476c1f35d5796bb8a053d1f212f54170ff50ca",
     "mapping-result":
-        "c8075806b7ed8911b47c4e3cafccaf1ecc8fd9bf51e800fcdca7f77821b689ca",
+        "bd63dc42a803619decb7ad86d55ff5250bb0342cd972bd5777ff51ddeef7599f",
     "measured-throughput":
         "f2a9a8d630396449c72a44859b4445d0b73f1b0e1d368e5b074c809e0c553ed8",
     "operating-point":
-        "646b4f17e97ed5d7141779f0fd936306fb3053ef990b48d3e49e639e5b940b03",
+        "04f51a19891ab597538ef3e72d10302a950a6ad031777474bf9000efede127dc",
     "operating-point-library":
-        "111989a45317ef17882b37f77c2016fd71e93dfe51832e54e5ad78f09a31b399",
+        "daa34fa3689a736f8cbda66ec858e046802f4fc76ee1ecf0ad9aa120a4e2c364",
     "pareto-front":
         "b3940074698379f45510ff9569883ff1489a839103099e37012498864b882654",
     "platform-project":
@@ -440,16 +439,40 @@ DIGESTS = {
     "sdf-graph":
         "8f14a811555c65fcd3011b0c0fbd2a8030723acc3ff107dc6e3baa2c057d3870",
     "session-result":
-        "c2af4b15a275e0a4940c56e4bf020c9394fe23d548d3d65e477de157a071ad96",
+        "25ee71cbb386ef3f8127d35bcfcf2046570b0a0af09e2707c2969d8030f12ae0",
     "stage-record":
         "6b8e397e06ab50c910d6039fc47403a7296ebb1f33af8ee928de7ae599faf9e7",
     "strategy-tuple":
         "3edbfc829f8d791eb285e3db4b252741eb64ef6a75c3d679bedcb1d23ba68720",
     "throughput-result":
-        "52cc706baa808e3734c46f7bce77e852b0ce5e571c3dcaa456aaeeb89f60e112",
+        "117afa018312740b21ae8929592f77c55261127a0200417d6e0752b41afadda0",
     "tile": "1b3bab484e02741135b2a5ecd25e650cedb8704217084fbc1cecef5502e1890d",
     "tile-mix":
         "51496dc481c2112bd16e4ce1e477f159a575590b189e01b9f7f63b200b054d69",
+    "use-case-mapping":
+        "5f858f5471ae494f792b3cb4b28fc04859d6572f5839d75a915fbe14fa661d4b",
+}
+
+#: kind -> SHA-256 from before ``tier_reason`` (throughput-result) and
+#: ``engine_tiers`` (effort-report) left the schema, for every kind that
+#: embeds either (recorded, never regenerated)
+PARENT_DIGESTS = {
+    "effort-report":
+        "6a18784d56ba597732f5d7df666e1a8bfef564a7ea34deecd258486b6fbabfb5",
+    "flow-response":
+        "271af28a28c7fc7c56d80bccec14f89a6d9f3044bf0f8591088fee94272361e5",
+    "flow-result":
+        "fd1772ab920c68790cf912b9de3eb17c9fc2a4ed1023fe480cfa5209f8b10577",
+    "mapping-result":
+        "c8075806b7ed8911b47c4e3cafccaf1ecc8fd9bf51e800fcdca7f77821b689ca",
+    "operating-point":
+        "646b4f17e97ed5d7141779f0fd936306fb3053ef990b48d3e49e639e5b940b03",
+    "operating-point-library":
+        "111989a45317ef17882b37f77c2016fd71e93dfe51832e54e5ad78f09a31b399",
+    "session-result":
+        "c2af4b15a275e0a4940c56e4bf020c9394fe23d548d3d65e477de157a071ad96",
+    "throughput-result":
+        "52cc706baa808e3734c46f7bce77e852b0ce5e571c3dcaa456aaeeb89f60e112",
     "use-case-mapping":
         "80c5cd532a5e12255fec4e60f0c1681c53d607de46eff034fc0b19c77c7fa088",
 }
@@ -489,4 +512,35 @@ def test_canonical_bytes_are_pinned(kind):
 def test_decoding_reencodes_the_same_bytes(kind):
     text = golden_bytes(kind)
     clone = from_payload(json.loads(text))
+    assert canonical_json(to_payload(clone)) == text
+
+
+def parent_era(payload):
+    """``payload`` as the previous schema wrote it: every
+    throughput-result with its ``tier_reason``, every effort-report with
+    its ``engine_tiers``."""
+    if isinstance(payload, list):
+        return [parent_era(item) for item in payload]
+    if not isinstance(payload, dict):
+        return payload
+    old = {key: parent_era(value) for key, value in payload.items()}
+    if payload.get("kind") == "throughput-result":
+        old["tier_reason"] = "single strongly connected cycle"
+    elif payload.get("kind") == "effort-report":
+        old["engine_tiers"] = {"analytic": 3, "vectorized": 1}
+    return old
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_only_the_dropped_keys_changed(kind):
+    """Adding the two dropped keys back restores every previous digest."""
+    old = canonical_json(parent_era(json.loads(golden_bytes(kind))))
+    digest = hashlib.sha256(old.encode("utf-8")).hexdigest()
+    assert digest == PARENT_DIGESTS.get(kind, DIGESTS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(PARENT_DIGESTS))
+def test_previous_schema_payloads_decode(kind):
+    text = golden_bytes(kind)
+    clone = from_payload(parent_era(json.loads(text)))
     assert canonical_json(to_payload(clone)) == text

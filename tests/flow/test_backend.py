@@ -45,7 +45,7 @@ def _fail_task(payload):
 @backend_task("test.count_then_fail")
 def _count_then_fail_task(payload):
     for _ in range(payload["times"]):
-        counters.count("engine.vectorized")
+        counters.count("engine.analyses")
     raise ValueError("counted, then failed")
 
 
@@ -85,8 +85,8 @@ class TestTaskRegistry:
     def test_run_task_returns_the_counts_it_made(self):
         assert run_task("test.count", __name__, {"times": 2}) == (
             {"counted": 2},
-            {"engine.analytic": 0, "engine.vectorized": 0,
-             "power.platform": 2, "power.application": 0},
+            {"engine.analyses": 0, "power.platform": 2,
+             "power.application": 0},
         )
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -103,8 +103,7 @@ class TestTaskRegistry:
         assert {
             counter: after[counter] - before[counter] for counter in after
         } == {
-            "engine.analytic": 0, "engine.vectorized": 0,
-            "power.platform": 6, "power.application": 0,
+            "engine.analyses": 0, "power.platform": 6, "power.application": 0,
         }
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -132,16 +131,14 @@ class TestTaskRegistry:
         assert {
             counter: after[counter] - before[counter] for counter in after
         } == {
-            "engine.analytic": 0, "engine.vectorized": 5,
-            "power.platform": 0, "power.application": 0,
+            "engine.analyses": 5, "power.platform": 0, "power.application": 0,
         }
 
     def test_run_task_attaches_counts_to_the_error(self):
         with pytest.raises(ValueError) as raised:
             run_task("test.count_then_fail", __name__, {"times": 1})
         assert raised.value.task_counts == {
-            "engine.analytic": 0, "engine.vectorized": 1,
-            "power.platform": 0, "power.application": 0,
+            "engine.analyses": 1, "power.platform": 0, "power.application": 0,
         }
 
 

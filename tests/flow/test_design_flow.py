@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import counters
 from repro.appmodel import (
     ActorImplementation,
     ApplicationModel,
@@ -72,16 +73,13 @@ class TestDesignFlow:
         names = [t.name for t in result.effort.timings]
         assert names == list(TABLE1_AUTOMATED_STEPS)
 
-    def test_effort_counts_engine_tiers(self, functional_app):
+    def test_flow_analyses_are_counted(self, functional_app):
         arch = architecture_from_template(2)
-        result = DesignFlow(functional_app, arch).run(measure=False)
-        tiers = result.effort.engine_tiers
-        # mapping + buffer sizing ran through the tiered engine
-        assert sum(tiers.values()) > 0
-        assert set(tiers) <= {"analytic", "vectorized"}
-        assert all(count > 0 for count in tiers.values())
-        # the tier line renders in Table 1
-        assert "throughput engine calls:" in result.effort.as_table()
+        with counters.collect() as scope:
+            result = DesignFlow(functional_app, arch).run(measure=False)
+        # mapping + buffer sizing ran through the engine
+        assert scope.snapshot("engine")["analyses"] > 0
+        assert "engine" not in result.effort.as_table()
 
     def test_summary_contains_table1(self, functional_app):
         arch = architecture_from_template(2)

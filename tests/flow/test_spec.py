@@ -149,6 +149,22 @@ class TestParsing:
         with pytest.raises(FlowSpecError, match="cannot read"):
             load_flow_spec(tmp_path / "absent.toml")
 
+    @pytest.mark.parametrize("name", (
+        "deep.json", "deep.toml", "digits.json",
+    ))
+    def test_unparseable_document_rejected(self, tmp_path, name):
+        # nesting beyond the parser's stack and integers beyond the
+        # conversion limit are malformed input, not crashes
+        text = {
+            "deep.json": "[" * 200_000,
+            "deep.toml": "a = " + "[" * 200_000,
+            "digits.json": '{"name": ' + "9" * 5000 + "}",
+        }[name]
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FlowSpecError, match="invalid"):
+            load_flow_spec(path)
+
     def test_describe_mentions_strategies(self):
         spec = FlowSpec.from_dict(
             {"name": "d", "mapping": {"binding": "spiral"}}

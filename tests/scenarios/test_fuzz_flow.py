@@ -42,9 +42,9 @@ from repro.sdf.buffers import (
     minimal_capacity_bound,
 )
 from repro.sdf.deadlock import is_deadlock_free
-from tests.sdf.simulation_reference import reference_analyze_throughput
+from repro.sdf.engine import ThroughputEngine
 from repro.sdf.throughput import analyze_throughput
-from tests.sdf.tiers import simulated_throughput
+from tests.sdf.simulation_reference import reference_analyze_throughput
 
 #: tier-1 default; CI sets FUZZ_SCENARIOS=200 in the fuzz-smoke job
 SWEEP = max(5, int(os.environ.get("FUZZ_SCENARIOS", "25")))
@@ -85,15 +85,10 @@ class TestSweep:
 
     def test_incremental_matches_reference_exactly(self, spec):
         bounded = _bounded(build_scenario_graph(spec))
-        # The state-space tier promises bit-identical fields; the
-        # engine's adaptive policy (possibly the analytic tier) promises
-        # the same exact throughput value.
-        fast = simulated_throughput(bounded)
+        # Bit-identical fields: throughput, period, transient, ...
         slow = reference_analyze_throughput(bounded)
-        assert fast.throughput == slow.throughput
-        assert fast.period == slow.period
-        auto = analyze_throughput(bounded)
-        assert auto.throughput == slow.throughput
+        assert ThroughputEngine(bounded).analyze() == slow
+        assert analyze_throughput(bounded) == slow
 
     def test_mapping_result_round_trips_byte_identically(self, spec):
         flow_spec = scenario_flow_spec(spec)

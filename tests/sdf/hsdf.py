@@ -1,11 +1,11 @@
-"""SDF to homogeneous SDF (HSDF) conversion.
+"""SDF to homogeneous SDF (HSDF) conversion, for the MCM oracle.
 
 The HSDF expansion creates ``q[a]`` copies of every actor ``a`` (``q`` the
 repetition vector) and unit-rate edges expressing the exact firing-level
 dependencies of the original multirate graph [Sriram & Bhattacharyya].  On
-the HSDF graph, maximum-cycle-mean analysis (:mod:`repro.sdf.mcm`) yields
-the self-timed throughput in closed form, which this library uses as an
-independent cross-check of the state-space analysis.
+the HSDF graph, maximum-cycle-mean analysis (:mod:`tests.sdf.mcm`) yields
+the self-timed throughput in closed form: an independent cross-check of
+the state-space analysis in :mod:`repro.sdf.engine`.
 
 Copy ``i`` of actor ``a`` is named ``f"{a}#{i}"`` and carries
 ``group=a`` so results can be folded back onto the original actors.
@@ -13,7 +13,7 @@ Copy ``i`` of actor ``a`` is named ``f"{a}#{i}"`` and carries
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sdf.graph import SDFGraph
 from repro.sdf.repetition import repetition_vector
@@ -101,3 +101,32 @@ def to_hsdf(graph: SDFGraph, sequential_actors: bool = True) -> SDFGraph:
             initial_tokens=delta,
         )
     return hsdf
+
+
+def is_strongly_connected(graph: SDFGraph) -> bool:
+    """One SCC containing every actor (self-edges ignored).
+
+    Off a strongly connected graph, channels without feedback grow
+    without bound, and the MCM says nothing about the self-timed rate.
+    """
+    actors = [a.name for a in graph]
+    if len(actors) <= 1:
+        return True
+    forward: Dict[str, List[str]] = {a: [] for a in actors}
+    backward: Dict[str, List[str]] = {a: [] for a in actors}
+    for e in graph.edges:
+        if e.src != e.dst:
+            forward[e.src].append(e.dst)
+            backward[e.dst].append(e.src)
+
+    def reaches_all(adjacency: Dict[str, List[str]]) -> bool:
+        seen = {actors[0]}
+        stack = [actors[0]]
+        while stack:
+            for nxt in adjacency[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return len(seen) == len(actors)
+
+    return reaches_all(forward) and reaches_all(backward)

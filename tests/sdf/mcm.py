@@ -1,4 +1,10 @@
-"""Maximum cycle mean / maximum cycle ratio analysis.
+"""Maximum cycle mean / maximum cycle ratio analysis: the second oracle.
+
+An analysis independent of state-space exploration: expand the graph to
+HSDF (:mod:`tests.sdf.hsdf`) and take ``1 / MCM``.  The differential
+suites check the production engine (:mod:`repro.sdf.engine`) against it
+in the exact ``Fraction`` wherever HSDF can express the graph: strongly
+connected, no binding, no static order, auto-concurrency 1.
 
 For an HSDF graph the self-timed throughput equals ``1 / MCM`` where::
 
@@ -22,21 +28,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import DeadlockError, GraphError
+from repro.exceptions import DeadlockError, GraphError, SimulationError
 from repro.sdf.graph import SDFGraph
+from repro.sdf.throughput import ThroughputResult
+from tests.sdf.hsdf import to_hsdf
 
 # An edge for ratio analysis: (src, dst, time_weight, token_count)
 RatioEdge = Tuple[str, str, int, int]
-
-
-class CycleRatioBudgetError(Exception):
-    """The ratio iteration exceeded its relaxation budget.
-
-    Raised only when a ``max_relaxations`` budget was passed; the
-    throughput engine catches it to fall back to simulation on the rare
-    instances (dense multi-rate expansions with many distinct cycle
-    ratios) where the iteration grinds through disproportionate work.
-    """
 
 
 def _find_zero_token_cycle(
@@ -87,14 +85,12 @@ def _positive_cycle(
     nodes: Sequence[str],
     edges: Sequence[RatioEdge],
     ratio: Fraction,
-    budget: Optional[List[int]] = None,
 ) -> Optional[List[int]]:
     """Bellman-Ford test: find a cycle with ``sum(t) - ratio * sum(d) > 0``.
 
     Returns the edge indices of such a cycle, or None when every cycle has
     ratio <= ``ratio``.  Longest-path relaxation from a virtual source that
-    reaches every node.  ``budget`` is a shared one-element relaxation
-    countdown; raises :class:`CycleRatioBudgetError` when it runs dry.
+    reaches every node.
     """
     n = len(nodes)
     index_of = {name: i for i, name in enumerate(nodes)}
@@ -113,12 +109,6 @@ def _positive_cycle(
 
     changed_node: Optional[int] = None
     for _round in range(n):
-        if budget is not None:
-            budget[0] -= len(edge_idx)
-            if budget[0] < 0:
-                raise CycleRatioBudgetError(
-                    "cycle-ratio iteration exceeded its relaxation budget"
-                )
         changed_node = None
         for i, (u, v) in enumerate(edge_idx):
             candidate = dist[u] + weights[i]
@@ -160,18 +150,13 @@ def _cycle_ratio(edges: Sequence[RatioEdge], cycle: Sequence[int]) -> Fraction:
 
 
 def max_cycle_ratio(
-    nodes: Sequence[str],
-    edges: Sequence[RatioEdge],
-    max_relaxations: Optional[int] = None,
+    nodes: Sequence[str], edges: Sequence[RatioEdge]
 ) -> Optional[Fraction]:
     """Exact maximum of (time sum / token sum) over all cycles.
 
     Returns None when the graph has no cycle at all (throughput is then not
     cycle-limited).  Raises :class:`DeadlockError` when a zero-token cycle
-    exists.  ``max_relaxations`` bounds the total Bellman-Ford edge
-    relaxations across all rounds; exceeding it raises
-    :class:`CycleRatioBudgetError` (used by the throughput engine to bail
-    out of adversarial instances).
+    exists.
     """
     if not nodes:
         return None
@@ -182,16 +167,15 @@ def max_cycle_ratio(
             + " -> ".join(zero_cycle)
         )
 
-    budget = None if max_relaxations is None else [max_relaxations]
     # Seed with any cycle: run the positive-cycle test with a ratio lower
     # than every possible cycle ratio (-1 works: times are >= 0, so every
     # cycle has ratio >= 0 > -1 ... unless there is no cycle).
-    seed = _positive_cycle(nodes, edges, Fraction(-1), budget)
+    seed = _positive_cycle(nodes, edges, Fraction(-1))
     if seed is None:
         return None
     ratio = _cycle_ratio(edges, seed)
     while True:
-        better = _positive_cycle(nodes, edges, ratio, budget)
+        better = _positive_cycle(nodes, edges, ratio)
         if better is None:
             return ratio
         new_ratio = _cycle_ratio(edges, better)
@@ -199,14 +183,11 @@ def max_cycle_ratio(
         ratio = new_ratio
 
 
-def maximum_cycle_mean(
-    hsdf: SDFGraph, max_relaxations: Optional[int] = None
-) -> Optional[Fraction]:
+def maximum_cycle_mean(hsdf: SDFGraph) -> Optional[Fraction]:
     """MCM of an HSDF graph (cycles weighed by source-actor times).
 
     Every edge must have unit rates; raises :class:`GraphError` otherwise.
-    Returns None for an acyclic graph.  ``max_relaxations`` is passed
-    through to :func:`max_cycle_ratio`.
+    Returns None for an acyclic graph.
     """
     for edge in hsdf.edges:
         if edge.production != 1 or edge.consumption != 1:
@@ -224,7 +205,7 @@ def maximum_cycle_mean(
         )
         for e in hsdf.edges
     ]
-    return max_cycle_ratio(nodes, edges, max_relaxations)
+    return max_cycle_ratio(nodes, edges)
 
 
 def hsdf_throughput(hsdf: SDFGraph) -> Optional[Fraction]:
@@ -240,3 +221,33 @@ def hsdf_throughput(hsdf: SDFGraph) -> Optional[Fraction]:
             "HSDF graph has only zero-time cycles; throughput is unbounded"
         )
     return 1 / mcm
+
+
+def analytic_throughput(graph: SDFGraph) -> ThroughputResult:
+    """``1 / MCM`` of the HSDF expansion of ``graph``.
+
+    Exact for graphs HSDF can express (sequential actors, no static
+    order or time-shared processor, strongly connected); callers are
+    responsible for that.  The synthesized periodic phase is the
+    smallest one realizing the rate (the state-space analysis may
+    report a longer concrete phase), with no transient.
+    """
+    mcm = maximum_cycle_mean(to_hsdf(graph))
+    if mcm is None:
+        raise SimulationError(
+            f"graph {graph.name!r} has no cycle; throughput is not "
+            "cycle-limited"
+        )
+    if mcm == 0:
+        raise SimulationError(
+            f"graph {graph.name!r} has only zero-time cycles; "
+            "iterations complete in zero time -- throughput is "
+            "unbounded"
+        )
+    throughput = 1 / mcm
+    return ThroughputResult(
+        throughput=throughput,
+        period=throughput.denominator,
+        iterations_per_period=throughput.numerator,
+        transient_iterations=0,
+    )

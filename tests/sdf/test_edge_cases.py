@@ -10,10 +10,10 @@ from repro.sdf import (
     analyze_throughput,
     is_deadlock_free,
     repetition_vector,
-    to_hsdf,
 )
 from repro.sdf.buffers import BufferDistribution, add_buffer_edges
-from repro.sdf.mcm import hsdf_throughput
+from tests.sdf.hsdf import to_hsdf
+from tests.sdf.mcm import hsdf_throughput
 
 
 class TestSkewedRates:

@@ -1,16 +1,14 @@
-"""Differential tests: engine tiers vs. the state-space oracle.
+"""Differential tests: the throughput engine vs. two independent oracles.
 
-Whatever tier the adaptive policy lands on -- vectorized via the probe,
-analytic after escalation, vectorized again after a declined transform
-or a blown relaxation budget -- the engine must produce the *same exact*
-``Fraction`` throughput as the retained full-rescan state-space
-reference, over the committed example corpus (``examples/corpus/``) and
-over seeded fuzz scenarios.  On top of that the analytic tier (HSDF
-transform + maximum cycle mean) is called directly on every graph the
-engine finds eligible, so its exactness is checked even where the probe
-would have answered first.
+Over the committed example corpus (``examples/corpus/``) and seeded fuzz
+scenarios, the engine must agree field for field with the retained
+full-rescan state-space reference (``tests/sdf/simulation_reference.py``),
+and in the exact ``Fraction`` with the HSDF + maximum-cycle-mean oracle
+(``tests/sdf/mcm.py``) wherever HSDF can express the graph: strongly
+connected, no binding, no static order, auto-concurrency 1.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +22,10 @@ from repro.sdf.buffers import (
     minimal_capacity_bound,
 )
 from repro.sdf.deadlock import is_deadlock_free
-from repro.sdf.engine import ThroughputEngine, analytic_throughput
+from repro.sdf.engine import ThroughputEngine
+from repro.sdf.throughput import analyze_throughput
+from tests.sdf.hsdf import is_strongly_connected
+from tests.sdf.mcm import analytic_throughput
 from tests.sdf.simulation_reference import reference_analyze_throughput
 
 CORPUS = sorted(
@@ -55,47 +56,30 @@ def _bounded(graph):
     return bounded
 
 
-def assert_engine_matches_oracle(bounded):
-    """Exact-Fraction agreement for auto *and* for the analytic tier."""
-    engine = ThroughputEngine(bounded)
-    result = engine.analyze()
-    oracle = reference_analyze_throughput(bounded)
-    assert result.throughput == oracle.throughput
-    assert result.tier_reason is not None
-    if result.tier == "vectorized":
-        # Simulation tiers replay the oracle's recurrence: every field
-        # is bit-identical, not just the throughput.
-        assert result.period == oracle.period
-        assert result.transient_iterations == oracle.transient_iterations
-        assert (result.iterations_per_period
-                == oracle.iterations_per_period)
-    if engine.analytic_decline_reason is not None:
-        assert result.tier == "vectorized"
-        assert result.tier_reason == engine.analytic_decline_reason
-    else:
-        # Eligible graph: the probe either answered (vectorized) or
-        # escalated (analytic); run the analytic tier regardless so
-        # the transform itself is differentially checked everywhere it
-        # is tractable.
-        analytic = analytic_throughput(bounded)
-        assert analytic.tier == "analytic"
-        assert analytic.throughput == oracle.throughput
+def assert_engine_matches_oracles(bounded):
+    result = ThroughputEngine(bounded).analyze()
+    assert result.tier == "vectorized"
+    # Equality is field for field (period, transient, ...): the engine
+    # replays the oracle's recurrence.
+    assert result == reference_analyze_throughput(bounded)
+    if is_strongly_connected(bounded):
+        assert analytic_throughput(bounded).throughput == result.throughput
 
 
 @pytest.mark.parametrize(
     "spec_path", CORPUS, ids=[p.stem for p in CORPUS]
 )
-def test_corpus_analytic_matches_reference(spec_path):
+def test_corpus_matches_oracles(spec_path):
     graph = load_flow_spec(spec_path).build_application().graph
-    assert_engine_matches_oracle(_bounded(graph))
+    assert_engine_matches_oracles(_bounded(graph))
 
 
 @pytest.mark.parametrize(
     "spec", FUZZ_SCENARIOS, ids=[s.name for s in FUZZ_SCENARIOS]
 )
-def test_fuzz_analytic_matches_reference(spec):
+def test_fuzz_matches_oracles(spec):
     graph = build_scenario_graph(spec)
-    assert_engine_matches_oracle(_bounded(graph))
+    assert_engine_matches_oracles(_bounded(graph))
 
 
 def test_corpus_is_present():
@@ -103,23 +87,34 @@ def test_corpus_is_present():
     assert len(CORPUS) >= 10
 
 
-def test_declined_transform_cases_occur_in_sweep():
-    """The sweep exercises the fallback path, not only the fast path:
-    at least one mapped variant declines (static orders) and records
-    why."""
+def test_bound_variant_matches_reference():
+    """A bound variant (one shared processor, no static order) stays
+    field-exact against the oracle."""
     graph = _bounded(build_scenario_graph(FUZZ_SCENARIOS[0]))
-    actors = [a.name for a in graph]
-    engine = ThroughputEngine(
-        graph,
-        processor_of={a: "tile0" for a in actors},
-        static_order=None,
+    processor_of = {a.name: "tile0" for a in graph}
+    result = ThroughputEngine(graph, processor_of=processor_of).analyze()
+    assert result == reference_analyze_throughput(
+        graph, processor_of=processor_of
     )
-    assert engine.analytic_decline_reason is not None
-    result = engine.analyze()
-    assert result.tier == "vectorized"
-    assert result.tier_reason == engine.analytic_decline_reason
-    oracle = reference_analyze_throughput(
-        graph, processor_of={a: "tile0" for a in actors}
-    )
-    assert result.throughput == oracle.throughput
-    assert result.period == oracle.period
+
+
+#: The stress-band graphs whose state space outlived the probe of the
+#: removed HSDF fast path, with the MCM oracle's throughput.
+LONG_TRANSIENT = {
+    "diamond-s7-04": Fraction(1, 504),
+    "diamond-s7-05": Fraction(1, 573),
+    "diamond-s7-06": Fraction(1, 387),
+    "diamond-s7-07": Fraction(1, 447),
+    "diamond-s7-11": Fraction(1, 382),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_TRANSIENT))
+def test_long_transient_band_within_default_budget(name):
+    """The state-space run alone solves the long-transient band at the
+    default 10,000-iteration budget, with the MCM oracle's Fraction."""
+    path = CORPUS[0].parent / f"{name}.toml"
+    bounded = _bounded(load_flow_spec(path).build_application().graph)
+    result = analyze_throughput(bounded)
+    assert result.throughput == LONG_TRANSIENT[name]
+    assert result.throughput == analytic_throughput(bounded).throughput

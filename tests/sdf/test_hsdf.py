@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 
-from repro.sdf import SDFGraph, analyze_throughput, repetition_vector, to_hsdf
+from repro.sdf import SDFGraph, analyze_throughput, repetition_vector
 from repro.sdf.buffers import BufferDistribution, add_buffer_edges
-from repro.sdf.hsdf import hsdf_copy_name
-from repro.sdf.mcm import hsdf_throughput
+from tests.sdf.hsdf import hsdf_copy_name, to_hsdf
+from tests.sdf.mcm import hsdf_throughput
 
 
 def test_copy_counts_match_repetition_vector(figure2_graph):

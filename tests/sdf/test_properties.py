@@ -18,10 +18,10 @@ from repro.sdf import (
     analyze_throughput,
     is_deadlock_free,
     repetition_vector,
-    to_hsdf,
 )
-from repro.sdf.mcm import hsdf_throughput
 from repro.sdf.simulation import SelfTimedSimulator
+from tests.sdf.hsdf import to_hsdf
+from tests.sdf.mcm import hsdf_throughput
 
 
 @st.composite

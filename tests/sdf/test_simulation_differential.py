@@ -24,6 +24,7 @@ from repro.sdf.buffers import (
     minimal_capacity_bound,
 )
 from repro.sdf.deadlock import is_deadlock_free
+from repro.sdf.engine import ThroughputEngine
 from repro.sdf.graph import SDFGraph
 from repro.sdf.simulation import SelfTimedSimulator
 from tests.sdf.simulation_reference import (
@@ -32,7 +33,6 @@ from tests.sdf.simulation_reference import (
 )
 from repro.sdf.throughput import analyze_throughput
 from tests.sdf.static_orders import derive_static_orders
-from tests.sdf.tiers import simulated_throughput
 
 
 def random_bounded_graph(rng: random.Random) -> SDFGraph:
@@ -168,16 +168,16 @@ def test_static_order_execution_matches_reference(seed):
     assert_same_execution(fast, slow)
 
 
-def _both_analyses(graph, **kwargs):
-    """Run both analyzers; return (result, result) or (error, error).
+def _engine_analysis(graph, **kwargs):
+    return ThroughputEngine(graph, **kwargs).analyze()
 
-    The state-space tier is called directly for the field-exact
-    comparison: it promises bit-identical results (period, transient,
-    ...); the analytic tier promises only the same exact throughput
-    value and is compared separately.
-    """
+
+def _both_analyses(graph, **kwargs):
+    """Run the engine and the oracle; return (result, result) or
+    (error, error).  Results must be bit-identical (period, transient,
+    ...), not just equal in throughput."""
     outcomes = []
-    for analyze in (simulated_throughput, reference_analyze_throughput):
+    for analyze in (_engine_analysis, reference_analyze_throughput):
         try:
             outcomes.append(analyze(graph, **kwargs))
         except ReproError as error:
@@ -191,13 +191,13 @@ def test_throughput_analysis_matches_reference(seed):
     graph = random_bounded_graph(rng)
     fast, slow = _both_analyses(graph, max_iterations=2_000)
     assert fast == slow  # identical ThroughputResult or same error class
-    # The tier the adaptive policy picks must agree on the throughput value.
+    # The one-shot facade adds only the untimed starvation report.
     try:
-        auto = analyze_throughput(graph, max_iterations=2_000)
+        one_shot = analyze_throughput(graph, max_iterations=2_000)
     except ReproError as error:
         assert isinstance(slow, type) and type(error) is slow
     else:
-        assert auto.throughput == slow.throughput
+        assert one_shot == slow
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -133,7 +133,7 @@ def test_multirate_throughput():
     # q = {A: 3, B: 2}.  Both actors carry 6 cycles of work per iteration,
     # but the token dependencies leave unavoidable idle time: the periodic
     # phase completes one iteration per 8 cycles (hand-traced; the MCM
-    # engine independently confirms it in test_hsdf.py).
+    # oracle independently confirms it in test_hsdf.py).
     result = analyze_throughput(g)
     assert result.throughput == Fraction(1, 8)
 
@@ -209,11 +209,9 @@ class TestReusedEngine:
     def test_matches_oracle_and_one_shot_analysis(self, figure2_graph):
         g = bounded(figure2_graph, {"a2b": 4, "a2c": 2, "b2c": 3})
         engine = ThroughputEngine(g)
-        # Field-exact against the oracle; value-exact against whatever
-        # tier the adaptive policy picks.
+        # Field-exact against the oracle and the one-shot analysis.
         assert engine.analyze() == reference_analyze_throughput(g)
-        assert engine.analyze().throughput == \
-            analyze_throughput(g).throughput
+        assert engine.analyze() == analyze_throughput(g)
 
     def test_reanalyze_after_in_place_token_mutation(self):
         """Warm path: mutate credit tokens in place, re-analyze, and get

@@ -168,7 +168,7 @@ class TestServiceMeta:
             "submitted", "coalesced", "artifact_hits", "computed",
             "failed",
         }
-        assert set(health["engine"]) == {"analytic", "vectorized"}
+        assert set(health["engine"]) == {"analyses"}
 
     def test_unknown_routes_answer_404(self, client):
         for method, path in (
@@ -235,6 +235,34 @@ class TestServiceMeta:
         assert lines[0].split()[1] == "400"
         assert "Connection: close" in lines[1:]
         assert "invalid Content-Length" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("path", (
+        "/v1/flows",
+        "/v1/platform/apps",
+        "/v1/platform/apps/app-000001/depart",
+    ))
+    def test_deeply_nested_body_answers_400(self, service, client, path,
+                                            capfd):
+        """JSON nested deeper than the parser's stack (well under the
+        body limit) is a malformed body, not a dropped connection."""
+        import http.client
+
+        host, port = service.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request(
+                "POST", path, body=b"[" * 200_000,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            error = json.loads(response.read())["error"]
+            assert error.startswith("invalid JSON request body")
+        finally:
+            connection.close()
+        assert client.health()["status"] == "ok"
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_stalled_body_is_disconnected(self, service, monkeypatch,
                                           capfd):

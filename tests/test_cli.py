@@ -183,6 +183,13 @@ class TestRunSpec:
         assert main(["run", "--spec", str(tmp_path / "none.toml")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_deeply_nested_spec_fails_cleanly(self, tmp_path, capsys):
+        spec = tmp_path / "deep.json"
+        spec.write_text("[" * 200_000, encoding="utf-8")
+        assert main(["run", "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON flow spec")
+
 
 class TestDSE:
     def test_prints_pareto_table(self, capsys):
@@ -230,12 +237,12 @@ class TestMaxIterationsPlumbing:
         payload = json.loads(capsys.readouterr().out)
         assert "error" not in payload["mapping"]
 
-    def test_analyze_json_reports_engine_tier(self, graph_file, capsys):
+    def test_analyze_json_throughput_section(self, graph_file, capsys):
         assert main(["analyze", graph_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["throughput"]["engine_tier"] in (
-            "analytic", "vectorized"
-        )
+        assert sorted(payload["throughput"]) == [
+            "iterations_per_cycle", "per_mega_cycle", "period_cycles",
+        ]
 
     @pytest.mark.parametrize("engine", ("auto", "analytic", "vectorized"))
     def test_analyze_has_no_engine_pin(self, graph_file, engine):

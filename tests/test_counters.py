@@ -14,10 +14,10 @@ class TestCountersClass:
         assert Counters(("b", "a")).snapshot() == {"b": 0, "a": 0}
 
     def test_prefix_selects_and_strips_a_namespace(self):
-        mixed = Counters(("engine.analytic", "engine.vectorized",
+        mixed = Counters(("engine.analyses", "engine.other",
                           "power.platform", "enginex.other"))
-        mixed.add("engine.vectorized", 3)
-        assert mixed.snapshot("engine") == {"analytic": 0, "vectorized": 3}
+        mixed.add("engine.analyses", 3)
+        assert mixed.snapshot("engine") == {"analyses": 3, "other": 0}
         assert mixed.snapshot("power") == {"platform": 0}
 
     def test_undeclared_name_raises(self):
@@ -56,24 +56,27 @@ class TestProcessCounts:
     def test_count_records_process_wide_and_in_scopes(self):
         before = counters.PROCESS.snapshot()
         with counters.collect() as scope:
-            counters.count("engine.analytic", 2)
+            counters.count("engine.analyses", 2)
             counters.count("power.application")
         after = counters.PROCESS.snapshot()
-        assert after["engine.analytic"] == before["engine.analytic"] + 2
+        assert after["engine.analyses"] == before["engine.analyses"] + 2
         assert after["power.application"] == \
             before["power.application"] + 1
         assert scope.snapshot() == {
-            "engine.analytic": 2, "engine.vectorized": 0,
-            "power.platform": 0, "power.application": 1,
+            "engine.analyses": 2, "power.platform": 0,
+            "power.application": 1,
         }
 
     def test_scopes_stay_in_their_context(self):
         with counters.collect() as scope:
             other = threading.Thread(
-                target=counters.count, args=("engine.vectorized",)
+                target=counters.count, args=("power.platform",)
             )
             other.start()
             other.join(timeout=10)
-            counters.count("engine.analytic")
+            counters.count("engine.analyses")
         assert not other.is_alive()
-        assert scope.snapshot("engine") == {"analytic": 1, "vectorized": 0}
+        assert scope.snapshot() == {
+            "engine.analyses": 1, "power.platform": 0,
+            "power.application": 0,
+        }
