@@ -3,10 +3,13 @@
 :data:`PROCESS` holds this process's analysis counts, which every layer
 records through :func:`count` and ``GET /v1/healthz`` reads:
 ``engine.analyses`` (:class:`~repro.sdf.engine.ThroughputEngine`
-throughput analyses) and ``power.platform`` / ``power.application``
-(power and energy estimates).  :func:`collect` opens a nesting scope
-that also records every count made in its context; worker threads
-started inside it keep their own context.  The execution backend
+throughput analyses), ``power.platform`` / ``power.application``
+(power and energy estimates), and ``sim.instants`` /
+``sim.run_instants`` (the stamps the simulator's lean loops handle, and
+those of them handled in word runs; see :mod:`repro.sdf.simulation`).
+:func:`collect` opens a nesting scope that also records every count
+made in its context; worker threads started inside it keep their own
+context.  The execution backend
 (:mod:`repro.flow.backend`) runs every registered task inside a scope
 and merges a worker process's counts into the parent's.
 """
@@ -19,7 +22,10 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, Tuple
 
 #: The names the process-wide counts are declared with.
-PROCESS_COUNTS = ("engine.analyses", "power.platform", "power.application")
+PROCESS_COUNTS = (
+    "engine.analyses", "power.platform", "power.application",
+    "sim.instants", "sim.run_instants",
+)
 
 
 class Counters:

@@ -1014,6 +1014,7 @@ class MappingPipeline:
                             static_order=orders,
                             reference_actor=bound.app_actors[0],
                             max_iterations=budget.max_iterations,
+                            repetitions=bound.repetitions,
                         )
                         analyzer_orders = orders
                     entry = (orders, analyzer.analyze())

@@ -38,7 +38,7 @@ which ``GET /v1/healthz`` reads.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.counters import count
 from repro.exceptions import SimulationError
@@ -55,7 +55,10 @@ class ThroughputEngine:
     (the simulator re-reads tokens on reset) -- the buffer-sizing warm
     path and the mapping flow's buffer-growth loop rely on this.
 
-    Parameters mirror :func:`repro.sdf.throughput.analyze_throughput`.
+    Parameters mirror :func:`repro.sdf.throughput.analyze_throughput`;
+    ``repetitions`` is the graph's repetition vector when the caller
+    holds it already (a :class:`~repro.mapping.bound_graph.BoundGraph`
+    caches it), so that it is not solved again.
     """
 
     def __init__(
@@ -66,6 +69,7 @@ class ThroughputEngine:
         static_order: Optional[Dict[str, Sequence[str]]] = None,
         reference_actor: Optional[str] = None,
         max_iterations: int = 10_000,
+        repetitions: Optional[Mapping[str, int]] = None,
     ) -> None:
         validate_graph(graph)
         self.graph = graph
@@ -74,7 +78,10 @@ class ThroughputEngine:
         self._processor_of = processor_of
         self._static_order = static_order
         self._reference_actor = reference_actor
-        self._q = repetition_vector(graph)
+        self._q = (
+            repetitions if repetitions is not None
+            else repetition_vector(graph)
+        )
         self._sim: Optional[SelfTimedSimulator] = None
 
     def analyze(self) -> ThroughputResult:

@@ -70,8 +70,14 @@ def source_to_sink_latency(
     minus (start of source firing ``i*q[source]``).  The first ``warmup``
     iterations are skipped; the maximum over the next ``iterations`` is
     returned -- in the periodic regime this is the steady per-input
-    latency.
+    latency.  Raises :class:`~repro.exceptions.SimulationError` for a
+    negative ``warmup`` or fewer than one measured iteration.
     """
+    if iterations < 1 or warmup < 0:
+        raise SimulationError(
+            f"need iterations >= 1 and warmup >= 0, got {iterations} and "
+            f"{warmup}"
+        )
     q = repetition_vector(graph)
     sim = SelfTimedSimulator(
         graph,

@@ -57,10 +57,14 @@ concurrency slot are available and ends its static time later.
 of token stamps -- the Fig. 4 model's ``s2``/``s3``/``c1``/``c2``/``d3``
 actors never enter the heap.  Only the tokens they deliver to other actors
 become heap entries; one aimed at an actor whose processor stays busy past
-it waits for that processor to free instead.  At every iteration boundary
-and on return the arithmetic state is read back at the current stamp, so
-:meth:`SelfTimedSimulator.state_key` and every public counter equal the
-event-by-event execution's.
+it waits for that processor to free instead.  A *fed* actor -- bound,
+positive static duration, every input from an unbound actor: the Fig. 4
+``d1`` -- gets each firing's tokens in one wake-up, and while it wins its
+processor the loop advances it through its words in a *word run*, its
+instants held off the heap (see :meth:`_UnboundRun._run`).  At every
+iteration boundary and on return the arithmetic state is read back at the
+current stamp, so :meth:`SelfTimedSimulator.state_key` and every public
+counter equal the event-by-event execution's.
 
 The dirty-set engine starts firings in the same deterministic order as the
 naive full rescan (static-order processors in declaration order, then the
@@ -74,12 +78,14 @@ suite checks on randomized graphs.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.counters import count
 from repro.exceptions import DeadlockError, GraphError, SimulationError
 from repro.sdf.graph import SDFGraph
 from repro.sdf.throughput import ThroughputResult, UnboundedExecutionError
@@ -87,6 +93,8 @@ from repro.sdf.throughput import ThroughputResult, UnboundedExecutionError
 # Bits of a stamp that count passes within one instant (see the module
 # docstring); 2**40 passes at one time is far beyond any finite run.
 _PASS_BITS = 40
+# The time part of a stamp.
+_TIME_PART = -1 << _PASS_BITS
 
 
 @dataclass(frozen=True)
@@ -648,7 +656,9 @@ class SelfTimedSimulator:
         run = _UnboundRun(self, frozenset((ref_idx,)))
         try:
             while iterations_done < max_iterations:
-                if not run.advance():
+                # Only the reference actor's completions matter here, and
+                # a word run's instants have none.
+                if not run.advance(sys.maxsize):
                     raise DeadlockError(
                         f"mapped graph {name!r} blocked after "
                         f"{iterations_done} iteration(s) at t={self.now}; "
@@ -706,10 +716,12 @@ class SelfTimedSimulator:
         ``completion_order``, the name of every counted-down completion
         is appended to it, in completion order.
 
-        ``max_steps`` bounds the instants the loop handles.  Without
+        ``max_steps`` bounds the instants the loop handles, and counts
+        every handled stamp, word runs' included.  Without
         ``record_trace`` the unobserved unbound actors fire by
-        arithmetic, so an instant is one in which an observed actor
-        completes or receives tokens, or one in which parked arithmetic
+        arithmetic and fed actors take their tokens in batches, so an
+        instant is one in which an observed actor completes or receives
+        tokens, a fed actor completes or is woken, or parked arithmetic
         firings of an all-unbound cycle start.  With ``record_trace``
         every actor is observed and an instant is a completion instant,
         as in :meth:`step`.
@@ -730,16 +742,17 @@ class SelfTimedSimulator:
         )
 
         run = _UnboundRun(self, observed)
+        steps = 0
         try:
-            for _ in range(max_steps):
-                if not outstanding:
-                    break
-                if not run.advance():
+            while steps < max_steps and outstanding:
+                handled = run.advance(max_steps - steps)
+                if not handled:
                     raise DeadlockError(
                         f"execution of {self.graph.name!r} blocked at "
                         f"t={self.now} with {outstanding} target firing(s) "
                         "outstanding"
                     )
+                steps += handled
                 for end, _seq, idx, start in run.finished:
                     if remaining[idx]:
                         remaining[idx] -= 1
@@ -838,6 +851,7 @@ class _UnboundPlan:
     def __init__(self, sim: SelfTimedSimulator, observed: frozenset) -> None:
         n = len(sim._actor_names)
         consumer = sim._consumer_of
+        producer = [sim._actor_index[e.src] for e in sim._edge_objs]
         is_u = [
             sim._proc_of[i] < 0
             and sim._exec_time[i] is not None
@@ -848,23 +862,82 @@ class _UnboundPlan:
         self.unbound_inputs: List[int] = [
             e for e, v in enumerate(consumer) if is_u[v]
         ]
+        # A *fed* actor is a bound actor of positive static duration whose
+        # every input comes from an unbound actor (the Fig. 4 ``d1``).  Its
+        # inputs are stamp queues too, and it is woken once per firing,
+        # when its next batch of tokens is complete (see
+        # :meth:`_UnboundRun._refill`).  On its processor it runs at most
+        # one firing at a time.
+        is_fed = [
+            not is_u[i] and sim._proc_of[i] >= 0
+            and bool(sim._exec_time[i]) and bool(sim._in_rates[i])
+            and all(is_u[producer[e]] for e, _c in sim._in_rates[i])
+            for i in range(n)
+        ]
+        self.fed: List[int] = [i for i in range(n) if is_fed[i]]
+        queued = [u or f for u, f in zip(is_u, is_fed)]
         rate_in = [e.consumption for e in sim._edge_objs]
         # Per actor: outputs to bound consumers as (edge, rate, consumer),
-        # to unbound ones as (edge, rate, consumer, consumption).
+        # to unbound and fed ones as (edge, rate, consumer, tokens that
+        # wake a consumer blocked on the edge: any one for a fed actor).
         self.to_bound: List[List[Tuple[int, int, int]]] = [
-            [(e, p, consumer[e]) for e, p in outs if not is_u[consumer[e]]]
+            [(e, p, consumer[e]) for e, p in outs if not queued[consumer[e]]]
             for outs in sim._out_rates
         ]
         self.to_unbound: List[List[Tuple[int, int, int, int]]] = [
-            [(e, p, consumer[e], rate_in[e])
-             for e, p in outs if is_u[consumer[e]]]
+            [(e, p, consumer[e], rate_in[e] if is_u[consumer[e]] else 1)
+             for e, p in outs if queued[consumer[e]]]
             for outs in sim._out_rates
         ]
+        # Per fed actor that may fire in a word run (see
+        # :meth:`_UnboundRun._run`): its processor; the members that win
+        # that processor before it (``higher``) or after it (``lower``),
+        # and the processor's static order, whose head is a lower
+        # member; its outputs to bound consumers as (edge, rate,
+        # consumer, consumption, whether the consumer is a member that
+        # does not win before it).  Only an unobserved fed actor that the
+        # processor runs greedily or as interleaved work qualifies.
+        self.runner: List[Optional[tuple]] = [None] * n
+        for f in self.fed:
+            if f in observed:
+                continue
+            pid = sim._proc_of[f]
+            if not sim._proc_is_static[pid]:
+                members = sim._proc_members[pid]
+                higher = tuple(m for m in members if m < f)
+                lower = tuple(m for m in members if m > f)
+                order = None
+            elif f in sim._interleaved_idx.get(pid, ()):
+                interleaved = sim._interleaved_idx[pid]
+                k = interleaved.index(f)
+                higher = tuple(interleaved[:k])
+                lower = tuple(interleaved[k + 1:])
+                order = sim._order_idx[pid]
+            else:
+                continue
+            consumers = tuple(
+                (e, p, v, rate_in[e],
+                 sim._proc_of[v] == pid and v not in higher)
+                for e, p, v in self.to_bound[f]
+            )
+            self.runner[f] = (pid, higher, lower, order, consumers)
+        # Per fed actor in a word run: the processors its completion may
+        # disturb, its own and its consumers', and the other runs on
+        # them.
+        for f in self.fed:
+            if self.runner[f] is None:
+                continue
+            touched = {sim._proc_of[f]}
+            touched.update(sim._proc_of[v] for _e, _p, v in self.to_bound[f])
+            self.runner[f] += (frozenset(
+                g for g in self.fed
+                if g != f and self.runner[g] is not None
+                and self.runner[g][0] in touched
+            ), frozenset(touched))
         # An unbound actor is *autonomous* when it could fire forever on
         # tokens of unbound actors alone (no inputs, or an all-unbound
         # cycle feeding it); every other one is held back by the tokens
         # observed actors have produced so far.
-        producer = [sim._actor_index[e.src] for e in sim._edge_objs]
         autonomous = set(self.actors)
         changed = True
         while changed:
@@ -921,6 +994,16 @@ class _UnboundRun:
     field is ``~producer``, or wait in :attr:`pending` for a busy
     consumer processor to free.
 
+    A *fed* actor's tokens stay in stamp queues as well.  It receives a
+    whole batch at once -- the tokens of its next firing -- at the stamp
+    where the last of them arrives: at once when they are all there as
+    its previous firing ends, else through a *wake-up*, a heap entry
+    whose actor field is ``~(n + actor)`` (or a :attr:`pending` entry
+    ``n + actor``), ``n`` being the actor count.  A wake-up sits where
+    the delivery of the batch's last token sat, so every start is the
+    event-by-event one; only the instants in which tokens reached the
+    fed actor without letting it start are gone.
+
     While the run lasts, ``_started`` of an unbound actor counts every
     resolved firing, its ``_completed`` and the token counts of edges
     with an unbound end are stale; :meth:`state_key` and :meth:`close`
@@ -932,20 +1015,33 @@ class _UnboundRun:
 
     # ``state`` of an unbound actor: queued for resolution, parked at a
     # known start, or else the stamp queue of the input edge it is
-    # blocked on -- only tokens on that edge can unblock it.
+    # blocked on -- only tokens on that edge can unblock it.  A fed
+    # actor's is the stamp queue it is blocked on, or anything else.
     _QUEUED, _PARKED = 1, 2
 
     def __init__(self, sim: SelfTimedSimulator, observed: frozenset) -> None:
         # Built per call, like everything below: it is linear in the
         # graph, and a simulator kept between calls then holds none of it.
         plan = _UnboundPlan(sim, observed)
+        n = len(sim._actor_names)
         self.sim = sim
         self.plan = plan
+        self.n = n
         self.pos = pos = sim._stamp
         self.finished: List[Tuple[int, int, int, int]] = []
         self.deferred: List[Tuple[int, int]] = []
         self.pending: List[List[int]] = [[] for _ in sim._proc_names]
-        self.state: List[object] = [None] * len(sim._actor_names)
+        self.state: List[object] = [None] * n
+        # Instants handled outside word runs and in them.
+        self.steps = self.run_instants = 0
+        # The word runs (see :meth:`_run`): each one's next instant, its
+        # fed actor's completion or wake-up, kept off the heap in a heap
+        # of its own, and, per fed actor in a run, whether a member that
+        # wins its processor before it, or after it, is ready.
+        self.runner: List[Optional[tuple]] = [None] * n
+        self.held: List[Tuple[int, int, int, int]] = []
+        self.higher_ready: List[Optional[bool]] = [None] * n
+        self.lower_ready: List[Optional[bool]] = [None] * n
         tokens = sim._tokens
         completed = sim._completed
         # Token count of each unbound-touching edge with no firing done.
@@ -955,20 +1051,38 @@ class _UnboundRun:
         ]
         # Stamps of the tokens on each edge into an unbound actor, oldest
         # first, and each unbound actor's resolved firings not yet known
-        # to be over, as (start, end).
+        # to be over, as (start, end).  Tokens already on an edge into a
+        # fed actor are delivered: its queue starts empty.
         stamps: List[Optional[deque]] = [None] * len(tokens)
         for e in plan.unbound_inputs:
             stamps[e] = deque(repeat(pos, tokens[e]))
-        self.fired: List[Optional[deque]] = [None] * len(sim._actor_names)
-        # Outputs to unbound actors as (stamp queue, rate, consumer,
-        # consumption), per actor.
+        for f in plan.fed:
+            for e, _c in sim._in_rates[f]:
+                stamps[e] = deque()
+        self.fired: List[Optional[deque]] = [None] * n
+        # Outputs to unbound and fed actors as (stamp queue, rate,
+        # consumer, tokens that wake it), per actor.
         self.to_unbound = [
             [(stamps[e], p, v, c) for e, p, v, c in outs]
             for outs in plan.to_unbound
         ]
+        # Per fed actor: inputs as (edge, stamp queue, rate).
+        self.fed_ins: List[Optional[tuple]] = [None] * n
+        for f in plan.fed:
+            self.fed_ins[f] = tuple(
+                (e, stamps[e], c) for e, c in sim._in_rates[f]
+            )
+            if plan.runner[f] is not None:
+                # The plan's entry, plus inputs and outputs to stamp
+                # queues, for the word runs.
+                self.runner[f] = plan.runner[f] + (
+                    self.fed_ins[f], self.to_unbound[f],
+                )
+            if not sim._ongoing[f]:
+                self._refill(f)
         # Per unbound actor, for :meth:`_resolve`: inputs as (stamp queue,
         # rate, rate - 1), the plan's shape, outputs and firing records.
-        self.spec: List[Optional[tuple]] = [None] * len(sim._actor_names)
+        self.spec: List[Optional[tuple]] = [None] * n
         for u in plan.actors:
             fl = self.fired[u] = deque()
             cap, advance, fold, autonomous = plan.shape[u]
@@ -996,24 +1110,59 @@ class _UnboundRun:
                 for end, _seq, u, start in sorted(pulled):
                     self.fired[u].append((start << _PASS_BITS, end))
                     self._emit(u, end)
+        # What :meth:`_run` works on, in one attribute (no bound method of
+        # this object: the run must not keep itself alive).
+        self.run_context = (
+            sim, sim._queue, self.deferred, self.held, self.pending,
+            self.runner, self.higher_ready, self.lower_ready, sim._tokens,
+            sim._started, sim._ongoing, sim._completed, sim._proc_busy,
+            self.state, self.work, sim._is_ready_idx, n,
+        )
         sim._start_all_ready()
         self._resolve()
 
     # -- the hot path ---------------------------------------------------
-    def advance(self) -> bool:
-        """Handle the next instant: the next heap stamp or, if earlier,
-        the next parked start; False (after letting every resolved
-        firing end) when there is neither, as the execution blocks."""
+    def advance(self, budget: int) -> int:
+        """Handle the next instants, at most ``budget`` of them, and
+        return how many: 0, after letting every resolved firing end,
+        when there is none as the execution blocks.
+
+        One instant is the next heap stamp or, if earlier, the next
+        parked start, unless word runs (:meth:`_run`) take it: only they
+        hand over more than one instant.  Their instants finish nothing
+        but unobserved fed actors, so :attr:`finished` is empty after
+        them.
+        """
         queue = self.sim._queue
+        if self.held:
+            handled = self._run(budget)
+            if handled:
+                return handled
+        elif queue:
+            top = queue[0]
+            idx = top[2]
+            f = idx if idx >= 0 else ~idx - self.n
+            if f >= 0 and self.runner[f] is not None:
+                # A fed actor's instant may open a run (see :meth:`_run`)
+                # if it is alone at its stamp.
+                stamp = top[0]
+                size = len(queue)
+                if not ((size > 1 and queue[1][0] <= stamp)
+                        or (size > 2 and queue[2][0] <= stamp)):
+                    handled = self._run(budget)
+                    if handled:
+                        return handled
         deferred = self.deferred
+        self.steps += 1
         if deferred and (not queue or deferred[0][0] < queue[0][0]):
-            self.finished.clear()
+            self.finished = []
             self._move_to(deferred[0][0])
             self._resolve()
-            return True
+            return 1
         if queue:
             self._step()
-            return True
+            return 1
+        self.steps -= 1
         fired = self.fired
         last = max(
             (fired[u][-1][1] for u in self.plan.actors if fired[u]),
@@ -1021,7 +1170,7 @@ class _UnboundRun:
         )
         if last > self.pos:
             self._move_to(last)
-        return False
+        return 0
 
     def _move_to(self, stamp: int) -> None:
         self.pos = self.sim._stamp = stamp
@@ -1029,29 +1178,34 @@ class _UnboundRun:
 
     def _step(self) -> None:
         """Handle the next heap stamp: its completions (collected in
-        :attr:`finished`) and deliveries, the starts they enable, then
-        the unbound firings that follow."""
+        :attr:`finished`), deliveries and wake-ups, the starts they
+        enable, then the unbound firings that follow."""
         sim = self.sim
         plan = self.plan
         queue = sim._queue
         stamp = queue[0][0]
         self._move_to(stamp)
-        finished = self.finished
-        finished.clear()
+        finished = self.finished = []
         heappop = heapq.heappop
         tokens = sim._tokens
         mark = sim._mark_actor
         to_bound = plan.to_bound
+        n = self.n
         while queue and queue[0][0] == stamp:
             entry = heappop(queue)
             idx = entry[2]
             if idx < 0:
-                for e, p, v in to_bound[~idx]:
-                    tokens[e] += p
-                    mark(v)
+                u = ~idx
+                if u < n:
+                    for e, p, v in to_bound[u]:
+                        tokens[e] += p
+                        mark(v)
+                else:
+                    self._deliver(u - n)
+                    mark(u - n)
                 continue
             # A bound actor's firing ends: _finish_firing, except that
-            # tokens for unbound actors go to their stamp queues.
+            # tokens for unbound and fed actors go to their stamp queues.
             finished.append(entry)
             for e, p, v in to_bound[idx]:
                 tokens[e] += p
@@ -1075,11 +1229,488 @@ class _UnboundRun:
                 waiting = self.pending[pid]
                 if waiting:
                     for u in waiting:
-                        for e, p, v in to_bound[u]:
-                            tokens[e] += p
-                            mark(v)
+                        if u < n:
+                            for e, p, v in to_bound[u]:
+                                tokens[e] += p
+                                mark(v)
+                        else:
+                            self._deliver(u - n)
+                            mark(u - n)
                     waiting.clear()
                 sim._mark_proc_free(pid)
+                if self.fed_ins[idx] is not None:
+                    self._refill(idx)
+        sim._start_all_ready()
+        self._resolve()
+
+    # -- fed actors -------------------------------------------------------
+    def _batch_stamp(self, f: int) -> int:
+        """The stamp at which fed ``f``'s next batch is complete (0 when
+        its token counts hold it already); -1, with ``f`` set to wait on
+        a stamp queue, without enough tokens."""
+        tokens = self.sim._tokens
+        at = 0
+        for e, stamp_queue, c in self.fed_ins[f]:
+            need = c - tokens[e]
+            if need > 0:
+                if len(stamp_queue) < need:
+                    self.state[f] = stamp_queue
+                    return -1
+                t = stamp_queue[need - 1]
+                if t > at:
+                    at = t
+        return at
+
+    def _refill(self, f: int) -> None:
+        """Give fed ``f``, which has no firing in flight, its next batch:
+        now if its tokens have all arrived, else by a wake-up (see
+        :meth:`_schedule`).  Without enough tokens ``f`` waits on a
+        stamp queue."""
+        at = self._batch_stamp(f)
+        if at >= 0:
+            self._schedule(f, at)
+
+    def _schedule(self, f: int, at: int) -> None:
+        """Deliver fed ``f``'s batch, complete at stamp ``at``: now if
+        that has passed, else by a wake-up at ``at`` -- on the heap, or
+        pending while the processor is busy past it, as a delivery of
+        the batch's last token would be."""
+        if at <= self.pos:
+            self._deliver(f)
+            return
+        sim = self.sim
+        pid = sim._proc_of[f]
+        if sim._proc_busy[pid] > at >> _PASS_BITS:
+            self.pending[pid].append(self.n + f)
+            return
+        heapq.heappush(sim._queue, (at, sim._seq, ~(self.n + f), 0))
+        sim._seq += 1
+
+    def _deliver(self, f: int) -> None:
+        """Move fed ``f``'s next batch from its stamp queues to its
+        token counts."""
+        tokens = self.sim._tokens
+        for e, stamp_queue, c in self.fed_ins[f]:
+            need = c - tokens[e]
+            if need > 0:
+                tokens[e] = c
+                for _ in range(need):
+                    stamp_queue.popleft()
+
+    # -- word runs ----------------------------------------------------------
+    def _run(self, budget: int) -> int:
+        """Handle word-run instants, at most ``budget``; return how many.
+
+        A word run follows one fed actor ``f`` that wins its processor:
+        its completion and, when its next batch is late, its wake-up,
+        each kept off the heap (in :attr:`held` while another run goes
+        on).  A run opens at a heap stamp that holds nothing but ``f``'s
+        completion, or its wake-up while its processor is free.  The
+        earliest held instant is handled while it comes strictly before
+        the heap top, the earliest parked start and every other run's
+        next instant and, for a completion, while nothing waits in
+        :attr:`pending` for the processor it frees.  Otherwise every
+        held instant goes onto the heap with the sequence number it was
+        given, and the runs end.
+
+        At a completion :meth:`_step` would finish ``f``, refill it and
+        arbitrate for its processor among ``f``, the other members and
+        ``f``'s bound consumers.  With no consumer ready that may start
+        elsewhere or before ``f``, and no member ready that wins before
+        ``f``, that arbitration starts ``f`` if its batch is there and,
+        if not, nothing as long as no member that wins after ``f`` is
+        ready either: ``f`` then starts here or at its wake-up, with
+        nothing else to arbitrate.  A run's wake-up comes only after
+        such a completion, and one that opens a run finds the processor
+        free, where every member that could start has.  Members change
+        readiness only through heap events and the instants of the runs
+        whose fed actor or consumers share their processor (a run's
+        instant ends those runs), so what a run learns of them
+        (:attr:`higher_ready`, :attr:`lower_ready`; ``None`` until
+        asked) holds for as long as it runs.  Otherwise the stamp ends
+        as :meth:`_step` ends it, and so do the runs.
+        """
+        (sim, queue, deferred, held, pending, runners, higher_ready,
+         lower_ready, tokens, started, ongoing, completed, busy, state,
+         work, is_ready, n) = self.run_context
+        resolve = self._resolve
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        queued = self._QUEUED
+        self.finished = []
+        count = 0
+        arbitrated = False
+        while count != budget:
+            if queue and (not held or queue[0][0] < held[0][0]):
+                # The heap top opens a run if nothing else happens at
+                # its stamp.
+                entry = queue[0]
+                stamp = entry[0]
+                idx = entry[2]
+                f = idx if idx >= 0 else ~idx - n
+                runner = runners[f] if f >= 0 else None
+                size = len(queue)
+                if (runner is None
+                        or (size > 1 and queue[1][0] <= stamp)
+                        or (size > 2 and queue[2][0] <= stamp)
+                        or (deferred and deferred[0][0] <= stamp)):
+                    break
+                if idx >= 0:
+                    if pending[runner[0]]:
+                        break
+                    higher_ready[f] = lower_ready[f] = None
+                elif busy[runner[0]] > stamp >> _PASS_BITS:
+                    break
+                else:
+                    # Every member that could start on the free
+                    # processor has, so none is ready.
+                    higher_ready[f] = lower_ready[f] = False
+                heappop(queue)
+            elif held:
+                entry = held[0]
+                stamp = entry[0]
+                idx = entry[2]
+                f = idx if idx >= 0 else ~idx - n
+                runner = runners[f]
+                size = len(held)
+                if ((deferred and deferred[0][0] <= stamp)
+                        or (idx >= 0 and pending[runner[0]])):
+                    break
+                if ((queue and queue[0][0] <= stamp)
+                        or (size > 1 and held[1][0] <= stamp)
+                        or (size > 2 and held[2][0] <= stamp)):
+                    # Several runs' instants at one stamp.
+                    group = self._group(stamp)
+                    if group is None:
+                        break
+                    count += 1
+                    if self._run_group(group, stamp):
+                        arbitrated = True
+                        break
+                    continue
+                heappop(held)
+            else:
+                break
+            (pid, higher, lower, order, consumers, conflicts, _touched,
+             ins, outs) = runner
+            waiting = pending[pid]
+            duration = sim._exec_time[f]
+            # ``f``'s instants, for as long as they come first.
+            while True:
+                count += 1
+                if conflicts and held:
+                    self._end_runs(conflicts)
+                self.pos = sim._stamp = stamp
+                sim.now = now = stamp >> _PASS_BITS
+                if idx < 0:
+                    # The wake-up: ``f``, alone ready on its free
+                    # processor, starts.
+                    ongoing[f] += 1
+                else:
+                    # The completion: _step's finish.
+                    for e, p, _v, _c, _lower in consumers:
+                        tokens[e] += p
+                    for stamp_queue, p, v, c in outs:
+                        if p == 1:
+                            stamp_queue.append(stamp)
+                        else:
+                            stamp_queue.extend(repeat(stamp, p))
+                        if state[v] is stamp_queue and len(stamp_queue) >= c:
+                            state[v] = queued
+                            work.append(v)
+                    completed[f] += 1
+                    arbitrated = higher_ready[f]
+                    if arbitrated is None:
+                        for m in higher:
+                            if is_ready(m):
+                                arbitrated = True
+                                break
+                        else:
+                            arbitrated = False
+                        higher_ready[f] = arbitrated
+                    if not arbitrated:
+                        # A consumer that may start now ends the runs,
+                        # unless it waits on the processor behind ``f``.
+                        for e, _p, v, c, lower_member in consumers:
+                            if tokens[e] >= c:
+                                if not lower_member:
+                                    if is_ready(v):
+                                        arbitrated = True
+                                        break
+                                elif not lower_ready[f] and is_ready(v):
+                                    lower_ready[f] = True
+                    if arbitrated:
+                        ongoing[f] -= 1
+                        self._refill(f)
+                        self._arbitrate(f, pid, consumers)
+                        break
+                    # _refill, with a wake-up kept instead of pushed.
+                    at = 0
+                    for e, stamp_queue, c in ins:
+                        need = c - tokens[e]
+                        if need > 0:
+                            if len(stamp_queue) < need:
+                                state[f] = stamp_queue
+                                at = -1
+                                break
+                            t = stamp_queue[need - 1]
+                            if t > at:
+                                at = t
+                    if at < 0 or at > stamp:
+                        ongoing[f] -= 1
+                        arbitrated = lower_ready[f]
+                        if arbitrated is None:
+                            for m in lower:
+                                if is_ready(m):
+                                    arbitrated = True
+                                    break
+                            else:
+                                arbitrated = order is not None and is_ready(
+                                    order[sim._order_pos[pid] % len(order)]
+                                )
+                            lower_ready[f] = arbitrated
+                        if at > 0:
+                            entry = (at, sim._seq, ~(n + f), 0)
+                            sim._seq += 1
+                            if arbitrated:
+                                heappush(queue, entry)
+                        if arbitrated:
+                            self._arbitrate(f, pid, consumers)
+                            break
+                        if at < 0:
+                            # Nothing starts now.  The tokens ``f`` waits
+                            # for may be resolved below: it stays out of
+                            # that, and is refilled here instead.
+                            state[f] = None
+                            if work:
+                                resolve()
+                            for e, stamp_queue, c in ins:
+                                need = c - tokens[e]
+                                if need > 0:
+                                    if len(stamp_queue) < need:
+                                        state[f] = stamp_queue
+                                        at = -1
+                                        break
+                                    t = stamp_queue[need - 1]
+                                    if t > at:
+                                        at = t
+                            if at < 0:
+                                break
+                            entry = (at, sim._seq, ~(n + f), 0)
+                            sim._seq += 1
+                        elif work:
+                            resolve()
+                        # On to the wake-up.
+                        stamp = at
+                        idx = entry[2]
+                        if ((count == budget)
+                                or (queue and queue[0][0] <= stamp)
+                                or (deferred and deferred[0][0] <= stamp)
+                                or (held and held[0][0] <= stamp)):
+                            heappush(held, entry)
+                            break
+                        continue
+                # ``f`` starts now, on its batch.
+                for e, stamp_queue, c in ins:
+                    have = tokens[e]
+                    if have >= c:
+                        tokens[e] = have - c
+                    else:
+                        tokens[e] = 0
+                        stamp_queue.popleft()
+                        if c - have > 1:
+                            for _ in range(c - have - 1):
+                                stamp_queue.popleft()
+                end = now + duration
+                started[f] += 1
+                entry = (end << _PASS_BITS | 1, sim._seq, f, now)
+                sim._seq += 1
+                busy[pid] = end
+                if work:
+                    resolve()
+                # On to the completion.
+                stamp = entry[0]
+                idx = f
+                if ((count == budget)
+                        or (queue and queue[0][0] <= stamp)
+                        or (deferred and deferred[0][0] <= stamp)
+                        or (held and held[0][0] <= stamp)
+                        or waiting):
+                    heappush(held, entry)
+                    break
+            if arbitrated:
+                break
+        else:
+            self.run_instants += count
+            return count
+        for entry in held:
+            heappush(queue, entry)
+        held.clear()
+        self.run_instants += count
+        return count
+
+    def _group(self, stamp: int) -> Optional[list]:
+        """The run instants at ``stamp``, taken off the held heap and the
+        heap, when they may form one instant of their own: each is one a
+        run may handle, nothing else happens then, and no two of their
+        fed actors touch each other's processor.  ``None`` otherwise."""
+        sim = self.sim
+        queue = sim._queue
+        held = self.held
+        runners = self.runner
+        n = self.n
+        group = [entry for entry in held if entry[0] == stamp]
+        if queue and queue[0][0] == stamp:
+            top = queue[0]
+            size = len(queue)
+            if ((size > 1 and queue[1][0] <= stamp)
+                    or (size > 2 and queue[2][0] <= stamp)):
+                return None
+            group.append(top)
+        members = []
+        for entry in group:
+            idx = entry[2]
+            f = idx if idx >= 0 else ~idx - n
+            runner = runners[f] if f >= 0 else None
+            if runner is None:
+                return None
+            pid = runner[0]
+            if idx >= 0:
+                if self.pending[pid]:
+                    return None
+            elif sim._proc_busy[pid] > stamp >> _PASS_BITS:
+                return None
+            for g_pid, g_touched in members:
+                if g_pid in runner[6] or pid in g_touched:
+                    return None
+            members.append((pid, runner[6]))
+        if queue and queue[0][0] == stamp:
+            top = heapq.heappop(queue)
+            idx = top[2]
+            f = idx if idx >= 0 else ~idx - n
+            # A run opens here (see :meth:`_run`).
+            fresh = None if idx >= 0 else False
+            self.higher_ready[f] = self.lower_ready[f] = fresh
+        held[:] = [entry for entry in held if entry[0] != stamp]
+        heapq.heapify(held)
+        group.sort()
+        return group
+
+    def _run_group(self, group: list, stamp: int) -> bool:
+        """Handle one stamp of several independent runs' instants as
+        :meth:`_step` would: every completion finished and every wake-up
+        delivered, one arbitration, one resolution.  Each run's fed actor
+        is handled as in :meth:`_run`, except that a blocked one waits
+        for a wake-up from the heap.  Returns whether an actor needed
+        the generic arbitration, which ends the runs."""
+        (sim, _queue, _deferred, held, _pending, runners, higher_ready,
+         lower_ready, tokens, started, ongoing, completed, busy, state,
+         work, is_ready, n) = self.run_context
+        self.pos = sim._stamp = stamp
+        sim.now = now = stamp >> _PASS_BITS
+        marked = False
+        for entry in group:
+            idx = entry[2]
+            f = idx if idx >= 0 else ~idx - n
+            (pid, higher, lower, order, consumers, conflicts, _touched,
+             ins, outs) = runners[f]
+            if conflicts and held:
+                self._end_runs(conflicts)
+            if idx >= 0:
+                # The completion, as in :meth:`_run`.
+                for e, p, _v, _c, _lower in consumers:
+                    tokens[e] += p
+                for stamp_queue, p, v, c in outs:
+                    stamp_queue.extend(repeat(stamp, p))
+                    if state[v] is stamp_queue and len(stamp_queue) >= c:
+                        state[v] = self._QUEUED
+                        work.append(v)
+                completed[f] += 1
+                ongoing[f] -= 1
+                generic = higher_ready[f]
+                if generic is None:
+                    generic = higher_ready[f] = any(
+                        is_ready(m) for m in higher
+                    )
+                if not generic:
+                    for e, _p, v, c, lower_member in consumers:
+                        if tokens[e] >= c and is_ready(v):
+                            if not lower_member:
+                                generic = True
+                                break
+                            lower_ready[f] = True
+                at = self._batch_stamp(f)
+                if not generic and not 0 <= at <= stamp:
+                    generic = lower_ready[f]
+                    if generic is None:
+                        generic = lower_ready[f] = any(
+                            is_ready(m) for m in lower
+                        ) or (
+                            order is not None
+                            and is_ready(
+                                order[sim._order_pos[pid] % len(order)]
+                            )
+                        )
+                    if not generic:
+                        if at > 0:
+                            heapq.heappush(
+                                held, (at, sim._seq, ~(n + f), 0)
+                            )
+                            sim._seq += 1
+                        continue
+                if generic:
+                    if at >= 0:
+                        self._schedule(f, at)
+                    mark = sim._mark_actor
+                    for _e, _p, v, _c, _lower in consumers:
+                        mark(v)
+                    mark(f)
+                    sim._mark_proc_free(pid)
+                    marked = True
+                    continue
+            # ``f`` starts now, on its batch.
+            for e, stamp_queue, c in ins:
+                have = tokens[e]
+                if have >= c:
+                    tokens[e] = have - c
+                else:
+                    tokens[e] = 0
+                    for _ in range(c - have):
+                        stamp_queue.popleft()
+            end = now + sim._exec_time[f]
+            ongoing[f] += 1
+            started[f] += 1
+            heapq.heappush(held, (end << _PASS_BITS | 1, sim._seq, f, now))
+            sim._seq += 1
+            busy[pid] = end
+        if marked:
+            sim._start_all_ready()
+        self._resolve()
+        return marked
+
+    def _end_runs(self, actors: frozenset) -> None:
+        """End the word runs of ``actors``: their held instants go onto
+        the heap."""
+        held = self.held
+        n = self.n
+        ended = [
+            entry for entry in held
+            if (entry[2] if entry[2] >= 0 else ~entry[2] - n) in actors
+        ]
+        if ended:
+            held[:] = [entry for entry in held if entry not in ended]
+            heapq.heapify(held)
+            for entry in ended:
+                heapq.heappush(self.sim._queue, entry)
+
+    def _arbitrate(self, f: int, pid: int, consumers: tuple) -> None:
+        """End a word run's completion stamp as :meth:`_step` ends it."""
+        sim = self.sim
+        mark = sim._mark_actor
+        for _e, _p, v, _c, _lower in consumers:
+            mark(v)
+        mark(f)
+        sim._mark_proc_free(pid)
         sim._start_all_ready()
         self._resolve()
 
@@ -1103,7 +1734,8 @@ class _UnboundRun:
 
     def _resolve(self) -> None:
         """Resolve every unbound firing whose tokens have stamps, those of
-        autonomous actors only if they start by the current stamp."""
+        autonomous actors only if they start by the current stamp, and
+        refill every fed actor those tokens unblock."""
         horizon = self.pos + 1
         deferred = self.deferred
         work = self.work
@@ -1116,20 +1748,17 @@ class _UnboundRun:
             work.append(u)
         if not work:
             return
-        pass_bits = _PASS_BITS
-        time_part = -1 << _PASS_BITS
-        parked = self._PARKED
-        heappush = heapq.heappush
         pos = self.pos
         spec = self.spec
         sim = self.sim
         started = sim._started
-        busy = sim._proc_busy
-        pending = self.pending
-        heap = sim._queue
         while work:
             u = work.pop()
-            ins, cap, advance, outs, fold, fl, autonomous = spec[u]
+            sp = spec[u]
+            if sp is None:
+                self._refill(u)
+                continue
+            ins, cap, advance, outs, fold, fl, autonomous = sp
             while True:
                 start = pos
                 for stamp_queue, c, last in ins:
@@ -1145,8 +1774,8 @@ class _UnboundRun:
                         if t > start:
                             start = t
                     if autonomous and start >= horizon:
-                        state[u] = parked
-                        heappush(deferred, (start, u))
+                        state[u] = self._PARKED
+                        heapq.heappush(deferred, (start, u))
                         break
                     for stamp_queue, c, last in ins:
                         if last:
@@ -1155,7 +1784,7 @@ class _UnboundRun:
                         else:
                             stamp_queue.popleft()
                     end = (
-                        (start & time_part) + advance if advance
+                        (start & _TIME_PART) + advance if advance
                         else start + 1
                     )
                     if len(fl) > 16:
@@ -1173,13 +1802,14 @@ class _UnboundRun:
                             state[v] = queued
                             work.append(v)
                     if fold is not None:
-                        if fold >= 0 and busy[fold] > end >> pass_bits:
+                        if (fold >= 0
+                                and sim._proc_busy[fold] > end >> _PASS_BITS):
                             # The consumer's processor is busy past the
                             # delivery; its firing ending frees it and
                             # applies the tokens (see :meth:`_step`).
-                            pending[fold].append(u)
+                            self.pending[fold].append(u)
                         else:
-                            heappush(heap, (end, sim._seq, ~u, 0))
+                            heapq.heappush(sim._queue, (end, sim._seq, ~u, 0))
                             sim._seq += 1
                     continue
                 break
@@ -1222,15 +1852,25 @@ class _UnboundRun:
         ]
         firings.extend(
             (idx, (end >> _PASS_BITS) - now)
-            for end, _seq, idx, _start in sim._queue if idx >= 0
+            for end, _seq, idx, _start in sim._queue + self.held
+            if idx >= 0
         )
         firings.sort()
         return (tuple(tokens), tuple(firings), sim._order_part())
 
     def close(self) -> None:
         """Write the state at the current stamp into the simulator: counts,
-        tokens, and the unbound firings in flight as heap entries."""
+        tokens, and the firings in flight as heap entries; count the
+        instants handled (``sim.instants``, ``sim.run_instants``)."""
+        count("sim.instants", self.steps + self.run_instants)
+        count("sim.run_instants", self.run_instants)
         sim = self.sim
+        # Held wake-ups are dropped with the deliveries: the tokens are
+        # read back below.
+        for entry in self.held:
+            if entry[2] >= 0:
+                heapq.heappush(sim._queue, entry)
+        self.held.clear()
         if not self.plan.actors:
             return
         started, completed, tokens, live = self._state_at_pos()

@@ -479,9 +479,9 @@ class FlowScheduler:
         """Queue depth plus the monotonic counters (``/v1/healthz``).
 
         ``counters`` are this scheduler's own; ``engine`` (throughput
-        analyses) and ``power`` (estimates; zero
-        unless a client opted into budgets, see docs/power.md) are the
-        process-wide :mod:`repro.counters`, which include the counts
+        analyses), ``sim`` (simulator instants) and ``power`` (estimates;
+        zero unless a client opted into budgets, see docs/power.md) are
+        the process-wide :mod:`repro.counters`, which include the counts
         of process-backend workers.
         """
         platform = self._platform
@@ -497,6 +497,7 @@ class FlowScheduler:
             "jobs_tracked": len(self._jobs),
             "counters": self.counters.snapshot(),
             "engine": PROCESS.snapshot("engine"),
+            "sim": PROCESS.snapshot("sim"),
             "power": PROCESS.snapshot("power"),
             "platform": (
                 platform.occupancy()

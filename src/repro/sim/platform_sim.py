@@ -210,8 +210,15 @@ class PlatformSimulator:
         fired its repetition-vector share -- i.e. the pipeline has actually
         delivered the output, the quantity the paper measures on the FPGA
         (MCUs decoded).  Counting a source actor instead would overestimate
-        the rate while the pipeline fills.
+        the rate while the pipeline fills.  A target of 0 returns at once
+        (the zero warm-up of :meth:`measure_throughput`); a negative one
+        raises :class:`~repro.exceptions.SimulationError`.
         """
+        if iterations < 0:
+            raise SimulationError(
+                f"cannot run to {iterations} iterations; the target must "
+                "be >= 0"
+            )
         sim = self._sim
         try:
             now = sim.run_until(
@@ -242,6 +249,10 @@ class PlatformSimulator:
         """
         if iterations < 1:
             raise SimulationError("need at least one measured iteration")
+        if warmup_iterations < 0:
+            raise SimulationError(
+                f"warm-up of {warmup_iterations} iterations; it must be >= 0"
+            )
         t0 = self.run_iterations(warmup_iterations)
         t1 = self.run_iterations(warmup_iterations + iterations)
         cycles = t1 - t0

@@ -86,7 +86,8 @@ class TestTaskRegistry:
         assert run_task("test.count", __name__, {"times": 2}) == (
             {"counted": 2},
             {"engine.analyses": 0, "power.platform": 2,
-             "power.application": 0},
+             "power.application": 0, "sim.instants": 0,
+             "sim.run_instants": 0},
         )
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -104,6 +105,7 @@ class TestTaskRegistry:
             counter: after[counter] - before[counter] for counter in after
         } == {
             "engine.analyses": 0, "power.platform": 6, "power.application": 0,
+            "sim.instants": 0, "sim.run_instants": 0,
         }
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -132,6 +134,7 @@ class TestTaskRegistry:
             counter: after[counter] - before[counter] for counter in after
         } == {
             "engine.analyses": 5, "power.platform": 0, "power.application": 0,
+            "sim.instants": 0, "sim.run_instants": 0,
         }
 
     def test_run_task_attaches_counts_to_the_error(self):
@@ -139,6 +142,7 @@ class TestTaskRegistry:
             run_task("test.count_then_fail", __name__, {"times": 1})
         assert raised.value.task_counts == {
             "engine.analyses": 1, "power.platform": 0, "power.application": 0,
+            "sim.instants": 0, "sim.run_instants": 0,
         }
 
 

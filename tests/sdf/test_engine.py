@@ -162,6 +162,24 @@ class TestWarmReuse:
             ).analyze()
             assert warm == cold
 
+    def test_given_repetition_vector_is_not_solved_again(
+        self, figure2_bounded, monkeypatch
+    ):
+        """A bound graph's cached vector serves the engine as it is."""
+        from repro.sdf import engine as engine_module
+        from repro.sdf.repetition import repetition_vector
+
+        q = repetition_vector(figure2_bounded)
+        expected = ThroughputEngine(figure2_bounded).analyze()
+
+        def unsolvable(graph):
+            raise AssertionError("repetition vector solved again")
+
+        monkeypatch.setattr(engine_module, "repetition_vector", unsolvable)
+        assert ThroughputEngine(
+            figure2_bounded, repetitions=q
+        ).analyze() == expected
+
 
 # ----------------------------------------------------------------------
 # counters

@@ -90,6 +90,15 @@ class TestSourceToSink:
         with pytest.raises(SimulationError, match="not in graph"):
             source_to_sink_latency(g, "n0", "zed")
 
+    @pytest.mark.parametrize("iterations, warmup", [(10, -2), (0, 3), (-1, 0)])
+    def test_window_out_of_range_rejected(self, iterations, warmup):
+        """A negative warm-up would index the trace from its end."""
+        g = chain([10, 20])
+        with pytest.raises(SimulationError, match="iterations >= 1"):
+            source_to_sink_latency(
+                g, "n0", "n1", iterations=iterations, warmup=warmup
+            )
+
     def test_multirate_source_sink(self, figure2_graph):
         from repro.sdf.buffers import (
             BufferDistribution,

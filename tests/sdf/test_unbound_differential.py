@@ -30,6 +30,7 @@ from functools import partial
 
 import pytest
 
+from repro import counters
 from repro.comm.model import expand_channel
 from repro.comm.params import ChannelParameters
 from repro.comm.serialization import CASerialization, PESerialization
@@ -420,4 +421,211 @@ def test_zero_time_chain_reaches_its_consumer_in_the_right_pass(
     result = SelfTimedSimulator(graph, **race).run_throughput("S", 1, 100)
     assert result == reference_analyze_throughput(
         graph, reference_actor="S", max_iterations=100, **race
+    )
+
+
+# -- word runs ---------------------------------------------------------------
+def word_run_case(layout, rival, x_time, back_channel=0, twin=False,
+                  words=5, times=(9, 7, 13)):
+    """One Fig. 4 channel from ``A`` on ``p0`` to ``B`` on ``p1``, whose
+    ``d1`` (6 cycles a word) runs words back to back, plus:
+
+    * ``rival``: ``R`` on ``p1``, fed by ``X`` on ``px`` (``x_time``
+      cycles a firing, its completions foreign to the run), added
+      before the expansion (``"higher"``: it wins ``p1`` before ``d1``)
+      or after it (``"lower"``);
+    * ``back_channel``: if positive, a second channel from ``B`` back
+      to ``C`` on ``p0`` (``back_channel`` cycles a firing), whose ``s3``
+      credits land on ``p1`` as pending deliveries while ``d1`` holds it
+      -- with a slow ``C`` they are what ``B`` waits for;
+    * ``twin``: a second channel into ``B``, from ``A2`` on ``p0``: its
+      ``d1`` shares ``d1``'s resource, and its wake-ups wait as pending
+      entries while ``d1`` holds it;
+    * ``layout``: ``greedy`` (as static-order derivation runs it),
+      ``orders`` (``p1`` in a static order of its application actors,
+      ``d1`` interleaved), ``ca`` (``d1``/``d2`` on a communication
+      assist) or ``split`` (``d1`` on the assist, ``d2`` on ``p1``).
+
+    Returns (graph, simulator keyword arguments, application actors)."""
+    g = SDFGraph(f"run-{layout}-{rival}-{x_time}-{back_channel}")
+    a_time, b_time, a2_time = times
+    g.add_actor("A", execution_time=a_time)
+    g.add_actor("B", execution_time=b_time)
+    apps = ["A", "B"]
+
+    def add_rival():
+        g.add_actor("X", execution_time=x_time)
+        g.add_actor("R", execution_time=4)
+        g.add_edge("AX", "A", "X")
+        g.add_edge("XR", "X", "R")
+        g.add_edge("RA", "R", "A", initial_tokens=2)
+        apps.extend(["X", "R"])
+
+    if rival == "higher":
+        add_rival()
+    g.add_edge("AB", "A", "B", token_size=4 * words)
+    if twin:
+        g.add_actor("A2", execution_time=a2_time)
+        g.add_edge("A2B", "A2", "B", token_size=4 * (words - 2))
+        apps.append("A2")
+    if back_channel:
+        g.add_actor("C", execution_time=back_channel)
+        g.add_edge("BC", "B", "C", token_size=8)
+        g.add_edge("CA", "C", "A", initial_tokens=2)
+        apps.append("C")
+    deserialization = (
+        PESerialization(5, 6) if layout in ("greedy", "orders")
+        else CASerialization(2, 6)
+    )
+    params = ChannelParameters(
+        words_in_flight=2, network_buffer_words=1,
+        injection_cycles_per_word=1, channel_latency=2,
+    )
+    names = expand_channel(
+        g, "AB", params, PESerialization(5, 2),
+        alpha_src=2, alpha_dst=2, deserialization=deserialization,
+    )
+    processor_of = {"A": "p0", "B": "p1", names.s1: "p0"}
+    channels = [names]
+    if twin:
+        channels.append(expand_channel(
+            g, "A2B", params, PESerialization(5, 2),
+            alpha_src=1, alpha_dst=1, deserialization=deserialization,
+        ))
+        processor_of.update({"A2": "p0", channels[1].s1: "p0"})
+    if rival == "lower":
+        add_rival()
+    for channel in channels:
+        processor_of[channel.d1] = (
+            "p1" if layout in ("greedy", "orders") else "ca1"
+        )
+        processor_of[channel.d2] = "ca1" if layout == "ca" else "p1"
+    if rival:
+        processor_of.update({"X": "px", "R": "p1"})
+    if back_channel:
+        back = expand_channel(
+            g, "BC", params, PESerialization(3, 2), alpha_src=1, alpha_dst=2,
+        )
+        processor_of.update({
+            "C": "p0", back.s1: "p1", back.d1: "p0", back.d2: "p0",
+        })
+    kwargs = {"processor_of": processor_of}
+    if layout == "orders":
+        kwargs["static_order"] = derive_static_orders(
+            g, processor_of, apps
+        )
+    return g, kwargs, apps
+
+
+WORD_RUN_CASES = [
+    (layout, rival, x_time, back, twin)
+    for layout in ("greedy", "orders", "ca", "split")
+    for rival, x_times in (
+        (None, (0,)), ("higher", (6, 11, 12, 17)), ("lower", (5, 12, 23)),
+    )
+    for x_time in x_times
+    for back, twin in ((0, False), (3, False), (40, False), (0, True))
+]
+
+
+@pytest.mark.parametrize("layout, rival, x_time, back, twin", WORD_RUN_CASES)
+def test_word_run_cases_match(layout, rival, x_time, back, twin,
+                              monkeypatch):
+    """Each exit of a word run -- a member that wins before ``d1`` made
+    ready by a foreign completion at ``d1``'s stamp, one that waits
+    behind it, ``d2`` made ready inside a run, pending deliveries for the
+    processor, ``s3`` credits resolved inside the run, iteration
+    boundaries -- against the oracle and key by key against step()."""
+    graph, kwargs, apps = word_run_case(layout, rival, x_time, back, twin)
+    with counters.collect() as scope:
+        check_throughput(graph, kwargs, monkeypatch)
+    assert scope.snapshot("sim")["run_instants"] > 0
+    q = repetition_vector(graph)
+    check_run_until(
+        graph, kwargs, series_hooks(random.Random(x_time), graph, ()),
+        [{a: q[a] * 3 for a in apps}, {a: q[a] * 7 for a in apps}],
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_twin_word_runs_match(seed, monkeypatch):
+    """Two channels into ``B``: their ``d1`` runs share a resource (or,
+    split, ``d2``'s), so their instants at one stamp must not be taken
+    apart."""
+    rng = random.Random(12_000 + seed)
+    graph, kwargs, apps = word_run_case(
+        rng.choice(("greedy", "ca", "split")), None, 0,
+        twin=True, words=rng.randint(3, 6),
+        times=(rng.randint(1, 12), rng.randint(1, 9), rng.randint(1, 12)),
+    )
+    check_throughput(graph, kwargs, monkeypatch)
+    q = repetition_vector(graph)
+    check_run_until(
+        graph, kwargs, series_hooks(rng, graph, ()),
+        [{a: q[a] * 2 for a in apps}, {a: q[a] * 5 for a in apps}],
+    )
+
+
+@pytest.mark.parametrize("back", [3, 40])
+@pytest.mark.parametrize("layout", ["greedy", "orders", "ca", "split"])
+def test_max_steps_expires_inside_word_runs(layout, back):
+    """Stopped after any number of instants, in or out of a run, the
+    lean loop leaves the state step() has at that stamp, and goes on
+    from it to the same end."""
+    graph, kwargs, apps = word_run_case(layout, "lower", 12, back)
+    targets = {a: 4 for a in apps}
+    final = SelfTimedSimulator(graph, **kwargs)
+    final.run_until(targets, 1_000_000)
+    for budget in range(1, 160, 3):
+        fast = SelfTimedSimulator(graph, **kwargs)
+        fast.run_until(targets, budget)
+        stepped = SelfTimedSimulator(graph, **kwargs)
+        while stepped._stamp < fast._stamp:
+            assert stepped.step()
+        assert stepped._stamp == fast._stamp
+        assert_same_state(fast, stepped)
+        fast.run_until(targets, 1_000_000)
+        assert_same_state(fast, final)
+
+
+def test_word_runs_carry_the_mjpeg_mapping():
+    """The 2-tile FSL MJPEG mapping hands most of its instants to word
+    runs, in the analysis and in static-order derivation."""
+    from repro.arch.template import architecture_from_template
+    from repro.flow.design_flow import DesignFlow
+    from repro.flow.spec import build_case_study_app
+
+    with counters.collect() as scope:
+        DesignFlow(
+            build_case_study_app("gradient"),
+            architecture_from_template(2, "fsl"),
+        ).run(measure=False)
+    sim = scope.snapshot("sim")
+    assert sim["run_instants"] > sim["instants"] // 2 > 0
+
+
+@pytest.mark.parametrize("u1_time", [1, 2, 3])
+def test_pending_delivery_ends_a_word_run(u1_time, monkeypatch):
+    """``F`` (fed, on ``P``) sends through the unbound ``U1`` to ``M``,
+    which wins ``P`` before it: the delivery waits as a pending entry
+    while ``F`` holds ``P``, and ``F``'s next completion must hand ``P``
+    to ``M`` instead of going on with the run."""
+    g = SDFGraph(f"pending{u1_time}")
+    g.add_actor("S", execution_time=2)
+    g.add_actor("M", execution_time=3)
+    g.add_actor("U0", execution_time=1)
+    g.add_actor("F", execution_time=6)
+    g.add_actor("U1", execution_time=u1_time)
+    g.add_edge("SU0", "S", "U0")
+    g.add_edge("U0F", "U0", "F")
+    g.add_edge("FU1", "F", "U1")
+    g.add_edge("U1M", "U1", "M")
+    g.add_edge("MS", "M", "S", initial_tokens=4)
+    kwargs = {"processor_of": {"S": "ps", "M": "p", "F": "p"}}
+    with counters.collect() as scope:
+        check_throughput(g, kwargs, monkeypatch)
+    assert scope.snapshot("sim")["run_instants"] > 0
+    check_run_until(
+        g, kwargs, series_hooks(random.Random(u1_time), g, ()),
+        [{"S": 5, "M": 5}, {"S": 12, "M": 12}],
     )

@@ -169,6 +169,7 @@ class TestServiceMeta:
             "failed",
         }
         assert set(health["engine"]) == {"analyses"}
+        assert set(health["sim"]) == {"instants", "run_instants"}
 
     def test_unknown_routes_answer_404(self, client):
         for method, path in (

@@ -114,7 +114,7 @@ class TestHealth:
             assert health["replica"].startswith("replica-")
 
     def test_worker_analyses_reach_the_health_counters(self, tmp_path):
-        """Both backends report identical engine/power deltas for one
+        """Both backends report identical engine/sim/power deltas for one
         computed spec: process workers ship theirs back."""
         deltas = {}
         for backend in ("thread", "process"):
@@ -130,9 +130,10 @@ class TestHealth:
                     key: after[section][key] - before[section][key]
                     for key in after[section]
                 }
-                for section in ("engine", "power")
+                for section in ("engine", "sim", "power")
             }
         assert deltas["thread"]["engine"]["analyses"] > 0
+        assert deltas["thread"]["sim"]["instants"] > 0
         assert deltas["process"] == deltas["thread"]
 
     # One worker: with more, each process worker's private evaluation

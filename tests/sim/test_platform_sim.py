@@ -124,6 +124,28 @@ class TestMeasurement:
         assert measured.iterations == 10
         assert simulator.completed_iterations() >= 13
 
+    def test_negative_warmup_rejected(self, functional_app):
+        """A negative warm-up would measure fewer iterations than it
+        reports; nothing runs before the error."""
+        _, _, simulator = build_platform(functional_app)
+        with pytest.raises(SimulationError, match="warm-up"):
+            simulator.measure_throughput(iterations=4, warmup_iterations=-2)
+        assert simulator.now == 0
+
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_fewer_than_one_measured_iteration_rejected(
+        self, functional_app, iterations
+    ):
+        _, _, simulator = build_platform(functional_app)
+        with pytest.raises(SimulationError, match="at least one"):
+            simulator.measure_throughput(iterations=iterations)
+
+    def test_negative_iteration_target_rejected(self, functional_app):
+        _, _, simulator = build_platform(functional_app)
+        with pytest.raises(SimulationError, match="must be >= 0"):
+            simulator.run_iterations(-2)
+        assert simulator.run_iterations(0) == 0
+
 
 class TestFunctionalCorrectness:
     def test_token_values_computed_correctly(self, functional_app):

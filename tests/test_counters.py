@@ -64,7 +64,8 @@ class TestProcessCounts:
             before["power.application"] + 1
         assert scope.snapshot() == {
             "engine.analyses": 2, "power.platform": 0,
-            "power.application": 1,
+            "power.application": 1, "sim.instants": 0,
+            "sim.run_instants": 0,
         }
 
     def test_scopes_stay_in_their_context(self):
@@ -78,5 +79,6 @@ class TestProcessCounts:
         assert not other.is_alive()
         assert scope.snapshot() == {
             "engine.analyses": 1, "power.platform": 0,
-            "power.application": 0,
+            "power.application": 0, "sim.instants": 0,
+            "sim.run_instants": 0,
         }
