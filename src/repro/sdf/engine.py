@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.counters import count
-from repro.exceptions import SimulationError
+from repro.exceptions import GraphError, SimulationError
 from repro.sdf.graph import SDFGraph, validate_graph
 from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
@@ -56,9 +56,11 @@ class ThroughputEngine:
     path and the mapping flow's buffer-growth loop rely on this.
 
     Parameters mirror :func:`repro.sdf.throughput.analyze_throughput`;
-    ``repetitions`` is the graph's repetition vector when the caller
-    holds it already (a :class:`~repro.mapping.bound_graph.BoundGraph`
-    caches it), so that it is not solved again.
+    ``repetitions`` is the caller's cached repetition vector of this
+    very graph (a :class:`~repro.mapping.bound_graph.BoundGraph` caches
+    it), so that it is not solved again.  It must name every actor and
+    balance every edge, else :class:`~repro.exceptions.GraphError` is
+    raised: a stale vector would give a wrong throughput.
     """
 
     def __init__(
@@ -78,10 +80,18 @@ class ThroughputEngine:
         self._processor_of = processor_of
         self._static_order = static_order
         self._reference_actor = reference_actor
-        self._q = (
-            repetitions if repetitions is not None
-            else repetition_vector(graph)
-        )
+        if repetitions is None:
+            repetitions = repetition_vector(graph)
+        elif set(repetitions) != {a.name for a in graph.actors} or any(
+            repetitions[e.src] * e.production
+            != repetitions[e.dst] * e.consumption
+            for e in graph.edges
+        ):
+            raise GraphError(
+                f"the repetition vector given for {graph.name!r} does not "
+                "name its actors or does not balance its edges"
+            )
+        self._q = repetitions
         self._sim: Optional[SelfTimedSimulator] = None
 
     def analyze(self) -> ThroughputResult:

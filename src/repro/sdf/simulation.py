@@ -58,10 +58,12 @@ of token stamps -- the Fig. 4 model's ``s2``/``s3``/``c1``/``c2``/``d3``
 actors never enter the heap.  Only the tokens they deliver to other actors
 become heap entries; one aimed at an actor whose processor stays busy past
 it waits for that processor to free instead.  A *fed* actor -- bound,
-positive static duration, every input from an unbound actor: the Fig. 4
-``d1`` -- gets each firing's tokens in one wake-up, and while it wins its
-processor the loop advances it through its words in a *word run*, its
-instants held off the heap (see :meth:`_UnboundRun._run`).  At every
+positive static duration, every input from an unbound actor, every bound
+consumer taking several of its firings at once: the Fig. 4 ``d1`` of a
+token of ``_MIN_WORDS`` words or more -- gets each firing's tokens in one
+wake-up, and while it wins its processor the loop advances it through
+its words in a *word run*, its instants held off the heap (see
+:meth:`_UnboundRun._run`).  At every
 iteration boundary and on return the arithmetic state is read back at the
 current stamp, so :meth:`SelfTimedSimulator.state_key` and every public
 counter equal the event-by-event execution's.
@@ -95,6 +97,12 @@ from repro.sdf.throughput import ThroughputResult, UnboundedExecutionError
 _PASS_BITS = 40
 # The time part of a stamp.
 _TIME_PART = -1 << _PASS_BITS
+# Firings of a fed actor (see :class:`_UnboundPlan`) that each firing of
+# its bound consumers takes, at least.  Batching its tokens and running
+# it through its words repay their set-up only over several words: on
+# channels of 1-4 words a token they made analyses slower, on the MJPEG
+# case study's 17- and 33-word tokens faster (docs/performance.md).
+_MIN_WORDS = 8
 
 
 @dataclass(frozen=True)
@@ -863,15 +871,20 @@ class _UnboundPlan:
             e for e, v in enumerate(consumer) if is_u[v]
         ]
         # A *fed* actor is a bound actor of positive static duration whose
-        # every input comes from an unbound actor (the Fig. 4 ``d1``).  Its
-        # inputs are stamp queues too, and it is woken once per firing,
-        # when its next batch of tokens is complete (see
+        # every input comes from an unbound actor and whose every bound
+        # consumer takes at least _MIN_WORDS of its firings per firing
+        # (the Fig. 4 ``d1`` of a token of that many words).  Its inputs
+        # are stamp queues too, and it is woken once per firing, when
+        # its next batch of tokens is complete (see
         # :meth:`_UnboundRun._refill`).  On its processor it runs at most
         # one firing at a time.
+        edges = sim._edge_objs
         is_fed = [
             not is_u[i] and sim._proc_of[i] >= 0
             and bool(sim._exec_time[i]) and bool(sim._in_rates[i])
             and all(is_u[producer[e]] for e, _c in sim._in_rates[i])
+            and all(edges[e].consumption >= _MIN_WORDS * p
+                    for e, p in sim._out_rates[i] if not is_u[consumer[e]])
             for i in range(n)
         ]
         self.fed: List[int] = [i for i in range(n) if is_fed[i]]
@@ -1073,11 +1086,9 @@ class _UnboundRun:
                 (e, stamps[e], c) for e, c in sim._in_rates[f]
             )
             if plan.runner[f] is not None:
-                # The plan's entry, plus inputs and outputs to stamp
-                # queues, for the word runs.
-                self.runner[f] = plan.runner[f] + (
-                    self.fed_ins[f], self.to_unbound[f],
-                )
+                # The plan's entry, plus outputs to stamp queues, for
+                # the word runs.
+                self.runner[f] = plan.runner[f] + (self.to_unbound[f],)
             if not sim._ongoing[f]:
                 self._refill(f)
         # Per unbound actor, for :meth:`_resolve`: inputs as (stamp queue,
@@ -1110,14 +1121,6 @@ class _UnboundRun:
                 for end, _seq, u, start in sorted(pulled):
                     self.fired[u].append((start << _PASS_BITS, end))
                     self._emit(u, end)
-        # What :meth:`_run` works on, in one attribute (no bound method of
-        # this object: the run must not keep itself alive).
-        self.run_context = (
-            sim, sim._queue, self.deferred, self.held, self.pending,
-            self.runner, self.higher_ready, self.lower_ready, sim._tokens,
-            sim._started, sim._ongoing, sim._completed, sim._proc_busy,
-            self.state, self.work, sim._is_ready_idx, n,
-        )
         sim._start_all_ready()
         self._resolve()
 
@@ -1330,13 +1333,22 @@ class _UnboundRun:
         asked) holds for as long as it runs.  Otherwise the stamp ends
         as :meth:`_step` ends it, and so do the runs.
         """
-        (sim, queue, deferred, held, pending, runners, higher_ready,
-         lower_ready, tokens, started, ongoing, completed, busy, state,
-         work, is_ready, n) = self.run_context
-        resolve = self._resolve
+        sim = self.sim
+        queue = sim._queue
+        deferred = self.deferred
+        held = self.held
+        pending = self.pending
+        runners = self.runner
+        higher_ready = self.higher_ready
+        lower_ready = self.lower_ready
+        tokens = sim._tokens
+        ongoing = sim._ongoing
+        busy = sim._proc_busy
+        is_ready = sim._is_ready_idx
+        work = self.work
+        n = self.n
         heappop = heapq.heappop
         heappush = heapq.heappush
-        queued = self._QUEUED
         self.finished = []
         count = 0
         arbitrated = False
@@ -1391,10 +1403,10 @@ class _UnboundRun:
                 heappop(held)
             else:
                 break
-            (pid, higher, lower, order, consumers, conflicts, _touched,
-             ins, outs) = runner
+            pid, higher, lower, order, consumers, conflicts, _touched, outs = (
+                runner
+            )
             waiting = pending[pid]
-            duration = sim._exec_time[f]
             # ``f``'s instants, for as long as they come first.
             while True:
                 count += 1
@@ -1410,15 +1422,8 @@ class _UnboundRun:
                     # The completion: _step's finish.
                     for e, p, _v, _c, _lower in consumers:
                         tokens[e] += p
-                    for stamp_queue, p, v, c in outs:
-                        if p == 1:
-                            stamp_queue.append(stamp)
-                        else:
-                            stamp_queue.extend(repeat(stamp, p))
-                        if state[v] is stamp_queue and len(stamp_queue) >= c:
-                            state[v] = queued
-                            work.append(v)
-                    completed[f] += 1
+                    self._send(outs, stamp)
+                    sim._completed[f] += 1
                     arbitrated = higher_ready[f]
                     if arbitrated is None:
                         for m in higher:
@@ -1439,25 +1444,8 @@ class _UnboundRun:
                                         break
                                 elif not lower_ready[f] and is_ready(v):
                                     lower_ready[f] = True
-                    if arbitrated:
-                        ongoing[f] -= 1
-                        self._refill(f)
-                        self._arbitrate(f, pid, consumers)
-                        break
-                    # _refill, with a wake-up kept instead of pushed.
-                    at = 0
-                    for e, stamp_queue, c in ins:
-                        need = c - tokens[e]
-                        if need > 0:
-                            if len(stamp_queue) < need:
-                                state[f] = stamp_queue
-                                at = -1
-                                break
-                            t = stamp_queue[need - 1]
-                            if t > at:
-                                at = t
-                    if at < 0 or at > stamp:
-                        ongoing[f] -= 1
+                    at = self._batch_stamp(f)
+                    if not arbitrated and not 0 <= at <= stamp:
                         arbitrated = lower_ready[f]
                         if arbitrated is None:
                             for m in lower:
@@ -1469,38 +1457,31 @@ class _UnboundRun:
                                     order[sim._order_pos[pid] % len(order)]
                                 )
                             lower_ready[f] = arbitrated
-                        if at > 0:
-                            entry = (at, sim._seq, ~(n + f), 0)
-                            sim._seq += 1
-                            if arbitrated:
-                                heappush(queue, entry)
-                        if arbitrated:
-                            self._arbitrate(f, pid, consumers)
-                            break
+                    if arbitrated:
+                        ongoing[f] -= 1
+                        if at >= 0:
+                            self._schedule(f, at)
+                        self._arbitrate(f, pid, consumers)
+                        break
+                    if at < 0:
+                        # Nothing starts now.  The tokens ``f`` waits
+                        # for may be resolved below: it stays out of
+                        # that, and waits on a stamp queue only if they
+                        # do not come.
+                        self.state[f] = None
+                        if work:
+                            self._resolve()
+                        at = self._batch_stamp(f)
                         if at < 0:
-                            # Nothing starts now.  The tokens ``f`` waits
-                            # for may be resolved below: it stays out of
-                            # that, and is refilled here instead.
-                            state[f] = None
-                            if work:
-                                resolve()
-                            for e, stamp_queue, c in ins:
-                                need = c - tokens[e]
-                                if need > 0:
-                                    if len(stamp_queue) < need:
-                                        state[f] = stamp_queue
-                                        at = -1
-                                        break
-                                    t = stamp_queue[need - 1]
-                                    if t > at:
-                                        at = t
-                            if at < 0:
-                                break
-                            entry = (at, sim._seq, ~(n + f), 0)
-                            sim._seq += 1
-                        elif work:
-                            resolve()
+                            ongoing[f] -= 1
+                            break
+                    if at > stamp:
                         # On to the wake-up.
+                        ongoing[f] -= 1
+                        if work:
+                            self._resolve()
+                        entry = (at, sim._seq, ~(n + f), 0)
+                        sim._seq += 1
                         stamp = at
                         idx = entry[2]
                         if ((count == budget)
@@ -1511,23 +1492,9 @@ class _UnboundRun:
                             break
                         continue
                 # ``f`` starts now, on its batch.
-                for e, stamp_queue, c in ins:
-                    have = tokens[e]
-                    if have >= c:
-                        tokens[e] = have - c
-                    else:
-                        tokens[e] = 0
-                        stamp_queue.popleft()
-                        if c - have > 1:
-                            for _ in range(c - have - 1):
-                                stamp_queue.popleft()
-                end = now + duration
-                started[f] += 1
-                entry = (end << _PASS_BITS | 1, sim._seq, f, now)
-                sim._seq += 1
-                busy[pid] = end
+                entry = self._start_fed(f, pid, now)
                 if work:
-                    resolve()
+                    self._resolve()
                 # On to the completion.
                 stamp = entry[0]
                 idx = f
@@ -1548,6 +1515,28 @@ class _UnboundRun:
         held.clear()
         self.run_instants += count
         return count
+
+    def _start_fed(self, f: int, pid: int, now: int) -> tuple:
+        """Start fed ``f`` at time ``now`` on processor ``pid``, taking
+        its batch from its token counts and stamp queues (it has one
+        firing in flight already counted); return the completion's
+        entry, not yet on any heap."""
+        sim = self.sim
+        tokens = sim._tokens
+        for e, stamp_queue, c in self.fed_ins[f]:
+            have = tokens[e]
+            if have >= c:
+                tokens[e] = have - c
+            else:
+                tokens[e] = 0
+                for _ in range(c - have):
+                    stamp_queue.popleft()
+        end = now + sim._exec_time[f]
+        sim._started[f] += 1
+        sim._proc_busy[pid] = end
+        entry = (end << _PASS_BITS | 1, sim._seq, f, now)
+        sim._seq += 1
+        return entry
 
     def _group(self, stamp: int) -> Optional[list]:
         """The run instants at ``stamp``, taken off the held heap and the
@@ -1603,29 +1592,32 @@ class _UnboundRun:
         is handled as in :meth:`_run`, except that a blocked one waits
         for a wake-up from the heap.  Returns whether an actor needed
         the generic arbitration, which ends the runs."""
-        (sim, _queue, _deferred, held, _pending, runners, higher_ready,
-         lower_ready, tokens, started, ongoing, completed, busy, state,
-         work, is_ready, n) = self.run_context
+        sim = self.sim
+        held = self.held
+        runners = self.runner
+        higher_ready = self.higher_ready
+        lower_ready = self.lower_ready
+        tokens = sim._tokens
+        ongoing = sim._ongoing
+        is_ready = sim._is_ready_idx
+        n = self.n
         self.pos = sim._stamp = stamp
         sim.now = now = stamp >> _PASS_BITS
         marked = False
         for entry in group:
             idx = entry[2]
             f = idx if idx >= 0 else ~idx - n
-            (pid, higher, lower, order, consumers, conflicts, _touched,
-             ins, outs) = runners[f]
+            pid, higher, lower, order, consumers, conflicts, _touched, outs = (
+                runners[f]
+            )
             if conflicts and held:
                 self._end_runs(conflicts)
             if idx >= 0:
                 # The completion, as in :meth:`_run`.
                 for e, p, _v, _c, _lower in consumers:
                     tokens[e] += p
-                for stamp_queue, p, v, c in outs:
-                    stamp_queue.extend(repeat(stamp, p))
-                    if state[v] is stamp_queue and len(stamp_queue) >= c:
-                        state[v] = self._QUEUED
-                        work.append(v)
-                completed[f] += 1
+                self._send(outs, stamp)
+                sim._completed[f] += 1
                 ongoing[f] -= 1
                 generic = higher_ready[f]
                 if generic is None:
@@ -1669,20 +1661,8 @@ class _UnboundRun:
                     marked = True
                     continue
             # ``f`` starts now, on its batch.
-            for e, stamp_queue, c in ins:
-                have = tokens[e]
-                if have >= c:
-                    tokens[e] = have - c
-                else:
-                    tokens[e] = 0
-                    for _ in range(c - have):
-                        stamp_queue.popleft()
-            end = now + sim._exec_time[f]
             ongoing[f] += 1
-            started[f] += 1
-            heapq.heappush(held, (end << _PASS_BITS | 1, sim._seq, f, now))
-            sim._seq += 1
-            busy[pid] = end
+            heapq.heappush(held, self._start_fed(f, pid, now))
         if marked:
             sim._start_all_ready()
         self._resolve()
@@ -1714,16 +1694,25 @@ class _UnboundRun:
         sim._start_all_ready()
         self._resolve()
 
+    def _send(self, outs: list, stamp: int) -> None:
+        """Append tokens stamped ``stamp`` to the stamp queues ``outs``
+        (an actor's :attr:`to_unbound`), queueing every consumer they
+        unblock for :meth:`_resolve`."""
+        state = self.state
+        for stamp_queue, p, v, c in outs:
+            if p == 1:
+                stamp_queue.append(stamp)
+            else:
+                stamp_queue.extend(repeat(stamp, p))
+            if state[v] is stamp_queue and len(stamp_queue) >= c:
+                state[v] = self._QUEUED
+                self.work.append(v)
+
     def _emit(self, u: int, end: int) -> None:
         """Send the tokens of unbound ``u``'s firing ending at ``end``
         (the out-of-loop form of :meth:`_resolve`'s emission)."""
         _ins, _cap, _advance, outs, fold, _fl, _auto = self.spec[u]
-        state = self.state
-        for stamp_queue, p, v, c in outs:
-            stamp_queue.extend(repeat(end, p))
-            if state[v] is stamp_queue and len(stamp_queue) >= c:
-                state[v] = self._QUEUED
-                self.work.append(v)
+        self._send(outs, end)
         if fold is not None:
             sim = self.sim
             if fold >= 0 and sim._proc_busy[fold] > end >> _PASS_BITS:

@@ -180,6 +180,22 @@ class TestWarmReuse:
             figure2_bounded, repetitions=q
         ).analyze() == expected
 
+    def test_given_repetition_vector_of_another_graph_raises(
+        self, figure2_bounded
+    ):
+        from repro.exceptions import GraphError
+        from repro.sdf.repetition import repetition_vector
+
+        q = dict(repetition_vector(figure2_bounded))
+        unbalanced = {name: 2 * n for name, n in q.items()}
+        unbalanced[next(iter(q))] += 1
+        with pytest.raises(GraphError):
+            ThroughputEngine(figure2_bounded, repetitions=unbalanced)
+        with pytest.raises(GraphError):
+            ThroughputEngine(
+                figure2_bounded, repetitions={**q, "stale": 1}
+            )
+
 
 # ----------------------------------------------------------------------
 # counters

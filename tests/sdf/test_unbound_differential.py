@@ -426,7 +426,7 @@ def test_zero_time_chain_reaches_its_consumer_in_the_right_pass(
 
 # -- word runs ---------------------------------------------------------------
 def word_run_case(layout, rival, x_time, back_channel=0, twin=False,
-                  words=5, times=(9, 7, 13)):
+                  words=10, times=(9, 7, 13)):
     """One Fig. 4 channel from ``A`` on ``p0`` to ``B`` on ``p1``, whose
     ``d1`` (6 cycles a word) runs words back to back, plus:
 
@@ -521,7 +521,7 @@ WORD_RUN_CASES = [
     (layout, rival, x_time, back, twin)
     for layout in ("greedy", "orders", "ca", "split")
     for rival, x_times in (
-        (None, (0,)), ("higher", (6, 11, 12, 17)), ("lower", (5, 12, 23)),
+        (None, (0,)), ("higher", (6, 8, 11, 12, 17)), ("lower", (5, 12, 23)),
     )
     for x_time in x_times
     for back, twin in ((0, False), (3, False), (40, False), (0, True))
@@ -555,7 +555,7 @@ def test_twin_word_runs_match(seed, monkeypatch):
     rng = random.Random(12_000 + seed)
     graph, kwargs, apps = word_run_case(
         rng.choice(("greedy", "ca", "split")), None, 0,
-        twin=True, words=rng.randint(3, 6),
+        twin=True, words=rng.randint(10, 13),
         times=(rng.randint(1, 12), rng.randint(1, 9), rng.randint(1, 12)),
     )
     check_throughput(graph, kwargs, monkeypatch)
@@ -586,6 +586,36 @@ def test_max_steps_expires_inside_word_runs(layout, back):
         assert_same_state(fast, stepped)
         fast.run_until(targets, 1_000_000)
         assert_same_state(fast, final)
+
+
+@pytest.mark.parametrize("seed", [46, 60, 92])
+def test_word_runs_that_meet_share_no_processor(seed, monkeypatch):
+    """Comm graphs whose word runs meet at one stamp: runs touching each
+    other's processors there must not be handled as one group instant
+    (beyond tier-1's seed range, so pinned here)."""
+    graph, kwargs, apps = comm_case(seed, False)
+    check_throughput(graph, kwargs, monkeypatch)
+    q = repetition_vector(graph)
+    check_run_until(
+        graph, kwargs, series_hooks(random.Random(seed), graph, ()),
+        [{a: q[a] * 2 for a in apps}, {a: q[a] * 5 for a in apps}],
+    )
+
+
+def test_short_tokens_feed_no_word_runs(monkeypatch):
+    """A channel of fewer than ``_MIN_WORDS`` words a token keeps its
+    ``d1`` on heap deliveries: no run instants, the same execution."""
+    graph, kwargs, apps = word_run_case(
+        "orders", "lower", 12, words=simulation._MIN_WORDS - 1
+    )
+    with counters.collect() as scope:
+        check_throughput(graph, kwargs, monkeypatch)
+    assert scope.snapshot("sim")["run_instants"] == 0
+    q = repetition_vector(graph)
+    check_run_until(
+        graph, kwargs, series_hooks(random.Random(1), graph, ()),
+        [{a: q[a] * 3 for a in apps}],
+    )
 
 
 def test_word_runs_carry_the_mjpeg_mapping():
