@@ -40,12 +40,6 @@ Commands mirror the tool invocations of the original flow:
   zero re-analysis; ``--backend process`` computes flows on worker
   processes, and replicas sharing one workspace scale across cores
   (see docs/service.md);
-* ``loadtest [--url URL]... [--requests N] [--rps R] [--seed N]
-  [--p99-budget-ms MS] [--min-coalesced N] [--out FILE]`` -- fire a
-  seeded open-loop traffic plan (:mod:`repro.loadgen`) at one or more
-  running services, print sustained RPS / p50-p99 latency / reuse
-  counters, optionally write ``BENCH_service.json``, and exit non-zero
-  when a gate flag is missed (the CI load-smoke verdict);
 * ``scenarios generate --seed N [--family F] [--count N] --out DIR`` --
   write a deterministic corpus of synthetic-workload FlowSpec TOML
   files (:mod:`repro.scenarios`); the same seed always produces
@@ -306,7 +300,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     result = flow.run(iterations=args.iterations)
     print(result.summary())
     if args.output:
-        root = result.project.write_to(args.output)
+        try:
+            root = result.project.write_to(args.output)
+        except OSError as error:
+            raise ReproError(f"cannot write {args.output}: {error}") from None
         print(f"\nproject written to {root}")
     return 0
 
@@ -362,7 +359,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print()
         print(result.summary())
     if args.output:
-        root = result.project.write_to(args.output)
+        try:
+            root = result.project.write_to(args.output)
+        except OSError as error:
+            raise ReproError(f"cannot write {args.output}: {error}") from None
         # keep --json stdout a single parseable document
         stream = sys.stderr if args.json else sys.stdout
         print(f"\nproject written to {root}", file=stream)
@@ -473,14 +473,17 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         token_bytes=args.token_bytes,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for spec in specs:
-        flow_spec = scenario_flow_spec(spec)
-        target = out / f"{spec.name}.toml"
-        target.write_text(
-            render_flow_spec_toml(flow_spec), encoding="utf-8"
-        )
-        print(target)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for spec in specs:
+            flow_spec = scenario_flow_spec(spec)
+            target = out / f"{spec.name}.toml"
+            target.write_text(
+                render_flow_spec_toml(flow_spec), encoding="utf-8"
+            )
+            print(target)
+    except OSError as error:
+        raise ReproError(f"cannot write {args.out}: {error}") from None
     return 0
 
 
@@ -605,47 +608,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.server_close()
         scheduler.close()
     return 0
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.loadgen import (
-        LoadTestConfig,
-        LoadTestGates,
-        run_load_test,
-        write_bench_report,
-    )
-
-    config = LoadTestConfig(
-        urls=tuple(args.url or ("http://127.0.0.1:8787",)),
-        family=args.family,
-        unique=args.unique,
-        requests=args.requests,
-        rps=args.rps,
-        seed=args.seed,
-        actors=args.actors,
-        timeout=args.timeout,
-    )
-    report = run_load_test(config)
-    if args.json:
-        from repro.artifacts import canonical_json
-
-        print(canonical_json(report.to_payload()))
-    else:
-        print(report.summary())
-    if args.out:
-        path = write_bench_report(report, args.out)
-        print(f"report written to {path}",
-              file=sys.stderr if args.json else sys.stdout)
-    gates = LoadTestGates(
-        p99_budget_ms=args.p99_budget_ms,
-        min_coalesced=args.min_coalesced,
-        min_rps=args.min_rps,
-        max_failures=args.max_failures,
-    )
-    violations = gates.violations(report)
-    for violation in violations:
-        print(f"gate failed: {violation}", file=sys.stderr)
-    return 1 if violations else 0
 
 
 def _add_power_arguments(
@@ -891,81 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress per-request access logging on stderr",
     )
     serve.set_defaults(handler=_cmd_serve)
-
-    loadtest = commands.add_parser(
-        "loadtest",
-        help="fire a seeded open-loop traffic plan at running "
-             "service replicas and gate on the measured report "
-             "(see docs/service.md)",
-    )
-    loadtest.add_argument(
-        "--url", action="append", metavar="URL",
-        help="base URL of a running service; repeat to fan traffic "
-             "out round-robin across replicas "
-             "(default http://127.0.0.1:8787)",
-    )
-    loadtest.add_argument(
-        "--family",
-        choices=("chain", "splitjoin", "diamond", "cyclic", "mixed",
-                 "all"),
-        default="mixed",
-        help="scenario family of the request pool (default 'mixed')",
-    )
-    loadtest.add_argument(
-        "--unique", type=int, default=4,
-        help="distinct FlowSpec documents in the pool (default 4); "
-             "fewer unique documents means more coalescing/reuse",
-    )
-    loadtest.add_argument(
-        "--requests", type=int, default=40,
-        help="total requests to fire (default 40)",
-    )
-    loadtest.add_argument(
-        "--rps", type=float, default=20.0,
-        help="offered arrival rate in requests/second (default 20); "
-             "arrivals are open-loop Poisson and never wait for "
-             "responses",
-    )
-    loadtest.add_argument(
-        "--seed", type=int, default=7,
-        help="master seed; fully determines pool, sequence and "
-             "arrival times (default 7)",
-    )
-    loadtest.add_argument(
-        "--actors", type=int, default=None,
-        help="target actor count per scenario (default: varied); "
-             "larger graphs make heavier requests",
-    )
-    loadtest.add_argument(
-        "--timeout", type=float, default=120.0,
-        help="per-request completion budget in seconds (default 120)",
-    )
-    loadtest.add_argument(
-        "--out", metavar="FILE",
-        help="write the canonical BENCH_service.json report here",
-    )
-    loadtest.add_argument(
-        "--json", action="store_true",
-        help="emit the full report document instead of the summary",
-    )
-    loadtest.add_argument(
-        "--p99-budget-ms", type=float, default=None, metavar="MS",
-        help="gate: fail when p99 latency exceeds this budget",
-    )
-    loadtest.add_argument(
-        "--min-coalesced", type=int, default=None, metavar="N",
-        help="gate: fail when fewer than N requests were coalesced "
-             "onto in-flight computations",
-    )
-    loadtest.add_argument(
-        "--min-rps", type=float, default=None, metavar="R",
-        help="gate: fail when sustained throughput falls below R",
-    )
-    loadtest.add_argument(
-        "--max-failures", type=int, default=0, metavar="N",
-        help="gate: tolerate at most N failed requests (default 0)",
-    )
-    loadtest.set_defaults(handler=_cmd_loadtest)
 
     platform = commands.add_parser(
         "platform",

@@ -47,6 +47,8 @@ scheduler and speaks the canonical artifact payloads of
 Result and artifact routes serve the stored document text verbatim
 (via :meth:`~repro.artifacts.store.ArtifactStore.get_text`), so what a
 client receives is byte-identical to what the workspace holds.
+``PUT``, ``PATCH`` and ``DELETE`` answer a JSON ``405`` with
+``Allow: GET, POST``.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ class FlowServiceServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    # the listen backlog; socketserver's default of 5 resets a burst of
+    # concurrent POSTs before the accept loop can take them
+    request_queue_size = 128
 
     def __init__(
         self,
@@ -202,6 +207,15 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
         if len(parts) == 4 and parts[:2] == ["v1", "artifacts"]:
             return self._artifact(parts[2], parts[3])
         self._send_error(404, f"no such endpoint: GET {self.path}")
+
+    def _method_not_allowed(self) -> None:
+        # any body goes unread; never reuse this connection
+        self.close_connection = True
+        self._send_error(
+            405, f"method {self.command} not allowed on {self.path}"
+        )
+
+    do_PUT = do_PATCH = do_DELETE = _method_not_allowed
 
     # ------------------------------------------------------------------
     # handlers
@@ -372,6 +386,8 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if code == 405:
+            self.send_header("Allow", "GET, POST")
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()

@@ -396,8 +396,8 @@ class FlowScheduler:
         #: processes.
         self.pool = as_backend(backend, jobs)
         #: Replica identity, surfaced in health and every job view so
-        #: load tests can attribute per-replica computed/coalesced
-        #: counts when N schedulers share one workspace.
+        #: each replica's computed/coalesced counts stay attributable
+        #: when N schedulers share one workspace.
         self.replica = (
             replica if replica else f"replica-{os.getpid()}"
         )

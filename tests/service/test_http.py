@@ -182,6 +182,32 @@ class TestServiceMeta:
                              else None)
             assert outcome.value.status == 404
 
+    @pytest.mark.parametrize("method", ("PUT", "PATCH", "DELETE"))
+    @pytest.mark.parametrize("path", ("/v1/flows", "/v1/healthz"))
+    def test_unsupported_methods_answer_json_405(self, service, client,
+                                                 method, path):
+        """Not http.server's HTML 501 page: a JSON 405 naming the
+        methods the API does serve."""
+        import http.client
+
+        host, port = service.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request(method, path, body=b'{"x": 1}')
+            response = connection.getresponse()
+            assert response.status == 405
+            assert response.getheader("Allow") == "GET, POST"
+            assert response.getheader("Content-Type").startswith(
+                "application/json"
+            )
+            assert response.getheader("Connection") == "close"
+            document = json.loads(response.read())
+            assert document["status_code"] == 405
+            assert method in document["error"]
+        finally:
+            connection.close()
+        assert client.health()["status"] == "ok"
+
     def test_unreachable_service_fails_cleanly(self):
         client = FlowServiceClient("http://127.0.0.1:9", timeout=2.0)
         with pytest.raises(ServiceClientError, match="cannot reach"):
@@ -323,3 +349,62 @@ class TestServiceMeta:
         ])
         assert code == 1
         assert "cannot bind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ("thread", "process"))
+def test_concurrent_post_burst_is_answered_and_coalesced(tmp_path,
+                                                         backend):
+    """64 POSTs released at once by a barrier all get a job view (the
+    stdlib listen backlog of 5 reset some of them), duplicates of an
+    in-flight document coalesce, and each document has one response."""
+    from repro.scenarios import generate_scenarios, scenario_flow_spec
+
+    documents = [
+        scenario_flow_spec(scenario).to_document()
+        for scenario in generate_scenarios("mixed", 2, 11, actors=16)
+    ]
+    burst = 64
+    server = serve(tmp_path / "ws", port=0, jobs=2, backend=backend)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = FlowServiceClient(server.url, timeout=60.0)
+        barrier = threading.Barrier(burst)
+        views, errors = [None] * burst, []
+
+        def post(index):
+            barrier.wait()
+            try:
+                views[index] = client.submit(documents[index % 2])
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(f"POST {index}: {error!r}")
+
+        posters = [
+            threading.Thread(target=post, args=(index,))
+            for index in range(burst)
+        ]
+        for poster in posters:
+            poster.start()
+        for poster in posters:
+            poster.join(timeout=120)
+        assert errors == []
+        assert all(view and view["id"].startswith("job-")
+                   for view in views)
+        for job_id in {view["id"] for view in views}:
+            assert client.wait(job_id, timeout=300)["status"] == "done"
+        counters = client.health()["counters"]
+        assert counters["submitted"] == burst
+        assert counters["failed"] == 0
+        assert counters["coalesced"] >= 1
+        texts = {}
+        for index, view in enumerate(views):
+            texts.setdefault(index % 2, set()).add(
+                client.result_text(view["id"])
+            )
+        assert [len(texts[0]), len(texts[1])] == [1, 1]
+        assert texts[0] != texts[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.scheduler.close()
+        thread.join(timeout=10)

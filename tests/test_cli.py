@@ -218,6 +218,26 @@ def test_requires_command():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo", "gradient", "--tiles", "1", "--iterations", "1", "--output"],
+    ["run", "--spec", "{spec}", "--iterations", "1", "--output"],
+    ["scenarios", "generate", "--seed", "1", "--count", "1", "--out"],
+], ids=["demo", "run", "scenarios"])
+def test_output_onto_a_file_fails_cleanly(argv, tmp_path, capsys):
+    spec = tmp_path / "scenario.toml"
+    spec.write_text(
+        '[architecture]\ntiles = 1\n[mapping.fixed]\nVLD = "tile0"\n',
+        encoding="utf-8",
+    )
+    target = tmp_path / "taken"
+    target.write_text("", encoding="utf-8")
+    argv = [arg.format(spec=spec) for arg in argv] + [str(target)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {target}: "
+    )
+
+
 class TestMaxIterationsPlumbing:
     def test_analyze_accepts_budget(self, graph_file, capsys):
         assert main(
@@ -722,63 +742,3 @@ class TestBackendFlags:
         assert main(argv + ["--backend", "process", "--jobs", "2"]) == 0
         process = capsys.readouterr().out
         assert process == thread
-
-
-class TestLoadtest:
-    @pytest.fixture
-    def live_server(self, tmp_path):
-        import threading
-
-        from repro.service import serve
-
-        server = serve(tmp_path / "ws", port=0, jobs=2,
-                       replica="cli-lg")
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
-        server.scheduler.close()
-
-    def test_summary_and_bench_report(self, live_server, tmp_path,
-                                      capsys):
-        out_file = tmp_path / "BENCH_service.json"
-        assert main(
-            ["loadtest", "--url", live_server.url,
-             "--family", "chain", "--unique", "2", "--requests", "8",
-             "--rps", "50", "--seed", "3", "--actors", "4",
-             "--out", str(out_file)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "sustained" in out
-        assert "cli-lg" in out
-        document = json.loads(out_file.read_text(encoding="utf-8"))
-        assert document["results"]["completed"] == 8
-
-    def test_gate_failure_sets_exit_code(self, live_server, capsys):
-        assert main(
-            ["loadtest", "--url", live_server.url,
-             "--family", "chain", "--unique", "1", "--requests", "4",
-             "--rps", "50", "--seed", "3", "--actors", "4",
-             "--min-rps", "100000"]
-        ) == 1
-        assert "gate failed" in capsys.readouterr().err
-
-    def test_json_report_output(self, live_server, capsys):
-        assert main(
-            ["loadtest", "--url", live_server.url,
-             "--family", "chain", "--unique", "1", "--requests", "4",
-             "--rps", "50", "--seed", "3", "--actors", "4", "--json"]
-        ) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["results"]["completed"] == 4
-        assert document["config"]["requests"] == 4
-
-    def test_unreachable_service_fails_cleanly(self, capsys):
-        assert main(
-            ["loadtest", "--url", "http://127.0.0.1:1",
-             "--requests", "1", "--timeout", "2"]
-        ) == 1
-        assert "cannot reach" in capsys.readouterr().err
