@@ -1,5 +1,7 @@
 """Tests for the synthetic-workload generator (repro.scenarios)."""
 
+import json
+
 import pytest
 
 from repro.artifacts import canonical_json, from_payload, to_payload
@@ -152,6 +154,24 @@ class TestFlowSpecBridge:
             ScenarioSpec(family="chain", seed=2, actors=4)
         )
         assert FlowSpec.from_dict(flow_spec.to_document()) == flow_spec
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_batch_documents_are_replayable_request_bodies(self, family):
+        """A batch's documents are byte-identical on every generation,
+        distinct by name, and parse back to their specs: identical
+        bodies are what lets a service coalesce duplicate requests."""
+        def bodies():
+            return [
+                canonical_json(scenario_flow_spec(spec).to_document())
+                for spec in generate_scenarios(family, 3, 11, actors=16)
+            ]
+
+        first = bodies()
+        assert first == bodies()
+        documents = [json.loads(body) for body in first]
+        assert len({document["name"] for document in documents}) == 3
+        for document in documents:
+            assert FlowSpec.from_dict(document).to_document() == document
 
     def test_build_application_dispatches_to_generator(self):
         spec = ScenarioSpec(family="splitjoin", seed=6, actors=6)

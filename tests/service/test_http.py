@@ -208,6 +208,13 @@ class TestServiceMeta:
             connection.close()
         assert client.health()["status"] == "ok"
 
+    def test_client_surfaces_a_405_with_its_status(self, client):
+        with pytest.raises(ServiceClientError,
+                           match="DELETE /v1/flows -> HTTP 405: method "
+                                 "DELETE not allowed") as outcome:
+            client._json("DELETE", "/v1/flows")
+        assert outcome.value.status == 405
+
     def test_unreachable_service_fails_cleanly(self):
         client = FlowServiceClient("http://127.0.0.1:9", timeout=2.0)
         with pytest.raises(ServiceClientError, match="cannot reach"):

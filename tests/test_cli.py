@@ -218,6 +218,14 @@ def test_requires_command():
         main([])
 
 
+def test_loadtest_command_is_retired(capsys):
+    # perfbench/serve.py is the one load driver
+    with pytest.raises(SystemExit) as outcome:
+        main(["loadtest", "--url", "http://127.0.0.1:1"])
+    assert outcome.value.code == 2
+    assert "invalid choice: 'loadtest'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["demo", "gradient", "--tiles", "1", "--iterations", "1", "--output"],
     ["run", "--spec", "{spec}", "--iterations", "1", "--output"],
