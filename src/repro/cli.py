@@ -569,6 +569,8 @@ def _cmd_platform(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+
     from repro.service import serve
 
     if args.jobs < 1:
@@ -598,16 +600,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"queue bound {args.max_queue})",
         flush=True,
     )
+    # A SIGTERM (plain kill, service-manager stops) ends the server as
+    # Ctrl-C does, through the clean-up below.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
+    except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         # close() also terminates process-backend workers promptly, so
-        # Ctrl-C leaves no orphaned children behind
+        # a stopped server leaves no orphaned children behind
         server.server_close()
         scheduler.close()
     return 0
+
+
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
 
 
 def _add_power_arguments(

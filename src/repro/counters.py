@@ -6,7 +6,9 @@ records through :func:`count` and ``GET /v1/healthz`` reads:
 throughput analyses), ``power.platform`` / ``power.application``
 (power and energy estimates), and ``sim.instants`` /
 ``sim.run_instants`` (the stamps the simulator's lean loops handle, and
-those of them handled in word runs; see :mod:`repro.sdf.simulation`).
+those of them handled in word runs) and ``sim.channel_firings`` (the
+firings they resolve in Fig. 4 channel passes; see
+:mod:`repro.sdf.simulation`).
 :func:`collect` opens a nesting scope that also records every count
 made in its context; worker threads started inside it keep their own
 context.  The execution backend
@@ -24,7 +26,7 @@ from typing import Dict, Iterable, Iterator, Tuple
 #: The names the process-wide counts are declared with.
 PROCESS_COUNTS = (
     "engine.analyses", "power.platform", "power.application",
-    "sim.instants", "sim.run_instants",
+    "sim.instants", "sim.run_instants", "sim.channel_firings",
 )
 
 

@@ -63,7 +63,9 @@ consumer taking several of its firings at once: the Fig. 4 ``d1`` of a
 token of ``_MIN_WORDS`` words or more -- gets each firing's tokens in one
 wake-up, and while it wins its processor the loop advances it through
 its words in a *word run*, its instants held off the heap (see
-:meth:`_UnboundRun._run`).  At every
+:meth:`_UnboundRun._run`).  The ``s2``, ``c1`` and ``c2`` of a Fig. 4
+channel pass each word through in one step (:meth:`_UnboundRun._channel`)
+rather than one work-stack visit per actor.  At every
 iteration boundary and on return the arithmetic state is read back at the
 current stamp, so :meth:`SelfTimedSimulator.state_key` and every public
 counter equal the event-by-event execution's.
@@ -198,6 +200,8 @@ class SelfTimedSimulator:
             proc: list(order) for proc, order in (static_order or {}).items()
         }
         self.record_trace = record_trace
+        # The lean loops' plans, per observed set (see _UnboundRun).
+        self._plans: Dict[frozenset, _UnboundPlan] = {}
 
         for proc, order in self.static_order.items():
             if not order:
@@ -848,8 +852,8 @@ class SelfTimedSimulator:
 
 
 class _UnboundPlan:
-    """Which actors one lean-loop call fires by arithmetic, and where the
-    tokens of every actor go.
+    """Which actors the lean loops fire by arithmetic for one observed
+    set, and where the tokens of every actor go.
 
     An actor is *unbound* here when it has no processor, no duration hook
     and is not observed.  Such an actor never arbitrates, so its firings
@@ -978,6 +982,44 @@ class _UnboundPlan:
                 else procs.pop() if len(procs) == 1 else -1,
                 u in autonomous,
             )
+        # Fig. 4 channels, for :meth:`_UnboundRun._channel`: per ``c``
+        # (c2) fed by ``b`` (c1) alone, as (a, b, c, ser, tx, inj, nc,
+        # chan), where ``a`` (s2) and ``b`` trade words (``inj``) for
+        # credits (``tx``), ``ser`` is ``a``'s other input, ``nc``
+        # ``b``'s, both from outside the three, and ``chan`` is ``b``'s
+        # words to ``c``.  ``a`` takes no time and ``b`` and ``c`` do;
+        # ``a`` and ``b`` run one firing at a time and ``a`` has no bound
+        # consumer; every edge among the three, ``ser`` and ``nc`` move
+        # one token a firing at their consumer, and the internal edges
+        # one at their producer too.
+        rate = [(e.production, e.consumption) for e in edges]
+        free = set(self.actors) - autonomous
+        self.channels: List[Tuple[int, ...]] = []
+        for c in self.actors:
+            ins_c = sim._in_rates[c]
+            if c not in free or len(ins_c) != 1 or not sim._exec_time[c]:
+                continue
+            chan = ins_c[0][0]
+            b = producer[chan]
+            tx = [e for e, _p in sim._out_rates[b] if e != chan]
+            if len(tx) != 1:
+                continue
+            (tx,) = tx
+            a = consumer[tx]
+            ins_a = [e for e, _c in sim._in_rates[a] if e != tx]
+            inj = [e for e, _c in sim._in_rates[b] if producer[e] == a]
+            nc = [e for e, _c in sim._in_rates[b] if producer[e] != a]
+            counts = (len(ins_a), len(inj), len(nc))
+            if len({a, b, c}) < 3 or counts != (1, 1, 1):
+                continue
+            (ser,), (inj,), (nc,) = ins_a, inj, nc
+            if (free.issuperset((a, b)) and not sim._exec_time[a]
+                    and sim._exec_time[b] and sim._cap[a] == 1
+                    and sim._cap[b] == 1 and self.shape[a][2] is None
+                    and {producer[ser], producer[nc]}.isdisjoint((a, b, c))
+                    and rate[tx] == rate[inj] == rate[chan] == (1, 1)
+                    and rate[ser][1] == rate[nc][1] == 1):
+                self.channels.append((a, b, c, ser, tx, inj, nc, chan))
         # Edges with an unbound endpoint, as (edge, production, producer,
         # consumption, consumer): their token counts are read back from
         # firing counts.
@@ -1033,9 +1075,12 @@ class _UnboundRun:
     _QUEUED, _PARKED = 1, 2
 
     def __init__(self, sim: SelfTimedSimulator, observed: frozenset) -> None:
-        # Built per call, like everything below: it is linear in the
-        # graph, and a simulator kept between calls then holds none of it.
-        plan = _UnboundPlan(sim, observed)
+        # The plan depends on the structure, the binding, the static
+        # orders and ``observed`` alone, so the simulator keeps it across
+        # calls and resets; everything below is built per call.
+        plan = sim._plans.get(observed)
+        if plan is None:
+            plan = sim._plans[observed] = _UnboundPlan(sim, observed)
         n = len(sim._actor_names)
         self.sim = sim
         self.plan = plan
@@ -1092,35 +1137,58 @@ class _UnboundRun:
             if not sim._ongoing[f]:
                 self._refill(f)
         # Per unbound actor, for :meth:`_resolve`: inputs as (stamp queue,
-        # rate, rate - 1), the plan's shape, outputs and firing records.
+        # rate, rate - 1), the plan's shape, outputs and firing records;
+        # per member of a channel, instead, its :meth:`_channel` entry:
+        # (a, b, c), the stamp queues of (ser, tx, inj, nc, chan), the
+        # members' firing records, ``a``'s outputs but ``inj``, ``b``'s
+        # shape advance, ``c``'s cap, advance and fold, ``c``'s outputs.
         self.spec: List[Optional[tuple]] = [None] * n
+        self.channel: List[Optional[tuple]] = [None] * n
+        fired = self.fired
         for u in plan.actors:
-            fl = self.fired[u] = deque()
+            fl = fired[u] = deque()
             cap, advance, fold, autonomous = plan.shape[u]
             self.spec[u] = (
                 tuple((stamps[e], c, c - 1) for e, c in sim._in_rates[u]),
                 cap, advance, self.to_unbound[u], fold, fl, autonomous,
             )
+        started = sim._started
+        self.channel_started = 0
+        for a, b, c, *channel_edges in plan.channels:
+            entry = (a, b, c, *(stamps[e] for e in channel_edges),
+                     fired[a], fired[b], fired[c],
+                     [out for out in self.to_unbound[a] if out[2] != b],
+                     plan.shape[b][1], *plan.shape[c][:3],
+                     self.to_unbound[c])
+            for u in (a, b, c):
+                self.spec[u] = None
+                self.channel[u] = entry
+                self.channel_started += started[u]
         self.work: List[int] = list(plan.actors)
         if plan.actors:
             dirty = sim._actor_dirty
-            spec = self.spec
             for u in plan.actors:
                 self.state[u] = self._QUEUED
                 dirty[u] = False
             # Unbound actors leave the dirty set and the heap: their
             # firings in flight are resolved already.
             sim._dirty_actors = [
-                i for i in sim._dirty_actors if spec[i] is None
+                i for i in sim._dirty_actors if fired[i] is None
             ]
             queue = sim._queue
-            pulled = [entry for entry in queue if spec[entry[2]]]
+            pulled = [
+                entry for entry in queue if fired[entry[2]] is not None
+            ]
             if pulled:
-                queue[:] = [entry for entry in queue if not spec[entry[2]]]
+                queue[:] = [
+                    entry for entry in queue if fired[entry[2]] is None
+                ]
                 heapq.heapify(queue)
+                shape = plan.shape
+                to_unbound = self.to_unbound
                 for end, _seq, u, start in sorted(pulled):
-                    self.fired[u].append((start << _PASS_BITS, end))
-                    self._emit(u, end)
+                    fired[u].append((start << _PASS_BITS, end))
+                    self._emit(to_unbound[u], shape[u][2], u, end)
         sim._start_all_ready()
         self._resolve()
 
@@ -1422,7 +1490,7 @@ class _UnboundRun:
                     # The completion: _step's finish.
                     for e, p, _v, _c, _lower in consumers:
                         tokens[e] += p
-                    self._send(outs, stamp)
+                    self._emit(outs, None, f, stamp)
                     sim._completed[f] += 1
                     arbitrated = higher_ready[f]
                     if arbitrated is None:
@@ -1616,7 +1684,7 @@ class _UnboundRun:
                 # The completion, as in :meth:`_run`.
                 for e, p, _v, _c, _lower in consumers:
                     tokens[e] += p
-                self._send(outs, stamp)
+                self._emit(outs, None, f, stamp)
                 sim._completed[f] += 1
                 ongoing[f] -= 1
                 generic = higher_ready[f]
@@ -1694,28 +1762,28 @@ class _UnboundRun:
         sim._start_all_ready()
         self._resolve()
 
-    def _send(self, outs: list, stamp: int) -> None:
-        """Append tokens stamped ``stamp`` to the stamp queues ``outs``
-        (an actor's :attr:`to_unbound`), queueing every consumer they
-        unblock for :meth:`_resolve`."""
+    def _emit(self, outs: list, fold: Optional[int], u: int,
+              end: int) -> None:
+        """Send the tokens of ``u``'s firing ending at ``end``: onto the
+        stamp queues ``outs`` (its :attr:`to_unbound`), queueing every
+        consumer they unblock for :meth:`_resolve`, and, unless ``fold``
+        is ``None``, to its bound consumers, whose one processor is
+        ``fold`` (see :attr:`_UnboundPlan.shape`)."""
         state = self.state
         for stamp_queue, p, v, c in outs:
             if p == 1:
-                stamp_queue.append(stamp)
+                stamp_queue.append(end)
             else:
-                stamp_queue.extend(repeat(stamp, p))
+                stamp_queue.extend(repeat(end, p))
             if state[v] is stamp_queue and len(stamp_queue) >= c:
                 state[v] = self._QUEUED
                 self.work.append(v)
-
-    def _emit(self, u: int, end: int) -> None:
-        """Send the tokens of unbound ``u``'s firing ending at ``end``
-        (the out-of-loop form of :meth:`_resolve`'s emission)."""
-        _ins, _cap, _advance, outs, fold, _fl, _auto = self.spec[u]
-        self._send(outs, end)
         if fold is not None:
             sim = self.sim
             if fold >= 0 and sim._proc_busy[fold] > end >> _PASS_BITS:
+                # The consumer's processor is busy past the delivery;
+                # its firing ending frees it and applies the tokens (see
+                # :meth:`_step`).
                 self.pending[fold].append(u)
             else:
                 heapq.heappush(sim._queue, (end, sim._seq, ~u, 0))
@@ -1739,13 +1807,17 @@ class _UnboundRun:
             return
         pos = self.pos
         spec = self.spec
-        sim = self.sim
-        started = sim._started
+        channel = self.channel
+        emit = self._emit
+        started = self.sim._started
         while work:
             u = work.pop()
             sp = spec[u]
             if sp is None:
-                self._refill(u)
+                if channel[u] is None:
+                    self._refill(u)
+                else:
+                    self._channel(channel[u])
                 continue
             ins, cap, advance, outs, fold, fl, autonomous = sp
             while True:
@@ -1782,26 +1854,75 @@ class _UnboundRun:
                             fl.popleft()
                     fl.append((start, end))
                     started[u] += 1
-                    for stamp_queue, p, v, c in outs:
-                        if p == 1:
-                            stamp_queue.append(end)
-                        else:
-                            stamp_queue.extend(repeat(end, p))
-                        if state[v] is stamp_queue and len(stamp_queue) >= c:
-                            state[v] = queued
-                            work.append(v)
-                    if fold is not None:
-                        if (fold >= 0
-                                and sim._proc_busy[fold] > end >> _PASS_BITS):
-                            # The consumer's processor is busy past the
-                            # delivery; its firing ending frees it and
-                            # applies the tokens (see :meth:`_step`).
-                            self.pending[fold].append(u)
-                        else:
-                            heapq.heappush(sim._queue, (end, sim._seq, ~u, 0))
-                            sim._seq += 1
+                    emit(outs, fold, u, end)
                     continue
                 break
+
+    def _channel(self, entry: tuple) -> None:
+        """Resolve, in one pass, every firing of a Fig. 4 channel (see
+        :attr:`_UnboundPlan.channels`) that :meth:`_resolve` would: ``a``
+        on each ``ser`` token and ``tx`` credit, ``b`` on each of ``a``'s
+        words and ``nc`` credit, and ``c`` from each of ``b``'s end
+        stamps, after the ``chan`` tokens there before this run or from
+        a firing of ``b`` in flight at its start.  Each member keeps its
+        firing records and count; only ``ser`` and ``nc`` tokens wake
+        the channel again."""
+        (a, b, c, ser, tx, inj, nc, chan, fa, fb, fc, outs_a, advance_b,
+         cap, advance_c, fold, outs_c) = entry
+        pos = self.pos
+        emit = self._emit
+        started = self.sim._started
+        end_a = fa[-1][1] if fa else 0
+        end_b = fb[-1][1] if fb else 0
+        while True:
+            while ser and tx:
+                start = ser.popleft()
+                t = tx.popleft()
+                if t > start:
+                    start = t
+                if end_a > start:
+                    start = end_a
+                if pos > start:
+                    start = pos
+                end_a = start + 1
+                fa.append((start, end_a))
+                started[a] += 1
+                emit(outs_a, None, a, end_a)
+                inj.append(end_a)
+            if chan:
+                start = chan.popleft()
+            elif inj and nc:
+                start = inj.popleft()
+                t = nc.popleft()
+                if t > start:
+                    start = t
+                if end_b > start:
+                    start = end_b
+                if pos > start:
+                    start = pos
+                end_b = (start & _TIME_PART) + advance_b
+                fb.append((start, end_b))
+                started[b] += 1
+                tx.append(end_b)
+                start = end_b
+            else:
+                break
+            if cap and len(fc) >= cap and fc[-cap][1] > start:
+                start = fc[-cap][1]
+            end = (start & _TIME_PART) + advance_c
+            fc.append((start, end))
+            started[c] += 1
+            emit(outs_c, fold, c, end)
+        if len(fc) > 16:
+            # Keep the records of firings not yet over.  ``b`` fires at
+            # most as often as ``c``, and ``a`` at most its credits more.
+            for fl in (fa, fb, fc):
+                while fl and fl[0][1] <= pos:
+                    fl.popleft()
+        state = self.state
+        state[a] = ser
+        state[b] = nc
+        state[c] = None
 
     # -- reading the state back -------------------------------------------
     def _state_at_pos(self):
@@ -1863,6 +1984,10 @@ class _UnboundRun:
         if not self.plan.actors:
             return
         started, completed, tokens, live = self._state_at_pos()
+        count("sim.channel_firings", sum(
+            started[u] for channel in self.plan.channels
+            for u in channel[:3]
+        ) - self.channel_started)
         sim._started[:] = started
         sim._completed[:] = completed
         sim._tokens[:] = tokens

@@ -47,8 +47,9 @@ scheduler and speaks the canonical artifact payloads of
 Result and artifact routes serve the stored document text verbatim
 (via :meth:`~repro.artifacts.store.ArtifactStore.get_text`), so what a
 client receives is byte-identical to what the workspace holds.
-``PUT``, ``PATCH`` and ``DELETE`` answer a JSON ``405`` with
-``Allow: GET, POST``.
+Every other method (``PUT``, ``DELETE``, ``HEAD``, ``OPTIONS``, ...)
+answers a JSON ``405`` with ``Allow: GET, POST``; the one to ``HEAD``
+carries its headers and no body.
 """
 
 from __future__ import annotations
@@ -215,7 +216,12 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
             405, f"method {self.command} not allowed on {self.path}"
         )
 
-    do_PUT = do_PATCH = do_DELETE = _method_not_allowed
+    def __getattr__(self, name: str) -> Any:
+        # http.server dispatches a request to ``do_<METHOD>`` and answers
+        # a method without one with an HTML 501
+        if name.startswith("do_"):
+            return self._method_not_allowed
+        raise AttributeError(name)
 
     # ------------------------------------------------------------------
     # handlers
@@ -391,4 +397,5 @@ class FlowRequestHandler(BaseHTTPRequestHandler):
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)

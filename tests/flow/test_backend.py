@@ -87,7 +87,7 @@ class TestTaskRegistry:
             {"counted": 2},
             {"engine.analyses": 0, "power.platform": 2,
              "power.application": 0, "sim.instants": 0,
-             "sim.run_instants": 0},
+             "sim.run_instants": 0, "sim.channel_firings": 0},
         )
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -106,6 +106,7 @@ class TestTaskRegistry:
         } == {
             "engine.analyses": 0, "power.platform": 6, "power.application": 0,
             "sim.instants": 0, "sim.run_instants": 0,
+            "sim.channel_firings": 0,
         }
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -135,6 +136,7 @@ class TestTaskRegistry:
         } == {
             "engine.analyses": 5, "power.platform": 0, "power.application": 0,
             "sim.instants": 0, "sim.run_instants": 0,
+            "sim.channel_firings": 0,
         }
 
     def test_run_task_attaches_counts_to_the_error(self):
@@ -143,6 +145,7 @@ class TestTaskRegistry:
         assert raised.value.task_counts == {
             "engine.analyses": 1, "power.platform": 0, "power.application": 0,
             "sim.instants": 0, "sim.run_instants": 0,
+            "sim.channel_firings": 0,
         }
 
 

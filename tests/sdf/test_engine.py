@@ -162,6 +162,26 @@ class TestWarmReuse:
             ).analyze()
             assert warm == cold
 
+    def test_one_unbound_plan_serves_every_analysis(
+        self, figure2_bounded, monkeypatch
+    ):
+        """The lean loop's plan depends on the structure, the binding
+        and the observed set alone, so it outlives reset()."""
+        from repro.sdf import simulation
+
+        built = []
+
+        class CountedPlan(simulation._UnboundPlan):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(simulation, "_UnboundPlan", CountedPlan)
+        engine = ThroughputEngine(figure2_bounded)
+        first = engine.analyze()
+        assert engine.analyze() == first
+        assert len(built) == 1
+
     def test_given_repetition_vector_is_not_solved_again(
         self, figure2_bounded, monkeypatch
     ):

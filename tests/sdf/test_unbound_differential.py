@@ -19,7 +19,9 @@ Graph families:
   static orders in which the PE's serialization work interleaves;
 * the random bounded graphs of ``test_simulation_differential.py``,
   partly bound: zero-time unbound chains, multi-rate unbound actors,
-  unlimited auto-concurrency and cycles of unbound actors only.
+  unlimited auto-concurrency and cycles of unbound actors only;
+* three-tile rings of Fig. 4 channels over the ranges the one-pass
+  channel resolution must cover (``channel_case``).
 
 The seed count per family follows ``FUZZ_SCENARIOS`` (tier-1: 25).
 """
@@ -659,3 +661,170 @@ def test_pending_delivery_ends_a_word_run(u1_time, monkeypatch):
         g, kwargs, series_hooks(random.Random(u1_time), g, ()),
         [{"S": 5, "M": 5}, {"S": 12, "M": 12}],
     )
+
+
+# -- Fig. 4 channels in one pass -----------------------------------------------
+def channel_case(seed):
+    """``A -> B -> C -> A`` on three tiles, every edge one Fig. 4
+    channel, over the ranges the channel pass must cover: 1-4 words of
+    network buffering and in flight, tokens of 1-33 words (so ``d1`` is
+    fed and not), ``c1`` of 0 cycles a word (the pass declines) or more,
+    PE and CA (de)serialization.  Returns (graph, simulator keyword
+    arguments, application actors, the (s2, c1, c2) of the channels the
+    pass takes)."""
+    rng = random.Random(13_000 + seed)
+    g = SDFGraph(f"chan{seed}")
+    apps = ["A", "B", "C"]
+    for name in apps:
+        g.add_actor(name, execution_time=rng.randint(1, 40))
+    for src, dst in zip(apps, apps[1:] + apps[:1]):
+        g.add_edge(src + dst, src, dst, token_size=4 * rng.randint(1, 33),
+                   initial_tokens=rng.randint(1, 2) if dst == "A" else 0)
+    uses_ca = [rng.random() < 0.4 for _ in apps]
+
+    def model(tile):
+        if uses_ca[tile]:
+            return CASerialization(rng.randint(0, 8), rng.randint(0, 2))
+        return PESerialization(rng.randint(0, 12), rng.randint(1, 3))
+
+    def resource(tile):
+        return f"ca{tile}" if uses_ca[tile] else f"t{tile}"
+
+    processor_of = {name: f"t{tile}" for tile, name in enumerate(apps)}
+    passed = set()
+    for src_tile in range(3):
+        dst_tile = (src_tile + 1) % 3
+        edge = g.edge(apps[src_tile] + apps[dst_tile])
+        injection = rng.choice((0, 0, 1, 2, 3))
+        names = expand_channel(
+            g, edge.name,
+            ChannelParameters(
+                words_in_flight=rng.randint(1, 4),
+                network_buffer_words=rng.randint(1, 4),
+                injection_cycles_per_word=injection,
+                channel_latency=rng.randint(1, 6),
+            ),
+            model(src_tile),
+            alpha_src=1 + rng.randint(0, 2),
+            alpha_dst=2 + rng.randint(0, 2),
+            deserialization=model(dst_tile),
+        )
+        processor_of[names.s1] = resource(src_tile)
+        processor_of[names.d1] = resource(dst_tile)
+        processor_of[names.d2] = resource(dst_tile)
+        if injection:
+            passed.add((names.s2, names.c1, names.c2))
+    kwargs = {"processor_of": processor_of}
+    if rng.random() < 0.5:
+        kwargs["static_order"] = derive_static_orders(
+            g, processor_of, apps
+        )
+    return g, kwargs, apps, passed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_channel_passes_match(seed, monkeypatch):
+    """The analysis key by key, and the countdown loop over many small
+    targets (each return reads the channels back, ``__chan`` and
+    ``__inj`` tokens included, and the next call starts from that),
+    against the oracle.  Only channels whose ``c1`` takes time are
+    passed in one piece."""
+    graph, kwargs, apps, passed = channel_case(seed)
+    sim = SelfTimedSimulator(graph, **kwargs)
+    assert detected_channels(sim, {sim._actor_index["A"]}) == passed
+    with counters.collect() as scope:
+        check_throughput(graph, kwargs, monkeypatch)
+        rng = random.Random(14_000 + seed)
+        check_run_until(
+            graph, kwargs, series_hooks(rng, graph, apps[1:]),
+            [{a: k for a in apps} for k in range(1, 13)],
+        )
+    assert bool(scope.snapshot("sim")["channel_firings"]) == bool(passed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_channel_passes_stop_anywhere(seed):
+    """Stopped after a few instants at a time, the lean loop leaves the
+    state step() has at that stamp -- words parked on ``__chan`` behind
+    ``c2``'s in-flight bound or on ``__inj`` behind its credits -- and
+    goes on from it to the same end."""
+    graph, kwargs, apps, _passed = channel_case(seed)
+    rng = random.Random(15_000 + seed)
+    targets = {a: 6 for a in apps}
+    final = SelfTimedSimulator(graph, **kwargs)
+    if not oracle_until(ReferenceSelfTimedSimulator(graph, **kwargs),
+                        targets):
+        return
+    final.run_until(targets, 1_000_000)
+    fast = SelfTimedSimulator(graph, **kwargs)
+    stepped = SelfTimedSimulator(graph, **kwargs)
+    calls = 0
+    while any(fast.completed[a] < n for a, n in targets.items()):
+        fast.run_until(targets, rng.randint(1, 4))
+        calls += 1
+        while stepped._stamp < fast._stamp:
+            assert stepped.step()
+        assert stepped._stamp == fast._stamp
+        assert_same_state(fast, stepped)
+    assert calls > 1
+    assert_same_state(fast, final)
+
+
+def mjpeg_bound_graph(tiles):
+    from repro.arch import architecture_from_template
+    from repro.flow.spec import build_case_study_app
+    from repro.mapping import (
+        allocate_buffers,
+        bind_actors,
+        build_bound_graph,
+        route_channels,
+    )
+
+    app = build_case_study_app("gradient")
+    arch = architecture_from_template(tiles, "fsl")
+    binding, impls = bind_actors(app, arch, fixed={"VLD": "tile0"})
+    channels = route_channels(app, arch, binding)
+    allocate_buffers(app, channels)
+    return build_bound_graph(app, arch, binding, impls, channels)
+
+
+def detected_channels(sim, observed):
+    plan = simulation._UnboundPlan(sim, frozenset(observed))
+    names = sim._actor_names
+    return {tuple(names[u] for u in channel[:3]) for channel in plan.channels}
+
+
+def test_every_mjpeg_channel_is_detected():
+    """Each inter-tile channel of the 5-tile MJPEG mapping is found by
+    structure as its (s2, c1, c2)."""
+    bound = mjpeg_bound_graph(5)
+    sim = SelfTimedSimulator(bound.graph, processor_of=bound.processor_of)
+    reference = sim._actor_index[bound.app_actors[0]]
+    expected = {
+        (names.s2, names.c1, names.c2) for names in bound.comm_names.values()
+    }
+    assert len(expected) > 3
+    assert detected_channels(sim, {reference}) == expected
+
+
+def test_observed_c1_keeps_its_channel_generic():
+    """A channel whose ``c1`` is a ``run_until`` target is not passed in
+    one piece; the others still are, and the run matches the oracle."""
+    graph, kwargs, apps = word_run_case("greedy", "lower", 12, back_channel=3)
+    observed, other = "AB__c1", ("BC__s2", "BC__c1", "BC__c2")
+    sim = SelfTimedSimulator(graph, **kwargs)
+    index = sim._actor_index
+    assert detected_channels(sim, {index["A"]}) == {
+        ("AB__s2", "AB__c1", "AB__c2"), other,
+    }
+    targets = {observed: 12, "A": 4}
+    with counters.collect() as scope:
+        sim.run_until(targets, 1_000_000)
+    assert {tuple(sim._actor_names[u] for u in channel[:3])
+            for channel in sim._plans[
+                frozenset(index[a] for a in targets)
+            ].channels} == {other}
+    assert scope.snapshot("sim")["channel_firings"] > 0
+    slow = ReferenceSelfTimedSimulator(graph, **kwargs)
+    assert oracle_until(slow, targets)
+    assert_same_state(sim, slow)

@@ -169,7 +169,9 @@ class TestServiceMeta:
             "failed",
         }
         assert set(health["engine"]) == {"analyses"}
-        assert set(health["sim"]) == {"instants", "run_instants"}
+        assert set(health["sim"]) == {
+            "instants", "run_instants", "channel_firings",
+        }
 
     def test_unknown_routes_answer_404(self, client):
         for method, path in (
@@ -204,6 +206,35 @@ class TestServiceMeta:
             document = json.loads(response.read())
             assert document["status_code"] == 405
             assert method in document["error"]
+        finally:
+            connection.close()
+        assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize("method", ("HEAD", "OPTIONS", "BREW"))
+    def test_methods_without_a_handler_answer_json_405(self, service,
+                                                       client, method):
+        """Every method the API does not serve, not only the ones it
+        names; the 405 to HEAD carries its headers and no body."""
+        import http.client
+
+        host, port = service.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request(method, "/v1/healthz")
+            response = connection.getresponse()
+            assert response.status == 405
+            assert response.getheader("Allow") == "GET, POST"
+            assert response.getheader("Content-Type").startswith(
+                "application/json"
+            )
+            body = response.read()
+            if method == "HEAD":
+                assert body == b""
+                assert int(response.getheader("Content-Length")) > 0
+            else:
+                document = json.loads(body)
+                assert document["status_code"] == 405
+                assert method in document["error"]
         finally:
             connection.close()
         assert client.health()["status"] == "ok"

@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -580,6 +585,69 @@ class TestServe:
         assert "--max-queue" in capsys.readouterr().err
         # nothing was bound or created before validation failed
         assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="reads child processes from /proc")
+    def test_sigterm_stops_process_workers(self, tmp_path):
+        """A plain ``kill`` goes through the same clean-up as Ctrl-C: the
+        server exits 0 and leaves no worker process behind."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--quiet",
+             "--workspace", str(tmp_path / "ws"), "--port", "0",
+             "--backend", "process", "--jobs", "2"],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        children = []
+        try:
+            assert "flow service on" in server.stdout.readline()
+            deadline = time.monotonic() + 30
+            while len(children) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                children = children_of(server.pid)
+            assert len(children) >= 2
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=30) == 0
+            deadline = time.monotonic() + 5
+            while any(map(is_alive, children)) and (
+                time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            assert not any(map(is_alive, children))
+        finally:
+            for pid in [server.pid, *children]:
+                if is_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            server.wait(timeout=10)
+            server.stdout.close()
+
+
+def children_of(pid):
+    """The processes whose parent is ``pid``, from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def is_alive(pid):
+    """Whether ``pid`` runs (a zombie, exited but not reaped, does not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 class TestRunFlagCompatibility:

@@ -65,7 +65,7 @@ class TestProcessCounts:
         assert scope.snapshot() == {
             "engine.analyses": 2, "power.platform": 0,
             "power.application": 1, "sim.instants": 0,
-            "sim.run_instants": 0,
+            "sim.run_instants": 0, "sim.channel_firings": 0,
         }
 
     def test_scopes_stay_in_their_context(self):
@@ -80,5 +80,5 @@ class TestProcessCounts:
         assert scope.snapshot() == {
             "engine.analyses": 1, "power.platform": 0,
             "power.application": 0, "sim.instants": 0,
-            "sim.run_instants": 0,
+            "sim.run_instants": 0, "sim.channel_firings": 0,
         }
