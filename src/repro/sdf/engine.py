@@ -59,8 +59,10 @@ class ThroughputEngine:
     ``repetitions`` is the caller's cached repetition vector of this
     very graph (a :class:`~repro.mapping.bound_graph.BoundGraph` caches
     it), so that it is not solved again.  It must name every actor and
-    balance every edge, else :class:`~repro.exceptions.GraphError` is
-    raised: a stale vector would give a wrong throughput.
+    balance every edge with positive entries, else
+    :class:`~repro.exceptions.GraphError` is raised: a stale vector would
+    give a wrong throughput, and an all-zero or negated one, which
+    balances every edge too, an analysis that fails or never ends.
     """
 
     def __init__(
@@ -90,6 +92,11 @@ class ThroughputEngine:
             raise GraphError(
                 f"the repetition vector given for {graph.name!r} does not "
                 "name its actors or does not balance its edges"
+            )
+        elif any(q < 1 for q in repetitions.values()):
+            raise GraphError(
+                f"the repetition vector given for {graph.name!r} has a "
+                "non-positive entry"
             )
         self._q = repetitions
         self._sim: Optional[SelfTimedSimulator] = None

@@ -65,7 +65,8 @@ wake-up, and while it wins its processor the loop advances it through
 its words in a *word run*, its instants held off the heap (see
 :meth:`_UnboundRun._run`).  The ``s2``, ``c1`` and ``c2`` of a Fig. 4
 channel pass each word through in one step (:meth:`_UnboundRun._channel`)
-rather than one work-stack visit per actor.  At every
+rather than one work-stack visit per actor, and a word run's ``d1`` hands
+each credit it returns straight to that pass.  At every
 iteration boundary and on return the arithmetic state is read back at the
 current stamp, so :meth:`SelfTimedSimulator.state_key` and every public
 counter equal the event-by-event execution's.
@@ -656,10 +657,17 @@ class SelfTimedSimulator:
         ``tests/sdf/simulation_reference.py``) returns, field for field.
 
         Raises :class:`~repro.exceptions.DeadlockError` when the execution
-        blocks and :class:`~repro.sdf.throughput.UnboundedExecutionError`
-        when no state recurs within ``max_iterations`` iterations.
+        blocks, :class:`~repro.sdf.throughput.UnboundedExecutionError`
+        when no state recurs within ``max_iterations`` iterations and
+        :class:`~repro.exceptions.SimulationError` when ``repetitions`` or
+        ``max_iterations`` is below 1.
         """
         name = self.graph.name
+        if repetitions < 1 or max_iterations < 1:
+            raise SimulationError(
+                f"run_throughput of {name!r} needs at least 1 repetition "
+                f"and 1 iteration, not {repetitions} and {max_iterations}"
+            )
         ref_idx = self._index_of(reference_actor)
         completed = self._completed
         seen: Dict[tuple, Tuple[int, int]] = {}
@@ -1020,6 +1028,18 @@ class _UnboundPlan:
                     and rate[tx] == rate[inj] == rate[chan] == (1, 1)
                     and rate[ser][1] == rate[nc][1] == 1):
                 self.channels.append((a, b, c, ser, tx, inj, nc, chan))
+        # Per fed actor in a word run whose one output to a stamp queue
+        # is one token on a channel's ``nc`` (the Fig. 4 ``d1`` and its
+        # ``__ncredit``): that channel's index in ``channels``, whose
+        # pass its completions hand their credit to (see
+        # :meth:`_UnboundRun._run`); else ``None``.
+        credited = {channel[6]: k for k, channel in enumerate(self.channels)}
+        self.credit: List[Optional[int]] = [None] * n
+        for f in self.fed:
+            outs = self.to_unbound[f]
+            if (self.runner[f] is not None and len(outs) == 1
+                    and outs[0][1] == 1):
+                self.credit[f] = credited.get(outs[0][0])
         # Edges with an unbound endpoint, as (edge, production, producer,
         # consumption, consumer): their token counts are read back from
         # firing counts.
@@ -1130,10 +1150,6 @@ class _UnboundRun:
             self.fed_ins[f] = tuple(
                 (e, stamps[e], c) for e, c in sim._in_rates[f]
             )
-            if plan.runner[f] is not None:
-                # The plan's entry, plus outputs to stamp queues, for
-                # the word runs.
-                self.runner[f] = plan.runner[f] + (self.to_unbound[f],)
             if not sim._ongoing[f]:
                 self._refill(f)
         # Per unbound actor, for :meth:`_resolve`: inputs as (stamp queue,
@@ -1154,16 +1170,26 @@ class _UnboundRun:
             )
         started = sim._started
         self.channel_started = 0
+        entries = []
         for a, b, c, *channel_edges in plan.channels:
             entry = (a, b, c, *(stamps[e] for e in channel_edges),
                      fired[a], fired[b], fired[c],
                      [out for out in self.to_unbound[a] if out[2] != b],
                      plan.shape[b][1], *plan.shape[c][:3],
                      self.to_unbound[c])
+            entries.append(entry)
             for u in (a, b, c):
                 self.spec[u] = None
                 self.channel[u] = entry
                 self.channel_started += started[u]
+        # Per fed actor in a word run: the plan's entry, plus outputs to
+        # stamp queues and the channel entry its credits go to.
+        for f in plan.fed:
+            if plan.runner[f] is not None:
+                k = plan.credit[f]
+                self.runner[f] = plan.runner[f] + (
+                    self.to_unbound[f], None if k is None else entries[k],
+                )
         self.work: List[int] = list(plan.actors)
         if plan.actors:
             dirty = sim._actor_dirty
@@ -1400,6 +1426,18 @@ class _UnboundRun:
         (:attr:`higher_ready`, :attr:`lower_ready`; ``None`` until
         asked) holds for as long as it runs.  Otherwise the stamp ends
         as :meth:`_step` ends it, and so do the runs.
+
+        A completion whose one token for a stamp queue is a channel's
+        credit (:attr:`_UnboundPlan.credit`: the Fig. 4 ``d1`` and its
+        ``__ncredit``) runs the channel's pass itself, where
+        :meth:`_resolve` would have run it: after ``f`` starts if its
+        batch is there, before its wake-up if the batch is late, and
+        before ``f`` looks for a batch again if a word is not resolved
+        yet.  Between instants the work stack is empty and the channel's
+        ``b`` waits on the credit queue, so the credit would have put
+        ``b`` alone on the stack and the pass would have come first.  A
+        stamp that ends in the generic arbitration puts ``b`` on the
+        stack instead, for the pass to follow the arbitration's starts.
         """
         sim = self.sim
         queue = sim._queue
@@ -1471,9 +1509,8 @@ class _UnboundRun:
                 heappop(held)
             else:
                 break
-            pid, higher, lower, order, consumers, conflicts, _touched, outs = (
-                runner
-            )
+            (pid, higher, lower, order, consumers, conflicts, _touched, outs,
+             channel) = runner
             waiting = pending[pid]
             # ``f``'s instants, for as long as they come first.
             while True:
@@ -1482,6 +1519,9 @@ class _UnboundRun:
                     self._end_runs(conflicts)
                 self.pos = sim._stamp = stamp
                 sim.now = now = stamp >> _PASS_BITS
+                # The channel pass a completion's credit is handed to,
+                # until it has run.
+                credit = None
                 if idx < 0:
                     # The wake-up: ``f``, alone ready on its free
                     # processor, starts.
@@ -1490,7 +1530,11 @@ class _UnboundRun:
                     # The completion: _step's finish.
                     for e, p, _v, _c, _lower in consumers:
                         tokens[e] += p
-                    self._emit(outs, None, f, stamp)
+                    if channel is None:
+                        self._emit(outs, None, f, stamp)
+                    else:
+                        channel[6].append(stamp)
+                        credit = channel
                     sim._completed[f] += 1
                     arbitrated = higher_ready[f]
                     if arbitrated is None:
@@ -1529,6 +1573,12 @@ class _UnboundRun:
                         ongoing[f] -= 1
                         if at >= 0:
                             self._schedule(f, at)
+                        if credit is not None:
+                            # What _emit would do: the pass waits on
+                            # the work stack for the arbitration's
+                            # starts.
+                            self.state[credit[1]] = self._QUEUED
+                            work.append(credit[1])
                         self._arbitrate(f, pid, consumers)
                         break
                     if at < 0:
@@ -1537,6 +1587,9 @@ class _UnboundRun:
                         # that, and waits on a stamp queue only if they
                         # do not come.
                         self.state[f] = None
+                        if credit is not None:
+                            self._channel(credit)
+                            credit = None
                         if work:
                             self._resolve()
                         at = self._batch_stamp(f)
@@ -1546,6 +1599,8 @@ class _UnboundRun:
                     if at > stamp:
                         # On to the wake-up.
                         ongoing[f] -= 1
+                        if credit is not None:
+                            self._channel(credit)
                         if work:
                             self._resolve()
                         entry = (at, sim._seq, ~(n + f), 0)
@@ -1559,8 +1614,12 @@ class _UnboundRun:
                             heappush(held, entry)
                             break
                         continue
-                # ``f`` starts now, on its batch.
+                # ``f`` starts now, on its batch.  It takes its processor
+                # before the credit's words are resolved: a delivery they
+                # make to it waits in ``pending``.
                 entry = self._start_fed(f, pid, now)
+                if credit is not None:
+                    self._channel(credit)
                 if work:
                     self._resolve()
                 # On to the completion.
@@ -1675,9 +1734,8 @@ class _UnboundRun:
         for entry in group:
             idx = entry[2]
             f = idx if idx >= 0 else ~idx - n
-            pid, higher, lower, order, consumers, conflicts, _touched, outs = (
-                runners[f]
-            )
+            (pid, higher, lower, order, consumers, conflicts, _touched, outs,
+             _credit) = runners[f]
             if conflicts and held:
                 self._end_runs(conflicts)
             if idx >= 0:
@@ -1866,11 +1924,14 @@ class _UnboundRun:
         stamps, after the ``chan`` tokens there before this run or from
         a firing of ``b`` in flight at its start.  Each member keeps its
         firing records and count; only ``ser`` and ``nc`` tokens wake
-        the channel again."""
+        the channel again.  The tokens ``a`` and ``c`` send to stamp
+        queues are sent as :meth:`_emit` sends them, inline."""
         (a, b, c, ser, tx, inj, nc, chan, fa, fb, fc, outs_a, advance_b,
          cap, advance_c, fold, outs_c) = entry
         pos = self.pos
-        emit = self._emit
+        state = self.state
+        work = self.work
+        queued = self._QUEUED
         started = self.sim._started
         end_a = fa[-1][1] if fa else 0
         end_b = fb[-1][1] if fb else 0
@@ -1887,7 +1948,14 @@ class _UnboundRun:
                 end_a = start + 1
                 fa.append((start, end_a))
                 started[a] += 1
-                emit(outs_a, None, a, end_a)
+                for stamp_queue, p, v, w in outs_a:
+                    if p == 1:
+                        stamp_queue.append(end_a)
+                    else:
+                        stamp_queue.extend(repeat(end_a, p))
+                    if state[v] is stamp_queue and len(stamp_queue) >= w:
+                        state[v] = queued
+                        work.append(v)
                 inj.append(end_a)
             if chan:
                 start = chan.popleft()
@@ -1912,14 +1980,22 @@ class _UnboundRun:
             end = (start & _TIME_PART) + advance_c
             fc.append((start, end))
             started[c] += 1
-            emit(outs_c, fold, c, end)
+            for stamp_queue, p, v, w in outs_c:
+                if p == 1:
+                    stamp_queue.append(end)
+                else:
+                    stamp_queue.extend(repeat(end, p))
+                if state[v] is stamp_queue and len(stamp_queue) >= w:
+                    state[v] = queued
+                    work.append(v)
+            if fold is not None:
+                self._emit((), fold, c, end)
         if len(fc) > 16:
             # Keep the records of firings not yet over.  ``b`` fires at
             # most as often as ``c``, and ``a`` at most its credits more.
             for fl in (fa, fb, fc):
                 while fl and fl[0][1] <= pos:
                     fl.popleft()
-        state = self.state
         state[a] = ser
         state[b] = nc
         state[c] = None

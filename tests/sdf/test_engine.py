@@ -216,6 +216,23 @@ class TestWarmReuse:
                 figure2_bounded, repetitions={**q, "stale": 1}
             )
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_non_positive_repetition_vector_raises(
+        self, figure2_bounded, scale
+    ):
+        """An all-zero or negated vector balances every edge; the engine
+        refuses it instead of dividing by zero or, negated, counting
+        iterations that never come."""
+        from repro.exceptions import GraphError
+        from repro.sdf.repetition import repetition_vector
+
+        q = repetition_vector(figure2_bounded)
+        with pytest.raises(GraphError, match="non-positive"):
+            ThroughputEngine(
+                figure2_bounded,
+                repetitions={name: scale * n for name, n in q.items()},
+            )
+
 
 # ----------------------------------------------------------------------
 # counters

@@ -363,6 +363,21 @@ def test_earlier_trace_survives_later_finalization(two_actor_pipeline):
     assert first.completed_count == snapshot
 
 
+@pytest.mark.parametrize("repetitions, max_iterations", [
+    (0, 10), (-1, 10), (1, 0), (1, -3),
+])
+def test_run_throughput_needs_positive_counts(
+    two_actor_pipeline, repetitions, max_iterations
+):
+    """A repetition count or iteration budget below 1 is a usage error,
+    raised before the simulator changes state -- not a claim that the
+    channels grow without bound, nor a loop that never ends."""
+    sim = SelfTimedSimulator(two_actor_pipeline)
+    with pytest.raises(SimulationError, match="at least 1"):
+        sim.run_throughput("P", repetitions, max_iterations)
+    assert sim.now == 0 and sim.started == {a: 0 for a in sim.started}
+
+
 @pytest.mark.parametrize("call", [
     lambda sim: sim.run_until({"P": 1, "nope": 1}, max_steps=10),
     lambda sim: sim.run_throughput("nope", 1, 10),

@@ -21,13 +21,17 @@ Graph families:
   partly bound: zero-time unbound chains, multi-rate unbound actors,
   unlimited auto-concurrency and cycles of unbound actors only;
 * three-tile rings of Fig. 4 channels over the ranges the one-pass
-  channel resolution must cover (``channel_case``).
+  channel resolution must cover (``channel_case``);
+* random word-run set-ups whose ``d1`` hands each credit straight to its
+  channel's pass (``credit_case``), checked also against the same run
+  with every credit on the work stack.
 
 The seed count per family follows ``FUZZ_SCENARIOS`` (tier-1: 25).
 """
 
 import os
 import random
+import sys
 from functools import partial
 
 import pytest
@@ -428,7 +432,8 @@ def test_zero_time_chain_reaches_its_consumer_in_the_right_pass(
 
 # -- word runs ---------------------------------------------------------------
 def word_run_case(layout, rival, x_time, back_channel=0, twin=False,
-                  words=10, times=(9, 7, 13)):
+                  words=10, times=(9, 7, 13), tap=False, spill=False,
+                  flight=2, latency=2):
     """One Fig. 4 channel from ``A`` on ``p0`` to ``B`` on ``p1``, whose
     ``d1`` (6 cycles a word) runs words back to back, plus:
 
@@ -443,6 +448,14 @@ def word_run_case(layout, rival, x_time, back_channel=0, twin=False,
     * ``twin``: a second channel into ``B``, from ``A2`` on ``p0``: its
       ``d1`` shares ``d1``'s resource, and its wake-ups wait as pending
       entries while ``d1`` holds it;
+    * ``tap``: ``T`` on ``d1``'s resource also takes the channel's
+      words, a token's worth a firing, and returns credits to ``A``:
+      the one-pass channel resolution then delivers to the resource
+      ``d1`` holds;
+    * ``spill``: ``d1`` also sends each word to the unbound ``Z``, which
+      passes it to ``d2``: a second output to a stamp queue;
+    * ``flight`` and ``latency``: the channels' words in flight and
+      cycles a word;
     * ``layout``: ``greedy`` (as static-order derivation runs it),
       ``orders`` (``p1`` in a static order of its application actors,
       ``d1`` interleaved), ``ca`` (``d1``/``d2`` on a communication
@@ -480,8 +493,8 @@ def word_run_case(layout, rival, x_time, back_channel=0, twin=False,
         else CASerialization(2, 6)
     )
     params = ChannelParameters(
-        words_in_flight=2, network_buffer_words=1,
-        injection_cycles_per_word=1, channel_latency=2,
+        words_in_flight=flight, network_buffer_words=1,
+        injection_cycles_per_word=1, channel_latency=latency,
     )
     names = expand_channel(
         g, "AB", params, PESerialization(5, 2),
@@ -502,6 +515,16 @@ def word_run_case(layout, rival, x_time, back_channel=0, twin=False,
             "p1" if layout in ("greedy", "orders") else "ca1"
         )
         processor_of[channel.d2] = "ca1" if layout == "ca" else "p1"
+    if tap:
+        g.add_actor("T", execution_time=3)
+        g.add_edge("tap", names.c2, "T", consumption=words)
+        g.add_edge("TA", "T", "A", initial_tokens=2)
+        processor_of["T"] = processor_of[names.d1]
+        apps.append("T")
+    if spill:
+        g.add_actor("Z", execution_time=0)
+        g.add_edge("spill", names.d1, "Z")
+        g.add_edge("Zd2", "Z", names.d2, consumption=words)
     if rival:
         processor_of.update({"X": "px", "R": "p1"})
     if back_channel:
@@ -634,6 +657,30 @@ def test_word_runs_carry_the_mjpeg_mapping():
         ).run(measure=False)
     sim = scope.snapshot("sim")
     assert sim["run_instants"] > sim["instants"] // 2 > 0
+
+
+@pytest.mark.parametrize("tiles, interconnect, expected", [
+    (2, "fsl", {"instants": 1521, "run_instants": 1328,
+                "channel_firings": 3990}),
+    (5, "noc", {"instants": 2845, "run_instants": 2552,
+                "channel_firings": 4467}),
+])
+def test_mjpeg_flow_instant_counts_are_pinned(tiles, interconnect, expected):
+    """How many instants the lean loops handle, in word runs and in all,
+    and how many firings the channel passes make, for one MJPEG flow's
+    static orders and analysis.  Every start is the event-by-event one,
+    so a change of the loops that adds or drops an instant must show
+    here, as a deliberate change of these figures."""
+    from repro.arch.template import architecture_from_template
+    from repro.flow.design_flow import DesignFlow
+    from repro.flow.spec import build_case_study_app
+
+    with counters.collect() as scope:
+        DesignFlow(
+            build_case_study_app("gradient"),
+            architecture_from_template(tiles, interconnect),
+        ).run(measure=False)
+    assert scope.snapshot("sim") == expected
 
 
 @pytest.mark.parametrize("u1_time", [1, 2, 3])
@@ -770,7 +817,7 @@ def test_channel_passes_stop_anywhere(seed):
     assert_same_state(fast, final)
 
 
-def mjpeg_bound_graph(tiles):
+def mjpeg_bound_graph(tiles, interconnect="fsl"):
     from repro.arch import architecture_from_template
     from repro.flow.spec import build_case_study_app
     from repro.mapping import (
@@ -781,7 +828,7 @@ def mjpeg_bound_graph(tiles):
     )
 
     app = build_case_study_app("gradient")
-    arch = architecture_from_template(tiles, "fsl")
+    arch = architecture_from_template(tiles, interconnect)
     binding, impls = bind_actors(app, arch, fixed={"VLD": "tile0"})
     channels = route_channels(app, arch, binding)
     allocate_buffers(app, channels)
@@ -828,3 +875,175 @@ def test_observed_c1_keeps_its_channel_generic():
     slow = ReferenceSelfTimedSimulator(graph, **kwargs)
     assert oracle_until(slow, targets)
     assert_same_state(sim, slow)
+
+
+# -- credit handoff ------------------------------------------------------------
+def without_handoff(monkeypatch):
+    """Plans in which no word run hands its credits to a channel pass:
+    every ``d1`` completion's credit waits on the work stack instead."""
+    plan_init = simulation._UnboundPlan.__init__
+
+    def generic(plan, sim, observed):
+        plan_init(plan, sim, observed)
+        plan.credit = [None] * len(plan.credit)
+
+    monkeypatch.setattr(simulation._UnboundPlan, "__init__", generic)
+
+
+def credit_case(seed):
+    """A random word_run_case set-up -- greedy PE, interleaved static
+    order or communication assist -- with a rival, a back channel, a
+    tap (deliveries from the pass to ``d1``'s resource), 1-3 words in
+    flight and 1-12 cycles a word drawn at random, so that a ``d1``
+    completion finds its next word there, late or not yet resolved.
+    Returns (graph, kwargs, apps, rng)."""
+    rng = random.Random(16_000 + seed)
+    graph, kwargs, apps = word_run_case(
+        rng.choice(("greedy", "orders", "ca")),
+        rng.choice((None, "higher", "lower")), rng.randint(4, 24),
+        back_channel=rng.choice((0, 3, 40)), words=rng.randint(8, 14),
+        times=(rng.randint(1, 14), rng.randint(1, 14), 9),
+        tap=rng.random() < 0.5, flight=rng.randint(1, 3),
+        latency=rng.randint(1, 12),
+    )
+    return graph, kwargs, apps, rng
+
+
+def credit_landings(monkeypatch):
+    """Count, per place, the channel passes a word run's credit reaches:
+    after ``d1`` starts on a batch that is there (``there``), before a
+    late batch's wake-up (``late``), before ``d1`` looks again for a
+    word not yet resolved (``absent``), or from the work stack after
+    the generic arbitration of the completion stamp (``arbitrated``)."""
+    places = {"there": 0, "late": 0, "absent": 0, "arbitrated": 0}
+    channel = simulation._UnboundRun._channel
+
+    def spy(run, entry):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_run":
+            at, stamp = caller.f_locals["at"], caller.f_locals["stamp"]
+            places["absent" if at < 0 else "late" if at > stamp
+                   else "there"] += 1
+        else:
+            arbitration = sys._getframe(2)
+            if (arbitration.f_code.co_name == "_arbitrate"
+                    and run.runner[arbitration.f_locals["f"]][8] is entry):
+                places["arbitrated"] += 1
+        return channel(run, entry)
+
+    monkeypatch.setattr(simulation._UnboundRun, "_channel", spy)
+    return places
+
+
+def check_credit_case(graph, kwargs, apps, rng, monkeypatch):
+    """The analysis key by key against step() and the oracle, and two
+    countdowns against the oracle; then the same with every credit on
+    the work stack, which must handle as many instants, in runs and
+    out of them, and fire as many channel members."""
+    q = repetition_vector(graph)
+    targets = [{a: q[a] * k for a in apps} for k in (2, 5)]
+    hooks = series_hooks(rng, graph, apps[1:2])
+    seen = []
+    for handoff in (True, False):
+        with monkeypatch.context() as patch:
+            if not handoff:
+                without_handoff(patch)
+            with counters.collect() as scope:
+                check_throughput(graph, kwargs, patch)
+                check_run_until(graph, kwargs, hooks, targets)
+        seen.append(scope.snapshot("sim"))
+    assert seen[0] == seen[1]
+    assert seen[0]["run_instants"] > 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_credit_handoff_matches(seed, monkeypatch):
+    """Each ``d1`` completion of a word run runs its channel's pass where
+    the work stack would have: the oracle and step() agree key by key,
+    and the work-stack path handles the same instants."""
+    graph, kwargs, apps, rng = credit_case(seed)
+    check_credit_case(graph, kwargs, apps, rng, monkeypatch)
+
+
+def test_credit_lands_in_every_place(monkeypatch):
+    """The randomized set-ups reach the pass from each place a credit
+    lands; the tap's deliveries to the resource ``d1`` holds make a
+    pass run before ``d1`` starts show as an instant of its own."""
+    places = credit_landings(monkeypatch)
+    for seed in range(8):
+        graph, kwargs, apps, rng = credit_case(seed)
+        check_credit_case(graph, kwargs, apps, rng, monkeypatch)
+    assert all(places.values()), places
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_credit_handoff_stops_anywhere(seed):
+    """Stopped after one to four instants at a time -- so also right
+    after a completion that handed its credit over -- the lean loop
+    leaves the state step() has at that stamp, and goes on from it to
+    the same end."""
+    graph, kwargs, apps, rng = credit_case(seed)
+    targets = {a: 3 for a in apps}
+    final = SelfTimedSimulator(graph, **kwargs)
+    final.run_until(targets, 1_000_000)
+    fast = SelfTimedSimulator(graph, **kwargs)
+    stepped = SelfTimedSimulator(graph, **kwargs)
+    while any(fast.completed[a] < n for a, n in targets.items()):
+        fast.run_until(targets, rng.randint(1, 4))
+        while stepped._stamp < fast._stamp:
+            assert stepped.step()
+        assert stepped._stamp == fast._stamp
+        assert_same_state(fast, stepped)
+    assert_same_state(fast, final)
+
+
+def credited(sim, observed):
+    """{d1: its channel's (s2, c1, c2)} for every word run that hands its
+    credits to a channel pass, and the names of all word runs' ``d1``."""
+    plan = simulation._UnboundPlan(
+        sim, frozenset(sim._actor_index[a] for a in observed)
+    )
+    names = sim._actor_names
+    return {
+        names[f]: tuple(names[u] for u in plan.channels[k][:3])
+        for f, k in enumerate(plan.credit) if k is not None
+    }, {names[f] for f in plan.fed if plan.runner[f] is not None}
+
+
+@pytest.mark.parametrize("tiles, interconnect", [(2, "fsl"), (5, "noc")])
+def test_every_mjpeg_d1_run_hands_its_credit_over(tiles, interconnect):
+    """Each ``d1`` of the MJPEG mapping that runs through its words is
+    found by structure with the channel its ``__ncredit`` feeds."""
+    bound = mjpeg_bound_graph(tiles, interconnect)
+    sim = SelfTimedSimulator(bound.graph, processor_of=bound.processor_of)
+    credit, runs = credited(sim, bound.app_actors[:1])
+    assert len(runs) == 2
+    assert credit == {
+        names.d1: (names.s2, names.c1, names.c2)
+        for names in bound.comm_names.values() if names.d1 in runs
+    }
+
+
+def test_d1_with_a_second_stamp_queue_output_keeps_the_work_stack(
+    monkeypatch
+):
+    """A ``d1`` that also feeds an unbound actor runs through its words
+    without handing its credits over, and still matches."""
+    graph, kwargs, apps = word_run_case("greedy", "lower", 12)
+    sim = SelfTimedSimulator(graph, **kwargs)
+    assert credited(sim, ["A"]) == (
+        {"AB__d1": ("AB__s2", "AB__c1", "AB__c2")}, {"AB__d1"},
+    )
+    graph, kwargs, apps = word_run_case("greedy", "lower", 12, spill=True)
+    sim = SelfTimedSimulator(graph, **kwargs)
+    assert credited(sim, ["A"]) == ({}, {"AB__d1"})
+    check_credit_case(graph, kwargs, apps, random.Random(1), monkeypatch)
+
+
+def test_observed_c1_takes_no_credit():
+    """With its ``c1`` a ``run_until`` target the channel is not passed
+    in one piece, and no ``d1`` hands it a credit: ``AB__d1``, whose
+    credits now go to an observed actor, is not even fed."""
+    graph, kwargs, _apps = word_run_case("greedy", "lower", 12)
+    sim = SelfTimedSimulator(graph, **kwargs)
+    assert credited(sim, ["A", "AB__c1"]) == ({}, set())
