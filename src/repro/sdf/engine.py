@@ -112,7 +112,6 @@ class ThroughputEngine:
         UnboundedExecutionError
             If no periodic phase appears within the iteration budget.
         """
-        count("engine.analyses")
         sim = self._sim
         if sim is None:
             # Simulator construction errors surface before the
@@ -129,4 +128,6 @@ class ThroughputEngine:
         ref = self._reference_actor or self.graph.actors[0].name
         if ref not in self.graph:
             raise SimulationError(f"reference actor {ref!r} not in graph")
+        # Counted once the analysis can run: a rejected engine made none.
+        count("engine.analyses")
         return sim.run_throughput(ref, self._q[ref], self.max_iterations)

@@ -84,10 +84,12 @@ from __future__ import annotations
 
 import heapq
 import sys
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.counters import count
@@ -106,6 +108,11 @@ _TIME_PART = -1 << _PASS_BITS
 # channels of 1-4 words a token they made analyses slower, on the MJPEG
 # case study's 17- and 33-word tokens faster (docs/performance.md).
 _MIN_WORDS = 8
+# Later than every stamp: the horizon of a word run with nothing else
+# to come (see :meth:`_UnboundRun._run`).
+_NEVER = float("inf")
+# The end stamp of a firing record (start, end).
+_END = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -1154,12 +1161,13 @@ class _UnboundRun:
                 self._refill(f)
         # Per unbound actor, for :meth:`_resolve`: inputs as (stamp queue,
         # rate, rate - 1), the plan's shape, outputs and firing records;
-        # per member of a channel, instead, its :meth:`_channel` entry:
-        # (a, b, c), the stamp queues of (ser, tx, inj, nc, chan), the
-        # members' firing records, ``a``'s outputs but ``inj``, ``b``'s
-        # shape advance, ``c``'s cap, advance and fold, ``c``'s outputs.
+        # per member of a channel, instead, the ``send`` of the channel's
+        # pass (see :meth:`_channel`), made from its entry: (a, b, c),
+        # the stamp queues of (ser, tx, inj, nc, chan), the members'
+        # firing records, ``a``'s outputs but ``inj``, ``b``'s shape
+        # advance, ``c``'s cap, advance and fold, ``c``'s outputs.
         self.spec: List[Optional[tuple]] = [None] * n
-        self.channel: List[Optional[tuple]] = [None] * n
+        self.channel: List[Optional[Callable]] = [None] * n
         fired = self.fired
         for u in plan.actors:
             fl = fired[u] = deque()
@@ -1171,24 +1179,41 @@ class _UnboundRun:
         started = sim._started
         self.channel_started = 0
         entries = []
+        self.passes = []
         for a, b, c, *channel_edges in plan.channels:
+            # A member's firings end in the order they start, so its
+            # records are a list the pass cuts at the current stamp.
+            fired[a], fired[b], fired[c] = [], [], []
             entry = (a, b, c, *(stamps[e] for e in channel_edges),
                      fired[a], fired[b], fired[c],
                      [out for out in self.to_unbound[a] if out[2] != b],
                      plan.shape[b][1], *plan.shape[c][:3],
                      self.to_unbound[c])
             entries.append(entry)
+            channel_pass = self._channel(entry)
+            self.passes.append(channel_pass)
             for u in (a, b, c):
                 self.spec[u] = None
-                self.channel[u] = entry
+                self.channel[u] = channel_pass.send
                 self.channel_started += started[u]
-        # Per fed actor in a word run: the plan's entry, plus outputs to
-        # stamp queues and the channel entry its credits go to.
+        # Per fed actor in a word run, what its run segments hold fixed
+        # (see :meth:`_run`): the plan's entry; outputs to stamp queues;
+        # the channel entry its credits go to, that channel's pass, the
+        # credit queue and whether the pass's ``c`` has bound consumers
+        # (``None``, ``None``, ``None``, ``False`` without one); inputs,
+        # duration and :attr:`pending` list.
         for f in plan.fed:
             if plan.runner[f] is not None:
                 k = plan.credit[f]
+                if k is None:
+                    credit = (None, None, None, False)
+                else:
+                    entry = entries[k]
+                    credit = (entry, self.channel[entry[0]], entry[6],
+                              entry[15] is not None)
                 self.runner[f] = plan.runner[f] + (
-                    self.to_unbound[f], None if k is None else entries[k],
+                    self.to_unbound[f], *credit, self.fed_ins[f],
+                    sim._exec_time[f], self.pending[plan.runner[f][0]],
                 )
         self.work: List[int] = list(plan.actors)
         if plan.actors:
@@ -1215,6 +1240,9 @@ class _UnboundRun:
                 for end, _seq, u, start in sorted(pulled):
                     fired[u].append((start << _PASS_BITS, end))
                     self._emit(to_unbound[u], shape[u][2], u, end)
+        # The passes start once the firings in flight are recorded.
+        for channel_pass in self.passes:
+            next(channel_pass)
         sim._start_all_ready()
         self._resolve()
 
@@ -1410,6 +1438,16 @@ class _UnboundRun:
         held instant goes onto the heap with the sequence number it was
         given, and the runs end.
 
+        One run's instants, for as long as they come first, form a
+        *segment*: one loop carries ``f`` through them word by word,
+        with what stays fixed while it lasts (``f``'s inputs, duration,
+        processor, consumers and channel) bound once.  The loop also
+        keeps the segment's *horizon*, the earliest of the heap top,
+        the parked starts and the held instants.  Only a resolution with
+        work queued and a channel pass whose ``c`` has bound consumers
+        can move it (a completion that hands its processor on ends the
+        segment anyway), so it is taken again only after those.
+
         At a completion :meth:`_step` would finish ``f``, refill it and
         arbitrate for its processor among ``f``, the other members and
         ``f``'s bound consumers.  With no consumer ready that may start
@@ -1447,11 +1485,16 @@ class _UnboundRun:
         runners = self.runner
         higher_ready = self.higher_ready
         lower_ready = self.lower_ready
+        state = self.state
         tokens = sim._tokens
         ongoing = sim._ongoing
+        completed = sim._completed
+        started = sim._started
         busy = sim._proc_busy
         is_ready = sim._is_ready_idx
         work = self.work
+        resolve = self._resolve
+        horizon_of = self._horizon
         n = self.n
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -1509,33 +1552,34 @@ class _UnboundRun:
                 heappop(held)
             else:
                 break
+            # ``f``'s segment: its instants, for as long as they come
+            # first.  Runs that share its processors end at the first.
             (pid, higher, lower, order, consumers, conflicts, _touched, outs,
-             channel) = runner
-            waiting = pending[pid]
-            # ``f``'s instants, for as long as they come first.
+             channel, channel_pass, credits, folds, ins, duration,
+             waiting) = runner
+            if conflicts and held:
+                self._end_runs(conflicts)
+            horizon = horizon_of()
             while True:
                 count += 1
-                if conflicts and held:
-                    self._end_runs(conflicts)
-                self.pos = sim._stamp = stamp
-                sim.now = now = stamp >> _PASS_BITS
+                self.pos = stamp
                 # The channel pass a completion's credit is handed to,
                 # until it has run.
                 credit = None
-                if idx < 0:
-                    # The wake-up: ``f``, alone ready on its free
-                    # processor, starts.
-                    ongoing[f] += 1
-                else:
+                if idx >= 0:
                     # The completion: _step's finish.
-                    for e, p, _v, _c, _lower in consumers:
-                        tokens[e] += p
-                    if channel is None:
+                    full = False
+                    for e, p, _v, c, _lower in consumers:
+                        t = tokens[e] + p
+                        tokens[e] = t
+                        if t >= c:
+                            full = True
+                    if credits is None:
                         self._emit(outs, None, f, stamp)
                     else:
-                        channel[6].append(stamp)
-                        credit = channel
-                    sim._completed[f] += 1
+                        credits.append(stamp)
+                        credit = channel_pass
+                    completed[f] += 1
                     arbitrated = higher_ready[f]
                     if arbitrated is None:
                         for m in higher:
@@ -1545,7 +1589,7 @@ class _UnboundRun:
                         else:
                             arbitrated = False
                         higher_ready[f] = arbitrated
-                    if not arbitrated:
+                    if full and not arbitrated:
                         # A consumer that may start now ends the runs,
                         # unless it waits on the processor behind ``f``.
                         for e, _p, v, c, lower_member in consumers:
@@ -1556,19 +1600,56 @@ class _UnboundRun:
                                         break
                                 elif not lower_ready[f] and is_ready(v):
                                     lower_ready[f] = True
-                    at = self._batch_stamp(f)
-                    if not arbitrated and not 0 <= at <= stamp:
-                        arbitrated = lower_ready[f]
-                        if arbitrated is None:
-                            for m in lower:
-                                if is_ready(m):
-                                    arbitrated = True
+                    # The stamp at which ``f``'s next batch is complete
+                    # (0 when its token counts hold it already; -1, with
+                    # ``f`` waiting on a stamp queue, without enough
+                    # tokens), looked for again once if the tokens are
+                    # not there.
+                    looked = False
+                    while True:
+                        at = 0
+                        for e, stamp_queue, c in ins:
+                            need = c - tokens[e]
+                            if need > 0:
+                                if len(stamp_queue) < need:
+                                    state[f] = stamp_queue
+                                    at = -1
                                     break
-                            else:
-                                arbitrated = order is not None and is_ready(
-                                    order[sim._order_pos[pid] % len(order)]
-                                )
-                            lower_ready[f] = arbitrated
+                                t = stamp_queue[need - 1]
+                                if t > at:
+                                    at = t
+                        if looked:
+                            break
+                        looked = True
+                        if not arbitrated and not 0 <= at <= stamp:
+                            arbitrated = lower_ready[f]
+                            if arbitrated is None:
+                                for m in lower:
+                                    if is_ready(m):
+                                        arbitrated = True
+                                        break
+                                else:
+                                    arbitrated = order is not None and (
+                                        is_ready(order[
+                                            sim._order_pos[pid] % len(order)
+                                        ])
+                                    )
+                                lower_ready[f] = arbitrated
+                        if arbitrated or at >= 0:
+                            break
+                        # Nothing starts now.  The tokens ``f`` waits
+                        # for may be resolved below: it stays out of
+                        # that, and waits on a stamp queue only if they
+                        # do not come.
+                        state[f] = None
+                        if credit is not None:
+                            credit(stamp)
+                            credit = None
+                            if folds:
+                                horizon = horizon_of()
+                        if work:
+                            resolve()
+                            horizon = horizon_of()
                     if arbitrated:
                         ongoing[f] -= 1
                         if at >= 0:
@@ -1577,140 +1658,150 @@ class _UnboundRun:
                             # What _emit would do: the pass waits on
                             # the work stack for the arbitration's
                             # starts.
-                            self.state[credit[1]] = self._QUEUED
-                            work.append(credit[1])
+                            state[channel[1]] = self._QUEUED
+                            work.append(channel[1])
+                        self._move_to(stamp)
                         self._arbitrate(f, pid, consumers)
                         break
                     if at < 0:
-                        # Nothing starts now.  The tokens ``f`` waits
-                        # for may be resolved below: it stays out of
-                        # that, and waits on a stamp queue only if they
-                        # do not come.
-                        self.state[f] = None
-                        if credit is not None:
-                            self._channel(credit)
-                            credit = None
-                        if work:
-                            self._resolve()
-                        at = self._batch_stamp(f)
-                        if at < 0:
-                            ongoing[f] -= 1
-                            break
+                        ongoing[f] -= 1
+                        break
                     if at > stamp:
                         # On to the wake-up.
                         ongoing[f] -= 1
                         if credit is not None:
-                            self._channel(credit)
+                            credit(stamp)
+                            if folds:
+                                horizon = horizon_of()
                         if work:
-                            self._resolve()
-                        entry = (at, sim._seq, ~(n + f), 0)
-                        sim._seq += 1
+                            resolve()
+                            horizon = horizon_of()
                         stamp = at
-                        idx = entry[2]
-                        if ((count == budget)
-                                or (queue and queue[0][0] <= stamp)
-                                or (deferred and deferred[0][0] <= stamp)
-                                or (held and held[0][0] <= stamp)):
-                            heappush(held, entry)
+                        idx = ~(n + f)
+                        if at >= horizon or count == budget:
+                            heappush(held, (at, sim._seq, idx, 0))
+                            sim._seq += 1
                             break
                         continue
+                else:
+                    # The wake-up: ``f``, alone ready on its free
+                    # processor, starts.
+                    ongoing[f] += 1
                 # ``f`` starts now, on its batch.  It takes its processor
                 # before the credit's words are resolved: a delivery they
                 # make to it waits in ``pending``.
-                entry = self._start_fed(f, pid, now)
+                for e, stamp_queue, c in ins:
+                    need = c - tokens[e]
+                    if need > 0:
+                        tokens[e] = 0
+                        while need:
+                            stamp_queue.popleft()
+                            need -= 1
+                    else:
+                        tokens[e] = -need
+                now = stamp >> _PASS_BITS
+                end = now + duration
+                started[f] += 1
+                busy[pid] = end
+                seq = sim._seq
+                sim._seq = seq + 1
                 if credit is not None:
-                    self._channel(credit)
+                    credit(stamp)
+                    if folds:
+                        horizon = horizon_of()
                 if work:
-                    self._resolve()
+                    resolve()
+                    horizon = horizon_of()
                 # On to the completion.
-                stamp = entry[0]
+                stamp = end << _PASS_BITS | 1
                 idx = f
-                if ((count == budget)
-                        or (queue and queue[0][0] <= stamp)
-                        or (deferred and deferred[0][0] <= stamp)
-                        or (held and held[0][0] <= stamp)
-                        or waiting):
-                    heappush(held, entry)
+                if stamp >= horizon or count == budget or waiting:
+                    heappush(held, (stamp, seq, f, now))
                     break
             if arbitrated:
                 break
         else:
+            self._move_to(self.pos)
             self.run_instants += count
             return count
         for entry in held:
             heappush(queue, entry)
         held.clear()
+        self._move_to(self.pos)
         self.run_instants += count
         return count
 
-    def _start_fed(self, f: int, pid: int, now: int) -> tuple:
-        """Start fed ``f`` at time ``now`` on processor ``pid``, taking
-        its batch from its token counts and stamp queues (it has one
-        firing in flight already counted); return the completion's
-        entry, not yet on any heap."""
-        sim = self.sim
-        tokens = sim._tokens
-        for e, stamp_queue, c in self.fed_ins[f]:
-            have = tokens[e]
-            if have >= c:
-                tokens[e] = have - c
-            else:
-                tokens[e] = 0
-                for _ in range(c - have):
-                    stamp_queue.popleft()
-        end = now + sim._exec_time[f]
-        sim._started[f] += 1
-        sim._proc_busy[pid] = end
-        entry = (end << _PASS_BITS | 1, sim._seq, f, now)
-        sim._seq += 1
-        return entry
+    def _horizon(self) -> int:
+        """The earliest stamp of anything a word run's next instant must
+        not reach: the heap top, the earliest parked start and the other
+        runs' held instants (:data:`_NEVER` without any)."""
+        queue = self.sim._queue
+        horizon = queue[0][0] if queue else _NEVER
+        deferred = self.deferred
+        if deferred and deferred[0][0] < horizon:
+            horizon = deferred[0][0]
+        held = self.held
+        if held and held[0][0] < horizon:
+            horizon = held[0][0]
+        return horizon
 
     def _group(self, stamp: int) -> Optional[list]:
         """The run instants at ``stamp``, taken off the held heap and the
-        heap, when they may form one instant of their own: each is one a
-        run may handle, nothing else happens then, and no two of their
-        fed actors touch each other's processor.  ``None`` otherwise."""
+        heap in (stamp, sequence) order, when they may form one instant
+        of their own: each is one a run may handle, nothing else happens
+        then, and no two of their fed actors touch each other's
+        processor.  ``None``, with both heaps as they were, otherwise."""
         sim = self.sim
         queue = sim._queue
         held = self.held
         runners = self.runner
         n = self.n
-        group = [entry for entry in held if entry[0] == stamp]
+        top = None
         if queue and queue[0][0] == stamp:
-            top = queue[0]
             size = len(queue)
             if ((size > 1 and queue[1][0] <= stamp)
                     or (size > 2 and queue[2][0] <= stamp)):
                 return None
-            group.append(top)
+            top = queue[0]
+        group = []
+        while held and held[0][0] == stamp:
+            group.append(heapq.heappop(held))
+        if top is not None:
+            insort(group, top)
         members = []
         for entry in group:
             idx = entry[2]
             f = idx if idx >= 0 else ~idx - n
             runner = runners[f] if f >= 0 else None
             if runner is None:
-                return None
+                break
             pid = runner[0]
             if idx >= 0:
                 if self.pending[pid]:
-                    return None
+                    break
             elif sim._proc_busy[pid] > stamp >> _PASS_BITS:
-                return None
+                break
+            touched = runner[6]
             for g_pid, g_touched in members:
-                if g_pid in runner[6] or pid in g_touched:
-                    return None
-            members.append((pid, runner[6]))
-        if queue and queue[0][0] == stamp:
-            top = heapq.heappop(queue)
-            idx = top[2]
-            f = idx if idx >= 0 else ~idx - n
-            # A run opens here (see :meth:`_run`).
-            fresh = None if idx >= 0 else False
-            self.higher_ready[f] = self.lower_ready[f] = fresh
-        held[:] = [entry for entry in held if entry[0] != stamp]
-        heapq.heapify(held)
-        group.sort()
-        return group
+                if g_pid in touched or pid in g_touched:
+                    break
+            else:
+                members.append((pid, touched))
+                continue
+            break
+        else:
+            if top is not None:
+                heapq.heappop(queue)
+                idx = top[2]
+                f = idx if idx >= 0 else ~idx - n
+                # A run opens here (see :meth:`_run`).
+                fresh = None if idx >= 0 else False
+                self.higher_ready[f] = self.lower_ready[f] = fresh
+            return group
+        for entry in group:
+            if entry is not top:
+                heapq.heappush(held, entry)
+        return None
 
     def _run_group(self, group: list, stamp: int) -> bool:
         """Handle one stamp of several independent runs' instants as
@@ -1735,7 +1826,8 @@ class _UnboundRun:
             idx = entry[2]
             f = idx if idx >= 0 else ~idx - n
             (pid, higher, lower, order, consumers, conflicts, _touched, outs,
-             _credit) = runners[f]
+             _entry, _pass, _credits, _folds, ins, duration,
+             _waiting) = runners[f]
             if conflicts and held:
                 self._end_runs(conflicts)
             if idx >= 0:
@@ -1788,7 +1880,14 @@ class _UnboundRun:
                     continue
             # ``f`` starts now, on its batch.
             ongoing[f] += 1
-            heapq.heappush(held, self._start_fed(f, pid, now))
+            self._deliver(f)
+            for e, _stamp_queue, c in ins:
+                tokens[e] -= c
+            end = now + duration
+            sim._started[f] += 1
+            sim._proc_busy[pid] = end
+            heapq.heappush(held, (end << _PASS_BITS | 1, sim._seq, f, now))
+            sim._seq += 1
         if marked:
             sim._start_all_ready()
         self._resolve()
@@ -1799,15 +1898,20 @@ class _UnboundRun:
         the heap."""
         held = self.held
         n = self.n
-        ended = [
-            entry for entry in held
-            if (entry[2] if entry[2] >= 0 else ~entry[2] - n) in actors
-        ]
+        kept = []
+        ended = []
+        for entry in held:
+            idx = entry[2]
+            if (idx if idx >= 0 else ~idx - n) in actors:
+                ended.append(entry)
+            else:
+                kept.append(entry)
         if ended:
-            held[:] = [entry for entry in held if entry not in ended]
+            held[:] = kept
             heapq.heapify(held)
+            queue = self.sim._queue
             for entry in ended:
-                heapq.heappush(self.sim._queue, entry)
+                heapq.heappush(queue, entry)
 
     def _arbitrate(self, f: int, pid: int, consumers: tuple) -> None:
         """End a word run's completion stamp as :meth:`_step` ends it."""
@@ -1875,7 +1979,7 @@ class _UnboundRun:
                 if channel[u] is None:
                     self._refill(u)
                 else:
-                    self._channel(channel[u])
+                    channel[u](pos)
                 continue
             ins, cap, advance, outs, fold, fl, autonomous = sp
             while True:
@@ -1916,89 +2020,98 @@ class _UnboundRun:
                     continue
                 break
 
-    def _channel(self, entry: tuple) -> None:
-        """Resolve, in one pass, every firing of a Fig. 4 channel (see
-        :attr:`_UnboundPlan.channels`) that :meth:`_resolve` would: ``a``
-        on each ``ser`` token and ``tx`` credit, ``b`` on each of ``a``'s
-        words and ``nc`` credit, and ``c`` from each of ``b``'s end
-        stamps, after the ``chan`` tokens there before this run or from
-        a firing of ``b`` in flight at its start.  Each member keeps its
-        firing records and count; only ``ser`` and ``nc`` tokens wake
-        the channel again.  The tokens ``a`` and ``c`` send to stamp
-        queues are sent as :meth:`_emit` sends them, inline."""
+    def _channel(self, entry: tuple):
+        """The pass of one Fig. 4 channel (see
+        :attr:`_UnboundPlan.channels`), as a generator: once started,
+        each ``send(pos)``, ``pos`` the current stamp, resolves every
+        firing of the channel that :meth:`_resolve` would: ``a`` on each
+        ``ser`` token and ``tx`` credit, ``b`` on each of ``a``'s words
+        and ``nc`` credit, and ``c`` from each of ``b``'s end stamps,
+        after the ``chan`` tokens there before this run or from a firing
+        of ``b`` in flight at its start.  Each member keeps its firing
+        records and count; only ``ser`` and ``nc`` tokens wake the
+        channel again.  The tokens ``a`` and ``c`` send to stamp queues
+        are sent as :meth:`_emit` sends them, inline.  The queues and
+        records stay bound between passes, and so do the end stamps of
+        ``a``'s and ``b``'s last firings: only the pass fires them, and
+        a record it drops has ended by the stamp of every later pass."""
         (a, b, c, ser, tx, inj, nc, chan, fa, fb, fc, outs_a, advance_b,
          cap, advance_c, fold, outs_c) = entry
-        pos = self.pos
         state = self.state
         work = self.work
         queued = self._QUEUED
         started = self.sim._started
+        emit = self._emit
         end_a = fa[-1][1] if fa else 0
         end_b = fb[-1][1] if fb else 0
+        pos = yield
         while True:
-            while ser and tx:
-                start = ser.popleft()
-                t = tx.popleft()
-                if t > start:
-                    start = t
-                if end_a > start:
-                    start = end_a
-                if pos > start:
-                    start = pos
-                end_a = start + 1
-                fa.append((start, end_a))
-                started[a] += 1
-                for stamp_queue, p, v, w in outs_a:
+            while True:
+                while ser and tx:
+                    start = ser.popleft()
+                    t = tx.popleft()
+                    if t > start:
+                        start = t
+                    if end_a > start:
+                        start = end_a
+                    if pos > start:
+                        start = pos
+                    end_a = start + 1
+                    fa.append((start, end_a))
+                    started[a] += 1
+                    for stamp_queue, p, v, w in outs_a:
+                        if p == 1:
+                            stamp_queue.append(end_a)
+                        else:
+                            stamp_queue.extend(repeat(end_a, p))
+                        if state[v] is stamp_queue and len(stamp_queue) >= w:
+                            state[v] = queued
+                            work.append(v)
+                    inj.append(end_a)
+                if chan:
+                    start = chan.popleft()
+                elif inj and nc:
+                    start = inj.popleft()
+                    t = nc.popleft()
+                    if t > start:
+                        start = t
+                    if end_b > start:
+                        start = end_b
+                    if pos > start:
+                        start = pos
+                    end_b = (start & _TIME_PART) + advance_b
+                    fb.append((start, end_b))
+                    started[b] += 1
+                    tx.append(end_b)
+                    start = end_b
+                else:
+                    break
+                if cap and len(fc) >= cap and fc[-cap][1] > start:
+                    start = fc[-cap][1]
+                end = (start & _TIME_PART) + advance_c
+                fc.append((start, end))
+                started[c] += 1
+                for stamp_queue, p, v, w in outs_c:
                     if p == 1:
-                        stamp_queue.append(end_a)
+                        stamp_queue.append(end)
                     else:
-                        stamp_queue.extend(repeat(end_a, p))
+                        stamp_queue.extend(repeat(end, p))
                     if state[v] is stamp_queue and len(stamp_queue) >= w:
                         state[v] = queued
                         work.append(v)
-                inj.append(end_a)
-            if chan:
-                start = chan.popleft()
-            elif inj and nc:
-                start = inj.popleft()
-                t = nc.popleft()
-                if t > start:
-                    start = t
-                if end_b > start:
-                    start = end_b
-                if pos > start:
-                    start = pos
-                end_b = (start & _TIME_PART) + advance_b
-                fb.append((start, end_b))
-                started[b] += 1
-                tx.append(end_b)
-                start = end_b
-            else:
-                break
-            if cap and len(fc) >= cap and fc[-cap][1] > start:
-                start = fc[-cap][1]
-            end = (start & _TIME_PART) + advance_c
-            fc.append((start, end))
-            started[c] += 1
-            for stamp_queue, p, v, w in outs_c:
-                if p == 1:
-                    stamp_queue.append(end)
-                else:
-                    stamp_queue.extend(repeat(end, p))
-                if state[v] is stamp_queue and len(stamp_queue) >= w:
-                    state[v] = queued
-                    work.append(v)
-            if fold is not None:
-                self._emit((), fold, c, end)
-        if len(fc) > 16:
-            # Keep the records of firings not yet over.  ``b`` fires at
-            # most as often as ``c``, and ``a`` at most its credits more.
-            for fl in (fa, fb, fc):
-                while fl and fl[0][1] <= pos:
-                    fl.popleft()
-        state[a] = ser
-        state[b] = nc
-        state[c] = None
+                if fold is not None:
+                    emit((), fold, c, end)
+            if len(fc) > 32:
+                # Keep the records of firings not yet over.  ``b`` fires
+                # at most as often as ``c``, and ``a`` at most its
+                # credits more.
+                del fa[:bisect_right(fa, pos, key=_END)]
+                del fb[:bisect_right(fb, pos, key=_END)]
+                del fc[:bisect_right(fc, pos, key=_END)]
+            state[a] = ser
+            state[b] = nc
+            state[c] = None
+            pos = yield
 
     # -- reading the state back -------------------------------------------
     def _state_at_pos(self):
@@ -2050,6 +2163,8 @@ class _UnboundRun:
         instants handled (``sim.instants``, ``sim.run_instants``)."""
         count("sim.instants", self.steps + self.run_instants)
         count("sim.run_instants", self.run_instants)
+        for channel_pass in self.passes:
+            channel_pass.close()
         sim = self.sim
         # Held wake-ups are dropped with the deliveries: the tokens are
         # read back below.

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import counters
 from repro.arch import architecture_from_template
 from repro.cli import main
 from repro.flow.dse import EvaluationCache, explore_design_space
@@ -25,6 +26,42 @@ SPACE = dict(
 CONSTRAINT = Fraction(1, 4231920)
 FIXED = {"VLD": "tile0"}
 
+#: Every point of the default-effort sweep of that space, as
+#: label: (throughput, constraint met) -- the outcomes perfbench checks.
+SWEEP_POINTS = {
+    "1t/fsl": ("1/4958332", False),
+    "1t/fsl+CA": ("1/4958332", False),
+    "2t/fsl": ("1/4865570", False),
+    "2t/fsl+CA": ("1/4861570", False),
+    "2t/noc": ("1/4867811", False),
+    "2t/noc+CA": ("1/4861866", False),
+    "3t/fsl": ("1/4231920", True),
+    "3t/fsl+CA": ("1/4228120", True),
+    "3t/noc": ("1/4234020", False),
+    "3t/noc+CA": ("1/4228120", True),
+    "4t/fsl": ("1/4231920", True),
+    "4t/fsl+CA": ("1/4228120", True),
+    "4t/noc": ("1/4234020", False),
+    "4t/noc+CA": ("1/4228120", True),
+    "5t/fsl": ("1/4231920", True),
+    "5t/fsl+CA": ("1/4228120", True),
+    "5t/noc": ("1/4234020", False),
+    "5t/noc+CA": ("1/4228120", True),
+    "6t/fsl": ("1/4231920", True),
+    "6t/fsl+CA": ("1/4228120", True),
+    "6t/noc": ("1/4234020", False),
+    "6t/noc+CA": ("1/4228120", True),
+}
+#: The simulator's counts over that sweep (cold cache): the instants its
+#: lean loops handle, those in word runs, and the channel passes'
+#: firings.  Every start is the event-by-event one, so a simulator change
+#: that adds or drops an instant shows here.
+SWEEP_SIM_COUNTS = {
+    "instants": 190_699,
+    "run_instants": 167_993,
+    "channel_firings": 342_983,
+}
+
 
 @pytest.fixture(scope="module")
 def mjpeg():
@@ -34,17 +71,20 @@ def mjpeg():
 
 
 @pytest.mark.parametrize(
-    "effort, strategy",
+    "effort, strategy, pinned",
     [
-        ("normal", StrategyTuple()),
+        ("normal", StrategyTuple(), True),
         ("low", StrategyTuple(binding="spiral",
-                              buffer_policy="exponential")),
+                              buffer_policy="exponential"), False),
     ],
     ids=["default", "spiral-exponential-low"],
 )
 def test_memoized_sweep_equals_fresh_mappings(
-    mjpeg, monkeypatch, effort, strategy
+    mjpeg, monkeypatch, effort, strategy, pinned
 ):
+    """Every memoized round equals a fresh mapping of its point.  The
+    default sweep is the explore-mjpeg benchmark's: it is also pinned
+    point by point and by its simulator counts."""
     runs = []
     keys = []
     real_run = MappingPipeline.run
@@ -62,11 +102,19 @@ def test_memoized_sweep_equals_fresh_mappings(
     monkeypatch.setattr(MappingPipeline, "run", recording_run)
     monkeypatch.setattr(pipeline_module, "round_key", recording_key)
     cache = EvaluationCache()
-    swept = explore_design_space(
-        mjpeg, constraint=CONSTRAINT, fixed=FIXED, effort=effort,
-        strategy=strategy, cache=cache, **SPACE,
-    )
+    with counters.collect() as scope:
+        swept = explore_design_space(
+            mjpeg, constraint=CONSTRAINT, fixed=FIXED, effort=effort,
+            strategy=strategy, cache=cache, **SPACE,
+        )
     monkeypatch.undo()
+    if pinned:
+        assert swept.failures == []
+        assert {
+            point.label: (str(point.throughput), point.constraint_met)
+            for point in swept.points
+        } == SWEEP_POINTS
+        assert scope.snapshot("sim") == SWEEP_SIM_COUNTS
 
     assert len(runs) == len(swept.points) + len(swept.failures) > 1
     # rounds were shared, and only the memo holds them

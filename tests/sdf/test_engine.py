@@ -146,6 +146,17 @@ def test_bad_reference_actor_rejected(figure2_bounded, processor_of):
         engine.analyze()
 
 
+def test_rejected_reference_actor_counts_no_analysis(figure2_bounded):
+    """An engine whose reference actor is not in the graph runs no
+    analysis, so ``engine.analyses`` stays as it was."""
+    engine = ThroughputEngine(figure2_bounded, reference_actor="ZZZ")
+    with counters.collect() as scope:
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="reference actor"):
+                engine.analyze()
+    assert scope.snapshot("engine") == {"analyses": 0}
+
+
 # ----------------------------------------------------------------------
 # warm reuse (in-place token mutation between calls)
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ Graph families:
 The seed count per family follows ``FUZZ_SCENARIOS`` (tier-1: 25).
 """
 
+import heapq
 import os
 import random
 import sys
@@ -433,7 +434,7 @@ def test_zero_time_chain_reaches_its_consumer_in_the_right_pass(
 # -- word runs ---------------------------------------------------------------
 def word_run_case(layout, rival, x_time, back_channel=0, twin=False,
                   words=10, times=(9, 7, 13), tap=False, spill=False,
-                  flight=2, latency=2):
+                  flight=2, latency=2, tap_on=None, echo=None):
     """One Fig. 4 channel from ``A`` on ``p0`` to ``B`` on ``p1``, whose
     ``d1`` (6 cycles a word) runs words back to back, plus:
 
@@ -448,10 +449,15 @@ def word_run_case(layout, rival, x_time, back_channel=0, twin=False,
     * ``twin``: a second channel into ``B``, from ``A2`` on ``p0``: its
       ``d1`` shares ``d1``'s resource, and its wake-ups wait as pending
       entries while ``d1`` holds it;
-    * ``tap``: ``T`` on ``d1``'s resource also takes the channel's
-      words, a token's worth a firing, and returns credits to ``A``:
-      the one-pass channel resolution then delivers to the resource
-      ``d1`` holds;
+    * ``tap``: ``T`` on ``d1``'s resource (or on ``tap_on``) also
+      takes the channel's words, a token's worth a firing, and returns
+      credits to ``A``: the one-pass channel resolution then delivers to
+      the resource ``d1`` holds (or to another one, onto the heap);
+    * ``echo``: if not ``None``, ``s2`` also sends each word to the
+      unbound ``Y`` (``echo`` cycles), which passes it to ``W`` on a
+      processor of its own; ``W`` returns credits to ``A``: a second
+      stamp-queue output of ``s2`` whose consumer delivers to a bound
+      actor;
     * ``spill``: ``d1`` also sends each word to the unbound ``Z``, which
       passes it to ``d2``: a second output to a stamp queue;
     * ``flight`` and ``latency``: the channels' words in flight and
@@ -519,8 +525,17 @@ def word_run_case(layout, rival, x_time, back_channel=0, twin=False,
         g.add_actor("T", execution_time=3)
         g.add_edge("tap", names.c2, "T", consumption=words)
         g.add_edge("TA", "T", "A", initial_tokens=2)
-        processor_of["T"] = processor_of[names.d1]
+        processor_of["T"] = tap_on or processor_of[names.d1]
         apps.append("T")
+    if echo is not None:
+        g.add_actor("Y", execution_time=echo)
+        g.add_actor("W", execution_time=1)
+        g.add_edge("echo", names.s2, "Y")
+        g.add_edge("YW", "Y", "W")
+        g.add_edge("WA", "W", "A", consumption=words,
+                   initial_tokens=2 * words)
+        processor_of["W"] = "pw"
+        apps.append("W")
     if spill:
         g.add_actor("Z", execution_time=0)
         g.add_edge("spill", names.d1, "Z")
@@ -919,17 +934,23 @@ def credit_landings(monkeypatch):
     channel = simulation._UnboundRun._channel
 
     def spy(run, entry):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "_run":
-            at, stamp = caller.f_locals["at"], caller.f_locals["stamp"]
-            places["absent" if at < 0 else "late" if at > stamp
-                   else "there"] += 1
-        else:
-            arbitration = sys._getframe(2)
-            if (arbitration.f_code.co_name == "_arbitrate"
-                    and run.runner[arbitration.f_locals["f"]][8] is entry):
-                places["arbitrated"] += 1
-        return channel(run, entry)
+        # A pass of its own around the real one: each send() is one pass.
+        inner = channel(run, entry)
+        next(inner)
+        while True:
+            pos = yield
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_run":
+                at, stamp = caller.f_locals["at"], caller.f_locals["stamp"]
+                places["absent" if at < 0 else "late" if at > stamp
+                       else "there"] += 1
+            else:
+                arbitration = sys._getframe(2)
+                if (arbitration.f_code.co_name == "_arbitrate"
+                        and run.runner[arbitration.f_locals["f"]][8]
+                        is entry):
+                    places["arbitrated"] += 1
+            inner.send(pos)
 
     monkeypatch.setattr(simulation._UnboundRun, "_channel", spy)
     return places
@@ -983,7 +1004,13 @@ def test_credit_handoff_stops_anywhere(seed):
     leaves the state step() has at that stamp, and goes on from it to
     the same end."""
     graph, kwargs, apps, rng = credit_case(seed)
-    targets = {a: 3 for a in apps}
+    check_stops_anywhere(graph, kwargs, {a: 3 for a in apps}, rng)
+
+
+def check_stops_anywhere(graph, kwargs, targets, rng):
+    """run_until towards ``targets`` one to four instants at a time: the
+    state after each call is step()'s at that stamp, and the last one
+    that of a single call."""
     final = SelfTimedSimulator(graph, **kwargs)
     final.run_until(targets, 1_000_000)
     fast = SelfTimedSimulator(graph, **kwargs)
@@ -1047,3 +1074,79 @@ def test_observed_c1_takes_no_credit():
     graph, kwargs, _apps = word_run_case("greedy", "lower", 12)
     sim = SelfTimedSimulator(graph, **kwargs)
     assert credited(sim, ["A", "AB__c1"]) == ({}, set())
+
+
+# -- run horizons --------------------------------------------------------------
+def horizon_case(seed, source):
+    """A random word_run_case set-up in which, while a ``d1`` run goes
+    on, something lands on the heap before the run's next instant, so
+    that the run's horizon comes earlier mid-run.  With ``source``
+    ``"tap"`` the channel's ``c2`` also feeds ``T`` on a processor of its
+    own: the pass delivers to it.  With ``"echo"`` ``s2`` also feeds the
+    unbound ``Y``, which delivers each word to ``W`` on a processor of
+    its own: a resolution with work queued does.  Returns (graph,
+    kwargs, apps, rng)."""
+    rng = random.Random(18_000 + seed)
+    graph, kwargs, apps = word_run_case(
+        rng.choice(("greedy", "orders", "ca")),
+        rng.choice((None, "higher", "lower")), rng.randint(4, 24),
+        back_channel=rng.choice((0, 3, 40)), words=rng.randint(8, 14),
+        times=(rng.randint(1, 14), rng.randint(1, 14), 9),
+        tap=source == "tap", tap_on="pt",
+        echo=rng.randint(0, 5) if source == "echo" else None,
+        flight=rng.randint(1, 3), latency=rng.randint(1, 12),
+    )
+    return graph, kwargs, apps, rng
+
+
+def horizon_shrinks(monkeypatch):
+    """Count the heap entries a word run's channel pass or resolution
+    pushes before the horizon the run holds (see ``_UnboundRun._run``):
+    each one must end the run's segment before its next instant."""
+    shrinks = [0]
+    push = heapq.heappush
+    passing = ("_channel", "_resolve", "_emit", "_refill", "_schedule")
+
+    def spy(heap, entry):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name in passing:
+            frame = frame.f_back
+        if (frame.f_code.co_name == "_run"
+                and heap is frame.f_locals["queue"]
+                and entry[0] < frame.f_locals.get("horizon", entry[0])):
+            shrinks[0] += 1
+        push(heap, entry)
+
+    monkeypatch.setattr(simulation.heapq, "heappush", spy)
+    return shrinks
+
+
+@pytest.mark.parametrize("source", ["tap", "echo"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_shrinking_horizons_match(seed, source, monkeypatch):
+    """A word run whose horizon comes earlier mid-run -- a delivery from
+    the channel pass or from a resolution lands before its next instant
+    -- stops there: key by key against the oracle and step(), two
+    countdowns against the oracle, and stopped every one to four
+    instants against step()."""
+    graph, kwargs, apps, rng = horizon_case(seed, source)
+    q = repetition_vector(graph)
+    with counters.collect() as scope:
+        check_throughput(graph, kwargs, monkeypatch)
+        check_run_until(
+            graph, kwargs, series_hooks(rng, graph, ()),
+            [{a: q[a] * k for a in apps} for k in (2, 5)],
+        )
+    assert scope.snapshot("sim")["run_instants"] > 0
+    check_stops_anywhere(graph, kwargs, {a: 3 * q[a] for a in apps}, rng)
+
+
+@pytest.mark.parametrize("source", ["tap", "echo"])
+def test_horizons_shrink_mid_run(source, monkeypatch):
+    """The randomized set-ups of each source do push heap entries before
+    a running word run's horizon."""
+    shrinks = horizon_shrinks(monkeypatch)
+    for seed in range(8):
+        graph, kwargs, apps, rng = horizon_case(seed, source)
+        check_throughput(graph, kwargs, monkeypatch)
+    assert shrinks[0] > 0
