@@ -63,10 +63,15 @@ consumer taking several of its firings at once: the Fig. 4 ``d1`` of a
 token of ``_MIN_WORDS`` words or more -- gets each firing's tokens in one
 wake-up, and while it wins its processor the loop advances it through
 its words in a *word run*, its instants held off the heap (see
-:meth:`_UnboundRun._run`).  The ``s2``, ``c1`` and ``c2`` of a Fig. 4
-channel pass each word through in one step (:meth:`_UnboundRun._channel`)
-rather than one work-stack visit per actor, and a word run's ``d1`` hands
-each credit it returns straight to that pass.  At every
+:meth:`_UnboundRun._run`).  One loop carries a run word by word up to
+its *horizon*, the earliest instant of anything else, taken once per
+stretch and again only after a step that can bring it forward; the
+batch check and the start are part of that loop.  The ``s2``, ``c1``
+and ``c2`` of a Fig. 4 channel pass each word through in one step
+(:meth:`_UnboundRun._channel`, a generator that keeps the channel's
+queues and records bound between passes) rather than one work-stack
+visit per actor, and a word run's ``d1`` hands each credit it returns
+straight to that pass.  At every
 iteration boundary and on return the arithmetic state is read back at the
 current stamp, so :meth:`SelfTimedSimulator.state_key` and every public
 counter equal the event-by-event execution's.
@@ -1667,25 +1672,27 @@ class _UnboundRun:
                         ongoing[f] -= 1
                         break
                     if at > stamp:
-                        # On to the wake-up.
-                        ongoing[f] -= 1
+                        # On to the wake-up, the next instant unless
+                        # something comes first.
                         if credit is not None:
                             credit(stamp)
+                            credit = None
                             if folds:
                                 horizon = horizon_of()
                         if work:
                             resolve()
                             horizon = horizon_of()
-                        stamp = at
-                        idx = ~(n + f)
                         if at >= horizon or count == budget:
-                            heappush(held, (at, sim._seq, idx, 0))
+                            ongoing[f] -= 1
+                            heappush(held, (at, sim._seq, ~(n + f), 0))
                             sim._seq += 1
                             break
-                        continue
+                        # The wake-up: ``f``, alone ready on its free
+                        # processor, starts.
+                        count += 1
+                        self.pos = stamp = at
                 else:
-                    # The wake-up: ``f``, alone ready on its free
-                    # processor, starts.
+                    # The wake-up that opened the segment.
                     ongoing[f] += 1
                 # ``f`` starts now, on its batch.  It takes its processor
                 # before the credit's words are resolved: a delivery they
@@ -1775,33 +1782,31 @@ class _UnboundRun:
             runner = runners[f] if f >= 0 else None
             if runner is None:
                 break
-            pid = runner[0]
-            if idx >= 0:
-                if self.pending[pid]:
-                    break
-            elif sim._proc_busy[pid] > stamp >> _PASS_BITS:
+            pid, touched = runner[0], runner[6]
+            if (self.pending[pid] if idx >= 0
+                    else sim._proc_busy[pid] > stamp >> _PASS_BITS):
                 break
-            touched = runner[6]
+            clash = False
             for g_pid, g_touched in members:
                 if g_pid in touched or pid in g_touched:
+                    clash = True
                     break
-            else:
-                members.append((pid, touched))
-                continue
-            break
-        else:
-            if top is not None:
-                heapq.heappop(queue)
-                idx = top[2]
-                f = idx if idx >= 0 else ~idx - n
-                # A run opens here (see :meth:`_run`).
-                fresh = None if idx >= 0 else False
-                self.higher_ready[f] = self.lower_ready[f] = fresh
-            return group
-        for entry in group:
-            if entry is not top:
-                heapq.heappush(held, entry)
-        return None
+            if clash:
+                break
+            members.append((pid, touched))
+        if len(members) < len(group):
+            for entry in group:
+                if entry is not top:
+                    heapq.heappush(held, entry)
+            return None
+        if top is not None:
+            heapq.heappop(queue)
+            idx = top[2]
+            f = idx if idx >= 0 else ~idx - n
+            # A run opens here (see :meth:`_run`).
+            fresh = None if idx >= 0 else False
+            self.higher_ready[f] = self.lower_ready[f] = fresh
+        return group
 
     def _run_group(self, group: list, stamp: int) -> bool:
         """Handle one stamp of several independent runs' instants as
