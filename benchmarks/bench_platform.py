@@ -51,7 +51,7 @@ def test_platform_admission_and_churn(benchmark):
         for spec, _ in builds:
             manager.depart(manager.admit(spec)["app_id"])
         warm_s = time.perf_counter() - start
-        assert manager.counters["analyses"] == 0
+        assert manager.counters.snapshot()["analyses"] == 0
 
         # --- cold: no libraries, every admission analyzes -------------
         cold_manager = PlatformManager(ARCH)
@@ -59,7 +59,7 @@ def test_platform_admission_and_churn(benchmark):
         for spec, _ in builds:
             cold_manager.depart(cold_manager.admit(spec)["app_id"])
         cold_s = time.perf_counter() - start
-        assert cold_manager.counters["analyses"] == len(builds)
+        assert cold_manager.counters.snapshot()["analyses"] == len(builds)
 
         # --- churn: random admit/depart against warm libraries --------
         rng = random.Random(17)
@@ -97,7 +97,7 @@ def test_platform_admission_and_churn(benchmark):
                 "churn_rejections": rejections,
                 "churn_s": churn_s,
                 "churn_transitions_per_s": transitions / churn_s,
-                "churn_migrations": manager.counters["migrations"],
+                "churn_migrations": manager.counters.snapshot()["migrations"],
             }
         )
         return records

@@ -577,6 +577,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     if args.max_queue < 1:
         raise ReproError(f"--max-queue must be >= 1, got {args.max_queue}")
+    if not 0 <= args.port <= 65535:
+        raise ReproError(f"--port must be in 0..65535, got {args.port}")
     try:
         server = serve(
             args.workspace,

@@ -16,9 +16,9 @@ long-lived, lock-guarded model of ONE architecture that:
   of Sebai et al. (PAPERS.md): moving ``state_bytes`` over one link
   costs downtime, and a move only happens when the throughput gained
   over the policy horizon exceeds the iterations lost while down;
-* **journals** every transition (:mod:`repro.runtime.journal`) so a
-  restarted manager replays to byte-identical state without re-deciding
-  anything.
+* **journals** every decided transition (:mod:`repro.runtime.journal`)
+  before applying it with the code replay uses, so a restarted manager
+  reaches byte-identical state without re-deciding anything.
 
 Admission is all-or-nothing against *residual* resources only, so a
 rejection (:class:`~repro.exceptions.AdmissionError`, HTTP 409 at the
@@ -31,7 +31,7 @@ import dataclasses
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.arch.area import platform_area
 from repro.artifacts.schema import (
@@ -42,6 +42,7 @@ from repro.artifacts.schema import (
     to_payload,
 )
 from repro.artifacts.store import ArtifactStore
+from repro.counters import Counters
 from repro.exceptions import (
     AdmissionError,
     MappingError,
@@ -52,7 +53,7 @@ from repro.exceptions import (
 from repro.flow.fingerprint import application_fingerprint
 from repro.flow.spec import ArchSpec, FlowSpec
 from repro.mapping.pipeline import MappingEffort, map_application
-from repro.runtime.journal import PlatformJournal
+from repro.runtime.journal import EVENT_KIND, PlatformJournal
 from repro.runtime.library import library_key
 from repro.runtime.points import (
     LIBRARY_KIND,
@@ -117,8 +118,10 @@ class PlatformManager:
 
     Thread-safe (one re-entrant lock around every transition); intended
     to be owned by the service scheduler, whose request threads call it
-    directly.  With a ``store``, every transition
-    is journaled and :meth:`open` replays a restarted manager to the
+    directly.  Every transition is decided first, journaled (with a
+    ``store``) and only then applied by :meth:`_apply`, the code that
+    also replays the journal: an append that fails changes nothing, and
+    a manager constructed on a journaled store replays it to the
     identical state.
     """
 
@@ -127,7 +130,6 @@ class PlatformManager:
         arch_spec: ArchSpec,
         store: Optional[ArtifactStore] = None,
         policy: Optional[MigrationPolicy] = None,
-        _configure: bool = True,
     ) -> None:
         self.arch_spec = arch_spec
         self.store = store
@@ -138,25 +140,27 @@ class PlatformManager:
         self._libraries: Dict[str, OperatingPointLibrary] = {}
         self._lock = threading.RLock()
         self._next = 1
-        self.counters: Dict[str, int] = {
-            "admissions": 0,
-            "rejections": 0,
-            "departures": 0,
-            "migrations": 0,
-            "analyses": 0,
-        }
-        self.journal = (
-            PlatformJournal(store) if store is not None else None
-        )
-        if self.journal is not None and _configure:
-            self.journal.append(
-                "configure",
-                {"architecture": dataclasses.asdict(arch_spec)},
+        self.counters = Counters((
+            "admissions", "rejections", "departures", "migrations", "analyses",
+        ))
+        self.journal = None if store is None else PlatformJournal(store)
+        if self.journal is None:
+            return
+        events = self.journal.events()
+        if not events:
+            architecture = dataclasses.asdict(arch_spec)
+            self.journal.append("configure", {"architecture": architecture})
+            return
+        stored = _configured_architecture(events[0])
+        if stored != arch_spec:
+            raise AdmissionError(
+                "workspace already manages a different architecture "
+                f"({stored.tiles} tile(s) / {stored.interconnect}); one "
+                "platform per workspace"
             )
+        for payload in events[1:]:
+            self._replay(payload)
 
-    # ------------------------------------------------------------------
-    # construction from a journal
-    # ------------------------------------------------------------------
     @classmethod
     def open(
         cls,
@@ -175,75 +179,82 @@ class PlatformManager:
         if journal is None or len(journal) == 0:
             if arch_spec is None:
                 return None
-            return cls(arch_spec, store=store, policy=policy)
+        elif arch_spec is None:
+            # the first event alone; the constructor reads them all
+            first = journal.store.get(EVENT_KIND, journal._key(0))
+            arch_spec = _configured_architecture(first)
+        return cls(arch_spec, store=store, policy=policy)
 
-        events = journal.events()
-        first = events[0]
-        if first["event"] != "configure":
-            raise PlatformError(
-                "platform journal does not start with a configure event; "
-                f"found {first['event']!r}"
-            )
-        stored = ArchSpec(**first["data"]["architecture"])
-        if arch_spec is not None and arch_spec != stored:
-            raise AdmissionError(
-                "workspace already manages a different architecture "
-                f"({stored.tiles} tile(s) / {stored.interconnect}); one "
-                "platform per workspace"
-            )
-        manager = cls(
-            stored, store=store, policy=policy, _configure=False
-        )
-        manager._apply(events[1:])
-        return manager
+    # ------------------------------------------------------------------
+    # transitions: journal first, then apply (live and replayed alike)
+    # ------------------------------------------------------------------
+    def _commit(
+        self, event: str, data: Dict[str, Any], app_id: str, **fields: Any
+    ) -> None:
+        """Journal one decided transition, then apply it."""
+        if self.journal is not None:
+            self.journal.append(event, data)
+        self._apply(event, app_id, **fields)
 
-    def _apply(self, events: List[Dict[str, Any]]) -> None:
-        """Replay journaled decisions; never re-decides anything."""
-        for payload in events:
-            event, data = payload["event"], payload["data"]
+    def _apply(self, event: str, app_id: str, **fields: Any) -> None:
+        """Apply one journaled transition, live or replayed.
+
+        The only code that changes the admitted apps, their claims,
+        ``_next`` and the transition counts.  ``fields`` are the
+        :class:`PlacedApp` fields the transition decided: all of them
+        for ``admit``, the new point, placement, claim and guarantee
+        for ``migrate``, none for ``depart``.
+        """
+        if event == "depart":
+            self.residual.release(self._apps.pop(app_id).claim)
+            self.counters.add("departures")
+            return
+        if event == "admit":
+            app = PlacedApp(app_id=app_id, **fields)
+            self._next = max(self._next, _id_number(app_id) + 1)
+            self.counters.add("admissions")
+        else:
+            running = self._apps[app_id]
+            self.residual.release(running.claim)
+            app = dataclasses.replace(running, source="library", **fields)
+            self.counters.add("migrations")
+        self.residual.claim(app.claim)
+        self._apps[app_id] = app
+
+    def _replay(self, payload: Dict[str, Any]) -> None:
+        """Decode one journaled decision and apply it; never re-decides."""
+        seq, event, data = payload["seq"], payload["event"], payload["data"]
+        where = f"platform journal event {seq} ({event})"
+        try:
+            fields: Dict[str, Any] = {}
             if event == "admit":
-                point = from_payload(data["point"])
-                placement = dict(data["placement"])
-                claim = self.residual.claim_for(point, placement)
-                self.residual.claim(claim)
-                app = PlacedApp(
-                    app_id=data["app_id"],
+                fields.update(
                     app_name=data["app_name"],
                     source=data["source"],
-                    point=point,
-                    placement=placement,
-                    claim=claim,
-                    guarantee=decode_fraction(data["guarantee"]),
                     constraint=decode_fraction(data["constraint"]),
                     library_key=data["library_key"],
                     pinned=tuple(data["pinned"]),
                 )
-                self._apps[app.app_id] = app
-                self._next = max(
-                    self._next, _id_number(app.app_id) + 1
+            elif event not in ("depart", "migrate"):
+                raise PlatformError(f"unknown {where}")
+            elif data["app_id"] not in self._apps:
+                raise PlatformError(
+                    f"{where} names {data['app_id']!r}, which is not running"
                 )
-                self.counters["admissions"] += 1
-            elif event == "depart":
-                app = self._apps.pop(data["app_id"])
-                self.residual.release(app.claim)
-                self.counters["departures"] += 1
-            elif event == "migrate":
-                app = self._apps[data["app_id"]]
-                self.residual.release(app.claim)
+            if event != "depart":
                 point = from_payload(data["point"])
                 placement = dict(data["placement"])
-                claim = self.residual.claim_for(point, placement)
-                self.residual.claim(claim)
-                app.point = point
-                app.placement = placement
-                app.claim = claim
-                app.guarantee = decode_fraction(data["guarantee"])
-                app.source = "library"
-                self.counters["migrations"] += 1
-            else:
-                raise PlatformError(
-                    f"unknown platform journal event {event!r}"
+                fields.update(
+                    point=point,
+                    placement=placement,
+                    claim=self.residual.claim_for(point, placement),
+                    guarantee=decode_fraction(data["guarantee"]),
                 )
+            self._apply(event, data["app_id"], **fields)
+        except KeyError as missing:
+            raise PlatformError(f"{where} lacks {missing}") from None
+        except ValueError as error:  # e.g. an inadmissible claim
+            raise PlatformError(f"{where}: {error}") from None
 
     # ------------------------------------------------------------------
     # libraries
@@ -300,7 +311,7 @@ class PlatformManager:
             try:
                 return self._admit_locked(spec, library)
             except AdmissionError:
-                self.counters["rejections"] += 1
+                self.counters.add("rejections")
                 raise
 
     def _admit_locked(
@@ -325,30 +336,36 @@ class PlatformManager:
         if library is None:
             library = self._library_for(key)
 
-        analyses = 0
-        placed: Optional[Tuple[OperatingPoint, Dict[str, str],
-                               ResourceClaim, str]] = None
+        source, analyses, found = "library", 0, None
         if library is not None:
             for point in library.eligible():
                 found = find_placement(point, self.residual, pinned)
                 if found is not None:
-                    placed = (point, found[0], found[1], "library")
+                    placement, claim = found
                     break
-        if placed is None:
+        if found is None:
             point, placement, claim = self._spiral_fallback(
                 spec, app, constraint, fixed, effort
             )
-            analyses = 1
-            self.counters["analyses"] += 1
-            placed = (point, placement, claim, "spiral")
+            source, analyses = "spiral", 1
+            self.counters.add("analyses")
 
-        point, placement, claim, source = placed
-        self.residual.claim(claim)
         app_id = f"app-{self._next:06d}"
-        self._next += 1
-        record = PlacedApp(
-            app_id=app_id,
-            app_name=app_spec.effective_name or app.name,
+        app_name = app_spec.effective_name or app.name
+        data = {
+            "app_id": app_id,
+            "app_name": app_name,
+            "source": source,
+            "point": to_payload(point),
+            "placement": dict(sorted(placement.items())),
+            "guarantee": encode_fraction(point.throughput),
+            "constraint": encode_fraction(constraint),
+            "library_key": key,
+            "pinned": list(pinned),
+        }
+        self._commit(
+            "admit", data, app_id,
+            app_name=app_name,
             source=source,
             point=point,
             placement=placement,
@@ -358,31 +375,14 @@ class PlatformManager:
             library_key=key,
             pinned=pinned,
         )
-        self._apps[app_id] = record
-        self.counters["admissions"] += 1
-        if self.journal is not None:
-            self.journal.append(
-                "admit",
-                {
-                    "app_id": app_id,
-                    "app_name": record.app_name,
-                    "source": source,
-                    "point": to_payload(point),
-                    "placement": dict(sorted(placement.items())),
-                    "guarantee": encode_fraction(record.guarantee),
-                    "constraint": encode_fraction(constraint),
-                    "library_key": key,
-                    "pinned": list(pinned),
-                },
-            )
         return {
             "app_id": app_id,
-            "app": record.app_name,
+            "app": app_name,
             "source": source,
             "point": point.label,
-            "placement": dict(sorted(placement.items())),
+            "placement": data["placement"],
             "tiles": list(claim.tiles),
-            "guarantee": encode_fraction(record.guarantee),
+            "guarantee": data["guarantee"],
             "analyses": analyses,
         }
 
@@ -456,23 +456,19 @@ class PlatformManager:
         only when :class:`MigrationPolicy` says the downtime pays off.
         """
         with self._lock:
-            app = self._apps.pop(app_id, None)
+            app = self._apps.get(app_id)
             if app is None:
                 raise UnknownAppError(
                     f"platform is not running {app_id!r}"
                 )
-            self.residual.release(app.claim)
-            self.counters["departures"] += 1
-            if self.journal is not None:
-                self.journal.append(
-                    "depart", {"app_id": app_id, "migrate": migrate}
-                )
-            migrations: List[Dict[str, Any]] = []
-            if migrate:
-                for survivor in list(self._apps.values()):
-                    moved = self._consider_migration(survivor)
-                    if moved is not None:
-                        migrations.append(moved)
+            self._commit(
+                "depart", {"app_id": app_id, "migrate": migrate}, app_id
+            )
+            survivors = list(self._apps.values()) if migrate else []
+            migrations = [
+                moved for moved in map(self._consider_migration, survivors)
+                if moved is not None
+            ]
             return {
                 "app_id": app_id,
                 "app": app.app_name,
@@ -489,63 +485,57 @@ class PlatformManager:
         library = self._library_for(app.library_key)
         if library is None:
             return None
-        # Free the app's own resources so its current placement competes
-        # with the alternatives on equal footing.
+        # The fastest better point that places wins (the earliest among
+        # equals).  The probe frees the app's own resources, so its
+        # current placement competes on equal footing, and claims them
+        # back before anything is committed.
+        better = sorted(
+            (p for p in library.eligible() if p.throughput > app.guarantee),
+            key=lambda p: p.throughput,
+            reverse=True,
+        )
         self.residual.release(app.claim)
-        best: Optional[Tuple[OperatingPoint, Dict[str, str],
-                             ResourceClaim]] = None
-        for point in library.eligible():
-            if best is not None and point.throughput <= best[0].throughput:
-                continue
-            if point.throughput <= app.guarantee:
-                continue
-            found = find_placement(point, self.residual, app.pinned)
-            if found is not None:
-                best = (point, found[0], found[1])
+        try:
+            for point in better:
+                found = find_placement(point, self.residual, app.pinned)
+                if found is not None:
+                    break
+            else:
+                return None
+        finally:
+            self.residual.claim(app.claim)
 
-        if best is not None:
-            point, placement, claim = best
-            wires = 0
-            if self.residual.kind == "noc":
-                wires = self.residual._noc.default_connection_wires
-            downtime = transfer_cycles(app.point.state_bytes, wires)
-            if self.policy.worthwhile(
-                app.guarantee, point.throughput, downtime
-            ):
-                self.residual.claim(claim)
-                old_guarantee = app.guarantee
-                app.point = point
-                app.placement = placement
-                app.claim = claim
-                app.guarantee = point.throughput
-                app.source = "library"
-                self.counters["migrations"] += 1
-                if self.journal is not None:
-                    self.journal.append(
-                        "migrate",
-                        {
-                            "app_id": app.app_id,
-                            "point": to_payload(point),
-                            "placement": dict(
-                                sorted(placement.items())
-                            ),
-                            "guarantee": encode_fraction(
-                                point.throughput
-                            ),
-                        },
-                    )
-                return {
-                    "app_id": app.app_id,
-                    "app": app.app_name,
-                    "point": point.label,
-                    "tiles": list(claim.tiles),
-                    "from_guarantee": encode_fraction(old_guarantee),
-                    "to_guarantee": encode_fraction(app.guarantee),
-                    "downtime_cycles": downtime,
-                }
-        # keep the current placement
-        self.residual.claim(app.claim)
-        return None
+        placement, claim = found
+        wires = 0
+        if self.residual.kind == "noc":
+            wires = self.residual._noc.default_connection_wires
+        downtime = transfer_cycles(app.point.state_bytes, wires)
+        if not self.policy.worthwhile(
+            app.guarantee, point.throughput, downtime
+        ):
+            return None
+        data = {
+            "app_id": app.app_id,
+            "point": to_payload(point),
+            "placement": dict(sorted(placement.items())),
+            "guarantee": encode_fraction(point.throughput),
+        }
+        self._commit(
+            "migrate", data, app.app_id,
+            point=point,
+            placement=placement,
+            claim=claim,
+            guarantee=point.throughput,
+        )
+        return {
+            "app_id": app.app_id,
+            "app": app.app_name,
+            "point": point.label,
+            "tiles": list(claim.tiles),
+            "from_guarantee": encode_fraction(app.guarantee),
+            "to_guarantee": data["guarantee"],
+            "downtime_cycles": downtime,
+        }
 
     # ------------------------------------------------------------------
     # views
@@ -569,9 +559,7 @@ class PlatformManager:
                         ),
                         "tiles": list(app.claim.tiles),
                     }
-                    for app in sorted(
-                        self._apps.values(), key=lambda a: a.app_id
-                    )
+                    for app in self.apps()
                 ],
                 "residual": self.residual.snapshot(),
                 "next_app": self._next,
@@ -585,7 +573,7 @@ class PlatformManager:
         with self._lock:
             payload = self.state_payload()
             payload["configured"] = True
-            payload["counters"] = dict(self.counters)
+            payload["counters"] = self.counters.snapshot()
             payload["journal_length"] = (
                 len(self.journal) if self.journal is not None else 0
             )
@@ -599,7 +587,7 @@ class PlatformManager:
                 "apps": len(self._apps),
                 "residual_tiles": len(self.residual.free_tiles()),
                 "total_tiles": self.residual.total_tiles(),
-                "counters": dict(self.counters),
+                "counters": self.counters.snapshot(),
             }
 
     def apps(self) -> Tuple[PlacedApp, ...]:
@@ -614,3 +602,14 @@ def _id_number(app_id: str) -> int:
         return int(app_id.rsplit("-", 1)[1])
     except (IndexError, ValueError):
         return 0
+
+
+def _configured_architecture(first: Optional[Dict[str, Any]]) -> ArchSpec:
+    """The architecture a journal's first event configures."""
+    event = first.get("event") if first is not None else None
+    if event != "configure":
+        raise PlatformError(
+            "platform journal does not start with a configure event; "
+            f"found {event!r}"
+        )
+    return ArchSpec(**first["data"]["architecture"])

@@ -48,6 +48,10 @@ class FlowServiceClient:
     """A client bound to one service base URL."""
 
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:
+        if not base_url.startswith(("http://", "https://")):
+            raise ServiceClientError(
+                f"service URL {base_url!r} is not http:// or https://"
+            )
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 

@@ -136,7 +136,7 @@ def test_random_churn_never_overcommits(kind, corpora, tmp_path):
             except AdmissionError:
                 rejections += 1
         assert_never_overcommitted(manager)
-    assert manager.counters["rejections"] == rejections
+    assert manager.counters.snapshot()["rejections"] == rejections
 
     # invariant 2 on whatever survived the churn (bounded for speed)
     for app in manager.apps()[:2]:

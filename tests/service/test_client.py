@@ -53,6 +53,11 @@ class TestPolling:
     def test_base_url_trailing_slash_is_dropped(self):
         assert FlowServiceClient("http://h:1/").base_url == "http://h:1"
 
+    @pytest.mark.parametrize("url", ["notaurl", "ftp://h:1", ""])
+    def test_a_base_url_that_is_not_http_is_refused(self, url):
+        with pytest.raises(ServiceClientError, match="not http"):
+            FlowServiceClient(url)
+
     def test_wait_returns_the_first_terminal_view(self, monkeypatch):
         client = FlowServiceClient("http://unused")
         views = iter([{"status": "queued"}, {"status": "running"},

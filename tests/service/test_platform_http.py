@@ -1,5 +1,6 @@
 """The /v1/platform surface: admission, departure, occupancy."""
 
+import dataclasses
 import threading
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.artifacts import ArtifactStore
 from repro.flow.spec import ArchSpec
 from repro.runtime import build_library
+from repro.runtime.journal import PlatformJournal
 from repro.scenarios import generate_scenarios, scenario_flow_spec
 from repro.service import FlowServiceClient, ServiceClientError, serve
 
@@ -125,3 +127,17 @@ class TestPlatformEndpoints:
         assert "'migrate' must be JSON true or false" in str(outcome.value)
         # the rejected departure left the platform untouched
         assert client.platform_status() == before
+
+    def test_unreplayable_journal_answers_500(self, client, tmp_path):
+        store = ArtifactStore(tmp_path / "ws" / "artifacts")
+        journal = PlatformJournal(store)
+        journal.append(
+            "configure", {"architecture": dataclasses.asdict(ARCH)}
+        )
+        journal.append(
+            "depart", {"app_id": "app-000009", "migrate": False}
+        )
+        with pytest.raises(ServiceClientError) as outcome:
+            client.platform_status()
+        assert outcome.value.status == 500
+        assert "platform journal event 1 (depart)" in str(outcome.value)

@@ -583,8 +583,15 @@ class TestServe:
         assert "--jobs" in capsys.readouterr().err
         assert main(["serve", "--workspace", ws, "--max-queue", "0"]) == 1
         assert "--max-queue" in capsys.readouterr().err
+        for port in ("70000", "-5"):
+            assert main(["serve", "--workspace", ws, "--port", port]) == 1
+            assert "--port must be in 0..65535" in capsys.readouterr().err
         # nothing was bound or created before validation failed
         assert not (tmp_path / "ws").exists()
+
+    def test_platform_refuses_a_url_that_is_not_http(self, capsys):
+        assert main(["platform", "status", "--url", "notaurl"]) == 1
+        assert "error: service URL 'notaurl'" in capsys.readouterr().err
 
     @pytest.mark.skipif(not os.path.isdir("/proc"),
                         reason="reads child processes from /proc")
