@@ -189,11 +189,10 @@ class MJPEGActorSet:
         blocks: List[BlockToken] = []
         coefficients = 0
         for component in self.block_order:
-            levels, new_dc, count = decode_block(
+            levels, new_dc, count, nonzero = decode_block(
                 reader, predictors[component]
             )
             predictors[component] = new_dc
-            nonzero = int(np.count_nonzero(levels))
             blocks.append(
                 BlockToken(
                     component=component,

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.exceptions import BitstreamError
+
+#: Bytes behind one :meth:`BitReader.window`: 32 bits at any bit offset.
+WINDOW_BYTES = 5
+
+
+def exhausted(position: int, bits: int) -> BitstreamError:
+    """The error for a read of ``bits`` bits past the end at ``position``."""
+    return BitstreamError(
+        f"bitstream exhausted at bit {position} (wanted {bits} more)"
+    )
 
 
 class BitWriter:
@@ -58,44 +66,48 @@ class BitReader:
 
     Tracks ``bits_consumed`` so the VLD cost model can charge per decoded
     bit, the dominant term of software Huffman decoding on a Microblaze.
+    Reads go through :meth:`window`, 32 bits at a time.
     """
 
     def __init__(self, data: bytes) -> None:
-        self._data = data
+        # Zero bytes past the end keep a window near the end in range.
+        self._padded = bytes(data) + bytes(WINDOW_BYTES)
+        self.length_bits = len(data) * 8
         self._position = 0  # bit position
         self.bits_consumed = 0
+
+    def window(self, position: int) -> int:
+        """The 32 bits from bit ``position`` on, MSB first; bits past the
+        end of the data read as zeros."""
+        byte = position >> 3
+        return (
+            int.from_bytes(self._padded[byte:byte + WINDOW_BYTES], "big")
+            >> (8 - (position & 7))
+        ) & 0xFFFFFFFF
 
     def read(self, bits: int) -> int:
         """Read ``bits`` bits as an unsigned integer."""
         if bits < 0 or bits > 32:
             raise BitstreamError(f"bit count {bits} out of range")
-        if self._position + bits > len(self._data) * 8:
-            raise BitstreamError(
-                f"bitstream exhausted at bit {self._position} "
-                f"(wanted {bits} more)"
-            )
-        value = 0
-        position = self._position
-        for _ in range(bits):
-            byte = self._data[position >> 3]
-            bit = (byte >> (7 - (position & 7))) & 1
-            value = (value << 1) | bit
-            position += 1
-        self._position = position
-        self.bits_consumed += bits
+        value = self.window(self._position) >> (32 - bits)
+        self.skip(bits)
         return value
 
-    def read_bit(self) -> int:
-        return self.read(1)
+    def skip(self, bits: int) -> None:
+        """Consume ``bits`` bits (counted in ``bits_consumed``)."""
+        if self._position + bits > self.length_bits:
+            raise exhausted(self._position, bits)
+        self._position += bits
+        self.bits_consumed += bits
 
     def align(self) -> None:
         """Skip to the next byte boundary."""
         remainder = self._position & 7
         if remainder:
-            self.read(8 - remainder)
+            self.skip(8 - remainder)
 
     def seek_bits(self, bit_position: int) -> None:
-        if bit_position < 0 or bit_position > len(self._data) * 8:
+        if bit_position < 0 or bit_position > self.length_bits:
             raise BitstreamError(f"seek to {bit_position} out of range")
         self._position = bit_position
 
@@ -105,7 +117,4 @@ class BitReader:
 
     @property
     def exhausted(self) -> bool:
-        return self._position >= len(self._data) * 8
-
-    def remaining_bits(self) -> int:
-        return len(self._data) * 8 - self._position
+        return self._position >= self.length_bits

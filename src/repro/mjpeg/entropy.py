@@ -1,9 +1,13 @@
 """Entropy decoding shared by the reference decoder and the VLD actor.
 
-Bit-serial canonical Huffman decoding -- deliberately the same algorithm a
-software decoder on a Microblaze would run (read a bit, extend the code,
-look it up), so the VLD cost model can charge per consumed bit and per
-decoded coefficient.
+Canonical Huffman decoding by table lookup: the next ``max_length`` bits
+of the stream index :attr:`HuffmanTable.lookup`, which gives the symbol
+and its code length at once, and the magnitude bits that follow come from
+the same 32-bit window.  Only the host decodes a symbol per lookup: the
+reader still counts every consumed bit, and the VLD cost model charges
+per bit and per decoded coefficient, as for the bit-serial decoder a
+Microblaze would run (read a bit, extend the code, look it up).  A bad
+stream raises the error that bit-serial decoder would.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.exceptions import BitstreamError
-from repro.mjpeg.bitstream import BitReader
+from repro.mjpeg.bitstream import BitReader, exhausted
 from repro.mjpeg.tables import (
     AC_TABLE,
     DC_TABLE,
@@ -24,54 +28,87 @@ from repro.mjpeg.tables import (
 )
 
 
-def decode_symbol(reader: BitReader, table: HuffmanTable) -> int:
-    """Decode one Huffman symbol bit-serially."""
-    code = 0
-    for length in range(1, table.max_length + 1):
-        code = (code << 1) | reader.read_bit()
-        symbol = table.decode_map.get((length, code))
-        if symbol is not None:
-            return symbol
-    raise BitstreamError(
-        f"invalid Huffman code 0b{code:b} after {table.max_length} bits"
-    )
+def _code_error(
+    table: HuffmanTable, window: int, position: int, end: int
+) -> BitstreamError:
+    """The error for bits at ``position`` that start no code of ``table``
+    ending by bit ``end``: an invalid code if ``max_length`` bits remain,
+    else the read of the bit after ``end``."""
+    if end - position >= table.max_length:
+        code = window >> (32 - table.max_length)
+        return BitstreamError(
+            f"invalid Huffman code 0b{code:b} after {table.max_length} bits"
+        )
+    return exhausted(end, 1)
+
+
+def _overflow(index: int) -> BitstreamError:
+    return BitstreamError(f"AC run overflows the block (index {index})")
 
 
 def decode_block(
     reader: BitReader, dc_predictor: int
-) -> Tuple[np.ndarray, int, int]:
+) -> Tuple[np.ndarray, int, int, int]:
     """Decode one block.
 
     Returns ``(levels in zig-zag order (int32[64]), new DC predictor,
-    coefficients decoded)``.  The coefficient count (DC + nonzero ACs)
-    feeds the VLD cost model.
+    coefficients decoded, nonzero levels)``.  The coefficient count (DC +
+    decoded ACs) and the nonzero count feed the VLD cost model.  On a bad
+    stream the reader stays at the start of the block.
     """
-    levels = np.zeros(64, dtype=np.int32)
-    category = decode_symbol(reader, DC_TABLE)
-    diff = decode_magnitude(reader.read(category), category) if category \
-        else 0
-    dc = dc_predictor + diff
+    window_at = reader.window
+    end = reader.length_bits
+    start = position = reader.position_bits
+
+    window = window_at(position)
+    entry = DC_TABLE.lookup[window >> (32 - DC_TABLE.max_length)]
+    if entry is None or position + entry[1] > end:
+        raise _code_error(DC_TABLE, window, position, end)
+    category, length = entry
+    position += length
+    if position + category > end:
+        raise exhausted(position, category)
+    dc = dc_predictor + decode_magnitude(
+        (window >> (32 - length - category)) & ((1 << category) - 1),
+        category,
+    )
+    position += category
+    levels = [0] * 64
     levels[0] = dc
     coefficients = 1
 
+    lookup = AC_TABLE.lookup
+    shift = 32 - AC_TABLE.max_length
     index = 1
     while index < 64:
-        symbol = decode_symbol(reader, AC_TABLE)
+        window = window_at(position)
+        entry = lookup[window >> shift]
+        if entry is None or position + entry[1] > end:
+            raise _code_error(AC_TABLE, window, position, end)
+        symbol, length = entry
+        position += length
         if symbol == EOB:
             break
         if symbol == ZRL:
             index += 16
+            if index > 64:
+                raise _overflow(index)
             continue
-        run = symbol >> 4
-        category = symbol & 0x0F
-        index += run
+        index += symbol >> 4
         if index >= 64:
-            raise BitstreamError(
-                f"AC run overflows the block (index {index})"
-            )
+            raise _overflow(index)
+        category = symbol & 0x0F
+        if position + category > end:
+            raise exhausted(position, category)
         levels[index] = decode_magnitude(
-            reader.read(category), category
+            (window >> (32 - length - category)) & ((1 << category) - 1),
+            category,
         )
+        position += category
         coefficients += 1
         index += 1
-    return levels, dc, coefficients
+    reader.skip(position - start)
+    return (
+        np.array(levels, dtype=np.int32), dc, coefficients,
+        64 - levels.count(0),
+    )

@@ -50,7 +50,7 @@ def decode_sequence(encoded: EncodedSequence) -> List[np.ndarray]:
             for mcu_x in range(info.mcus_x):
                 for by in range(info.v):
                     for bx in range(info.h):
-                        levels, predictors["y"], _n = decode_block(
+                        levels, predictors["y"], _n, _z = decode_block(
                             reader, predictors["y"]
                         )
                         block = levels[unzigzag].reshape(8, 8)
@@ -65,7 +65,7 @@ def decode_sequence(encoded: EncodedSequence) -> List[np.ndarray]:
                         ("cb", cb_plane, chroma_table),
                         ("cr", cr_plane, chroma_table),
                     ):
-                        levels, predictors[name], _n = decode_block(
+                        levels, predictors[name], _n, _z = decode_block(
                             reader, predictors[name]
                         )
                         block = levels[unzigzag].reshape(8, 8)

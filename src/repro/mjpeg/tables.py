@@ -9,7 +9,8 @@ the decode path exercised by the case study is identical).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -113,7 +114,11 @@ EOB = 0x00  # end of block
 
 
 class HuffmanTable:
-    """A canonical Huffman code: symbol <-> (code, length)."""
+    """A canonical Huffman code: symbol <-> (code, length).
+
+    Decoding uses :attr:`lookup`, indexed by the next ``max_length`` bits
+    of the stream.
+    """
 
     def __init__(self, bits: Tuple[int, ...], huffval: Tuple[int, ...]):
         if len(bits) != 16:
@@ -139,6 +144,24 @@ class HuffmanTable:
                 index += 1
                 self.max_length = length
             code <<= 1
+
+    @cached_property
+    def lookup(self) -> List[Optional[Tuple[int, int]]]:
+        """``(symbol, code length)`` of the code each ``max_length``-bit
+        window starts with, or ``None`` where no code matches.
+
+        Built on first use: importing the codec costs nothing.
+        """
+        table: List[Optional[Tuple[int, int]]] = [None] * (
+            1 << self.max_length
+        )
+        for (length, code), symbol in self.decode_map.items():
+            free = self.max_length - length
+            first = code << free
+            table[first:first + (1 << free)] = [(symbol, length)] * (
+                1 << free
+            )
+        return table
 
     def encode(self, symbol: int) -> Tuple[int, int]:
         """(code, bit length) of a symbol."""

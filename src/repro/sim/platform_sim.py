@@ -130,6 +130,27 @@ class PlatformSimulator:
         self._states = {a: {} for a in self.bound.app_actors}
         self._firing_cycles = {a: [] for a in self.bound.app_actors}
 
+        # Per-actor firing plans: the channels a firing pops (with their
+        # consumption) and pushes (with their production), in edge order.
+        # Self-edges and implicit edges carry no values.
+        fifos = self._fifos
+        self._input_plan = {
+            actor: tuple(
+                (channel, fifos[channel].popleft, edge.consumption)
+                for edge in self.bound.graph.in_edges(actor)
+                if (channel := self._channel_of.get(edge.name)) is not None
+            )
+            for actor in self.bound.app_actors
+        }
+        self._output_plan = {
+            actor: tuple(
+                (edge.name, fifos[edge.name].extend, edge.production)
+                for edge in self.app.graph.out_edges(actor)
+                if edge.name in fifos
+            )
+            for actor in self.bound.app_actors
+        }
+
         # Initial token values: produced by the init functions (Listing 1),
         # pre-loaded into the destination-side buffers by the generated
         # communication-initialisation code (Section 5.2).
@@ -170,14 +191,14 @@ class PlatformSimulator:
         pop its inputs, run the implementation, push its outputs onto the
         application channels; returns the firing's duration."""
         impl = self._impl_of[actor]
-        fifos = self._fifos
-        context = FiringContext(state=self._states[actor], firing_index=index)
-        for edge in self.bound.graph.in_edges(actor):
-            channel = self._channel_of.get(edge.name)
-            if channel is not None:
-                context.inputs[channel] = [
-                    fifos[channel].popleft() for _ in range(edge.consumption)
-                ]
+        context = FiringContext(
+            inputs={
+                channel: [pop() for _ in range(consumption)]
+                for channel, pop, consumption in self._input_plan[actor]
+            },
+            state=self._states[actor],
+            firing_index=index,
+        )
         output = impl.fire(context)
         if output.cycles > impl.wcet:
             raise SimulationError(
@@ -185,16 +206,14 @@ class PlatformSimulator:
                 f"above its declared WCET of {impl.wcet}; the throughput "
                 "guarantee would be unsound"
             )
-        for edge in self.app.graph.out_edges(actor):
-            if edge.name not in fifos:  # self-edge or implicit: no values
-                continue
-            produced = output.outputs.get(edge.name) or ()
-            if len(produced) != edge.production:
+        for channel, push, production in self._output_plan[actor]:
+            produced = output.outputs.get(channel) or ()
+            if len(produced) != production:
                 raise SimulationError(
                     f"actor {actor!r} produced {len(produced)} token(s) on "
-                    f"{edge.name!r}, expected {edge.production}"
+                    f"{channel!r}, expected {production}"
                 )
-            fifos[edge.name].extend(produced)
+            push(produced)
         self._firing_cycles[actor].append(output.cycles)
         return output.cycles + self._dispatch[actor]
 

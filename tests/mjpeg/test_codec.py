@@ -26,7 +26,7 @@ from repro.mjpeg.sequences import (
     synthetic_sequence,
     test_set_sequences as build_test_set,
 )
-from repro.mjpeg.tables import ZIGZAG
+from repro.mjpeg.tables import AC_TABLE, DC_TABLE, EOB, ZIGZAG, ZRL
 
 
 class TestDCT:
@@ -66,7 +66,7 @@ class TestBlockEntropyRoundtrip:
         dc = _encode_block(writer, levels_natural.ravel()[zigzag], 0)
         writer.align()
         reader = BitReader(writer.getvalue())
-        decoded, new_dc, count = decode_block(reader, 0)
+        decoded, new_dc, count, _nonzero = decode_block(reader, 0)
         # decoded is in zig-zag scan order; undo the permutation
         natural = np.zeros(64, dtype=np.int32)
         natural[zigzag] = decoded
@@ -101,6 +101,45 @@ class TestBlockEntropyRoundtrip:
         decoded, count = self.roundtrip(levels)
         assert np.array_equal(decoded, levels)
         assert count == 1  # just the DC
+
+    @staticmethod
+    def zrl_block(zrls):
+        """A DC of 0, then ``zrls`` ZRL codes and an EOB."""
+        writer = BitWriter()
+        writer.write(*DC_TABLE.encode(0))
+        for _ in range(zrls):
+            writer.write(*AC_TABLE.encode(ZRL))
+        writer.write(*AC_TABLE.encode(EOB))
+        writer.align()
+        return BitReader(writer.getvalue())
+
+    def test_zrls_within_the_block(self):
+        levels, dc, count, nonzero = decode_block(self.zrl_block(3), 0)
+        assert not levels.any()
+        assert (dc, count, nonzero) == (0, 1, 0)
+
+    def test_zrl_to_the_block_end_ends_it(self):
+        # level 1 at index 15, then three ZRLs fill 16..63: no EOB
+        writer = BitWriter()
+        writer.write(*DC_TABLE.encode(0))
+        writer.write(*AC_TABLE.encode(0xE1))
+        writer.write(1, 1)
+        for _ in range(3):
+            writer.write(*AC_TABLE.encode(ZRL))
+        bits = writer.bit_length
+        writer.align()
+        reader = BitReader(writer.getvalue())
+        levels, _dc, count, nonzero = decode_block(reader, 0)
+        assert np.flatnonzero(levels).tolist() == [15]
+        assert (count, nonzero) == (2, 1)
+        assert reader.position_bits == bits
+
+    def test_zrl_past_the_block_rejected(self):
+        # four ZRLs take the coefficient index from 1 to 65
+        with pytest.raises(
+            BitstreamError, match=r"AC run overflows the block \(index 65\)"
+        ):
+            decode_block(self.zrl_block(4), 0)
 
 
 class TestEncoder:

@@ -16,6 +16,8 @@ from repro.mjpeg.tables import (
     magnitude_category,
     scaled_quant_table,
     BASE_LUMA_QUANT,
+    DC_BITS,
+    DC_HUFFVAL,
 )
 
 
@@ -77,6 +79,29 @@ class TestHuffman:
     def test_roundtrip_via_decode_map(self):
         for symbol, (code, length) in AC_TABLE.encode_map.items():
             assert AC_TABLE.decode_map[(length, code)] == symbol
+
+    @pytest.mark.parametrize("table", [DC_TABLE, AC_TABLE])
+    def test_lookup_gives_the_code_each_window_starts_with(self, table):
+        lookup = table.lookup
+        assert len(lookup) == 1 << table.max_length
+        for window, entry in enumerate(lookup):
+            if entry is not None:
+                symbol, length = entry
+                code = window >> (table.max_length - length)
+                assert table.decode_map[(length, code)] == symbol
+        # the codes are prefix-free, so this count leaves no window that
+        # starts with a code unmatched
+        matched = sum(entry is not None for entry in lookup)
+        assert matched == sum(
+            1 << (table.max_length - length)
+            for length, _code in table.decode_map
+        )
+
+    def test_lookup_built_on_first_use(self):
+        table = HuffmanTable(DC_BITS, DC_HUFFVAL)
+        assert "lookup" not in vars(table)
+        assert table.lookup is table.lookup
+        assert "lookup" in vars(table)
 
     def test_unknown_symbol_rejected(self):
         with pytest.raises(BitstreamError):

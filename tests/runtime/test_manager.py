@@ -148,6 +148,38 @@ class TestReplay:
             assert replayed.counters.snapshot()[counter] == \
                 manager.counters.snapshot()[counter]
 
+    def test_replayed_status_differs_only_in_process_counts(
+        self, fsl_builds, tmp_path
+    ):
+        # the contract CI's platform-smoke job checks across a restart:
+        # rejections and analyses count one process's work and are not
+        # journaled; every other status field replays
+        def replayable(status):
+            counters = {
+                name: count
+                for name, count in status["counters"].items()
+                if name not in ("rejections", "analyses")
+            }
+            return {**status, "counters": counters}
+
+        store = ArtifactStore(tmp_path / "artifacts")
+        manager = managed(fsl_builds, store=store)
+        first = manager.admit(fsl_builds[0][0])
+        manager.admit(fsl_builds[1][0])
+        unknown = flow_specs("splitjoin", 3, 3, ARCH_FSL)[2]
+        assert manager.admit(unknown)["source"] == "spiral"
+        with pytest.raises(AdmissionError):
+            manager.admit(unknown)  # the platform is full
+        manager.depart(first["app_id"], migrate=True)
+
+        live = manager.status()
+        replayed = PlatformManager.open(store=store).status()
+        assert live["counters"]["analyses"] == 1
+        assert live["counters"]["rejections"] == 1
+        assert replayed["counters"]["analyses"] == 0
+        assert replayed["counters"]["rejections"] == 0
+        assert replayable(replayed) == replayable(live)
+
     def test_open_without_configuration_returns_none(self, tmp_path):
         assert PlatformManager.open(store=None) is None
         store = ArtifactStore(tmp_path / "artifacts")
