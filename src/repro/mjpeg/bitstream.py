@@ -8,7 +8,7 @@ from repro.exceptions import BitstreamError
 WINDOW_BYTES = 5
 
 
-def exhausted(position: int, bits: int) -> BitstreamError:
+def overrun(position: int, bits: int) -> BitstreamError:
     """The error for a read of ``bits`` bits past the end at ``position``."""
     return BitstreamError(
         f"bitstream exhausted at bit {position} (wanted {bits} more)"
@@ -96,7 +96,7 @@ class BitReader:
     def skip(self, bits: int) -> None:
         """Consume ``bits`` bits (counted in ``bits_consumed``)."""
         if self._position + bits > self.length_bits:
-            raise exhausted(self._position, bits)
+            raise overrun(self._position, bits)
         self._position += bits
         self.bits_consumed += bits
 

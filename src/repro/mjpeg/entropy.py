@@ -17,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.exceptions import BitstreamError
-from repro.mjpeg.bitstream import BitReader, exhausted
+from repro.mjpeg.bitstream import BitReader, overrun
 from repro.mjpeg.tables import (
     AC_TABLE,
     DC_TABLE,
@@ -28,18 +28,22 @@ from repro.mjpeg.tables import (
 )
 
 
-def _code_error(
+def _code_at(
     table: HuffmanTable, window: int, position: int, end: int
-) -> BitstreamError:
-    """The error for bits at ``position`` that start no code of ``table``
-    ending by bit ``end``: an invalid code if ``max_length`` bits remain,
-    else the read of the bit after ``end``."""
+) -> Tuple[int, int]:
+    """``(symbol, code length)`` of the ``table`` code that ``window``,
+    the bits from ``position`` on, starts with.  Raises what a bit-serial
+    decoder would where none fits before bit ``end``: an invalid code if
+    ``max_length`` bits remain, else the read of the bit after ``end``."""
+    entry = table.lookup[window >> (32 - table.max_length)]
+    if entry is not None and position + entry[1] <= end:
+        return entry
     if end - position >= table.max_length:
         code = window >> (32 - table.max_length)
-        return BitstreamError(
+        raise BitstreamError(
             f"invalid Huffman code 0b{code:b} after {table.max_length} bits"
         )
-    return exhausted(end, 1)
+    raise overrun(end, 1)
 
 
 def _overflow(index: int) -> BitstreamError:
@@ -61,13 +65,10 @@ def decode_block(
     start = position = reader.position_bits
 
     window = window_at(position)
-    entry = DC_TABLE.lookup[window >> (32 - DC_TABLE.max_length)]
-    if entry is None or position + entry[1] > end:
-        raise _code_error(DC_TABLE, window, position, end)
-    category, length = entry
+    category, length = _code_at(DC_TABLE, window, position, end)
     position += length
     if position + category > end:
-        raise exhausted(position, category)
+        raise overrun(position, category)
     dc = dc_predictor + decode_magnitude(
         (window >> (32 - length - category)) & ((1 << category) - 1),
         category,
@@ -77,15 +78,10 @@ def decode_block(
     levels[0] = dc
     coefficients = 1
 
-    lookup = AC_TABLE.lookup
-    shift = 32 - AC_TABLE.max_length
     index = 1
     while index < 64:
         window = window_at(position)
-        entry = lookup[window >> shift]
-        if entry is None or position + entry[1] > end:
-            raise _code_error(AC_TABLE, window, position, end)
-        symbol, length = entry
+        symbol, length = _code_at(AC_TABLE, window, position, end)
         position += length
         if symbol == EOB:
             break
@@ -99,7 +95,7 @@ def decode_block(
             raise _overflow(index)
         category = symbol & 0x0F
         if position + category > end:
-            raise exhausted(position, category)
+            raise overrun(position, category)
         levels[index] = decode_magnitude(
             (window >> (32 - length - category)) & ((1 << category) - 1),
             category,
